@@ -40,20 +40,30 @@ WorkloadOptions optionsFor(int Tracks) {
   return Opts;
 }
 
+/// The affine >< uf product of the track workloads.  The gated rungs build
+/// one per iteration, inside the timing loop, so every memo table starts
+/// empty exactly as in a production analysis (each job builds fresh
+/// domains); a domain kept across iterations would time its own cache hits.
+struct AffineUF {
+  AffineDomain LA;
+  UFDomain UF;
+  LogicalProduct Logical;
+  explicit AffineUF(TermContext &Ctx)
+      : LA(Ctx), UF(Ctx), Logical(Ctx, LA, UF) {}
+};
+
 void BM_FixpointComponentsVsProduct(benchmark::State &State) {
   TermContext Ctx;
-  AffineDomain LA(Ctx);
-  UFDomain UF(Ctx);
-  LogicalProduct Logical(Ctx, LA, UF);
   Workload W = generateWorkload(Ctx, optionsFor(static_cast<int>(State.range(0))));
 
   unsigned H1 = 0, H2 = 0, H = 0;
   size_t Aliens = 0;
   AnalyzerStats LastStats;
   for (auto _ : State) {
-    AnalysisResult R1 = Analyzer(LA).run(W.P);
-    AnalysisResult R2 = Analyzer(UF).run(W.P);
-    AnalysisResult R = Analyzer(Logical).run(W.P);
+    AffineUF D(Ctx);
+    AnalysisResult R1 = Analyzer(D.LA).run(W.P);
+    AnalysisResult R2 = Analyzer(D.UF).run(W.P);
+    AnalysisResult R = Analyzer(D.Logical).run(W.P);
     H1 = R1.Stats.MaxNodeUpdates;
     H2 = R2.Stats.MaxNodeUpdates;
     H = R.Stats.MaxNodeUpdates;
@@ -62,7 +72,7 @@ void BM_FixpointComponentsVsProduct(benchmark::State &State) {
     Aliens = 0;
     for (const Conjunction &Inv : R.Invariants)
       if (!Inv.isBottom())
-        Aliens = std::max(Aliens, alienTerms(Ctx, LA, UF, Inv).size());
+        Aliens = std::max(Aliens, alienTerms(Ctx, D.LA, D.UF, Inv).size());
     benchmark::DoNotOptimize(R);
   }
   State.counters["H_affine"] = H1;
@@ -77,14 +87,12 @@ void BM_FixpointComponentsVsProduct(benchmark::State &State) {
 
 void BM_FixpointProductOnly(benchmark::State &State) {
   TermContext Ctx;
-  AffineDomain LA(Ctx);
-  UFDomain UF(Ctx);
-  LogicalProduct Logical(Ctx, LA, UF);
   Workload W = generateWorkload(Ctx, optionsFor(static_cast<int>(State.range(0))));
   unsigned Verified = 0;
   AnalyzerStats LastStats;
   for (auto _ : State) {
-    AnalysisResult R = Analyzer(Logical).run(W.P);
+    AffineUF D(Ctx);
+    AnalysisResult R = Analyzer(D.Logical).run(W.P);
     Verified = R.numVerified();
     LastStats = R.Stats;
     benchmark::DoNotOptimize(R);
@@ -104,15 +112,13 @@ void BM_FixpointProductOnly(benchmark::State &State) {
 /// the memoization speedup alone.
 void BM_FixpointProductNoMemo(benchmark::State &State) {
   TermContext Ctx;
-  AffineDomain LA(Ctx);
-  UFDomain UF(Ctx);
-  LogicalProduct Logical(Ctx, LA, UF);
+  AffineUF D(Ctx);
   Workload W = generateWorkload(Ctx, optionsFor(static_cast<int>(State.range(0))));
   AnalyzerOptions Opts;
   Opts.Memoize = false;
   unsigned Verified = 0;
   for (auto _ : State) {
-    AnalysisResult R = Analyzer(Logical, Opts).run(W.P);
+    AnalysisResult R = Analyzer(D.Logical, Opts).run(W.P);
     Verified = R.numVerified();
     benchmark::DoNotOptimize(R);
   }
@@ -127,20 +133,20 @@ void BM_FixpointProductNoMemo(benchmark::State &State) {
 /// one flag test per operation, which EXPERIMENTS.md bounds at 2%.
 void BM_FixpointCheckedOff(benchmark::State &State) {
   TermContext Ctx;
-  AffineDomain LA(Ctx);
-  UFDomain UF(Ctx);
-  LogicalProduct Logical(Ctx, LA, UF);
-  check::CheckedLattice Checked(Logical);
-  Checked.setChecking(false);
   Workload W = generateWorkload(Ctx, optionsFor(static_cast<int>(State.range(0))));
   unsigned Verified = 0;
+  unsigned long ChecksRun = 0;
   for (auto _ : State) {
+    AffineUF D(Ctx);
+    check::CheckedLattice Checked(D.Logical);
+    Checked.setChecking(false);
     AnalysisResult R = Analyzer(Checked).run(W.P);
     Verified = R.numVerified();
+    ChecksRun = Checked.checksRun();
     benchmark::DoNotOptimize(R);
   }
   State.counters["verified"] = Verified;
-  State.counters["checks_run"] = static_cast<double>(Checked.checksRun());
+  State.counters["checks_run"] = static_cast<double>(ChecksRun);
 }
 
 /// E15 ablation, middle rung: the full instrumentation path runs but the
@@ -149,14 +155,12 @@ void BM_FixpointCheckedOff(benchmark::State &State) {
 /// BM_FixpointProductTraced is the JSON-buffer cost.
 void BM_FixpointProductNullTrace(benchmark::State &State) {
   TermContext Ctx;
-  AffineDomain LA(Ctx);
-  UFDomain UF(Ctx);
-  LogicalProduct Logical(Ctx, LA, UF);
   Workload W = generateWorkload(Ctx, optionsFor(static_cast<int>(State.range(0))));
   obs::Tracer Tracer(obs::Tracer::Sink::Discard);
   obs::Tracer::install(&Tracer);
   for (auto _ : State) {
-    AnalysisResult R = Analyzer(Logical).run(W.P);
+    AffineUF D(Ctx);
+    AnalysisResult R = Analyzer(D.Logical).run(W.P);
     benchmark::DoNotOptimize(R);
   }
   obs::Tracer::install(nullptr);
@@ -166,16 +170,14 @@ void BM_FixpointProductNullTrace(benchmark::State &State) {
 /// (cleared per iteration so the buffer does not grow across iterations).
 void BM_FixpointProductTraced(benchmark::State &State) {
   TermContext Ctx;
-  AffineDomain LA(Ctx);
-  UFDomain UF(Ctx);
-  LogicalProduct Logical(Ctx, LA, UF);
   Workload W = generateWorkload(Ctx, optionsFor(static_cast<int>(State.range(0))));
   obs::Tracer Tracer;
   obs::Tracer::install(&Tracer);
   size_t Events = 0;
   for (auto _ : State) {
     Tracer.clear();
-    AnalysisResult R = Analyzer(Logical).run(W.P);
+    AffineUF D(Ctx);
+    AnalysisResult R = Analyzer(D.Logical).run(W.P);
     Events = Tracer.numEvents();
     benchmark::DoNotOptimize(R);
   }
@@ -274,12 +276,13 @@ void BM_FixpointPolyUF(benchmark::State &State) {
   )";
   TermContext Ctx;
   std::optional<Program> P = parseProgram(Ctx, Figure1);
-  PolyDomain Poly(Ctx);
-  UFDomain UF(Ctx);
-  LogicalProduct Logical(Ctx, Poly, UF);
   unsigned Verified = 0;
   AnalyzerStats LastStats;
   for (auto _ : State) {
+    // Fresh domains per iteration, cold as in BM_FixpointProductOnly.
+    PolyDomain Poly(Ctx);
+    UFDomain UF(Ctx);
+    LogicalProduct Logical(Ctx, Poly, UF);
     AnalysisResult R = Analyzer(Logical).run(*P);
     Verified = R.numVerified();
     LastStats = R.Stats;
