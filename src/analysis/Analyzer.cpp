@@ -82,7 +82,7 @@ Conjunction Analyzer::transfer(const Action &Act, const Conjunction &In) const {
       if (Known && AllArgs)
         Usable.add(A);
     }
-    return Lattice.meetCached(In, Usable);
+    return Lattice.meet(In, Usable);
   }
 
   case ActionKind::Assign:
@@ -100,8 +100,8 @@ Conjunction Analyzer::transfer(const Action &Act, const Conjunction &In) const {
     // The shadow variable is deterministic per assigned variable ('$'
     // names are reserved for the library, so it cannot collide with a
     // program variable, and quantification guarantees it never escapes
-    // the result).  A fresh variable per call would defeat transfer
-    // memoization: identical (action, input) pairs must build identical
+    // the result).  A fresh variable per call would defeat the lattice's
+    // memo tables: identical (action, input) pairs must build identical
     // intermediate conjunctions.
     Term X = Act.Var;
     Term X0 = Ctx.mkVar("$x0$" + X->varName());
@@ -112,7 +112,7 @@ Conjunction Analyzer::transfer(const Action &Act, const Conjunction &In) const {
       Term Value = Ctx.substitute(Act.Value, Rename);
       E.add(Atom::mkEq(Ctx, X, Value));
     }
-    return Lattice.existQuantCached(E, {X0});
+    return Lattice.existQuant(E, {X0});
   }
   }
   assert(false && "unknown action kind");
@@ -232,7 +232,7 @@ AnalysisResult Analyzer::run(const Program &P) const {
       CAI_TRACE_SPAN("lattice.widen", "lattice");
       obs::ProvenanceScope PS(E.To, Updates[E.To] + 1,
                               obs::ProvenanceRecorder::Step::Widen);
-      Next = Lattice.widenCached(Target, Out);
+      Next = Lattice.widen(Target, Out);
       obs::diffStep(Lattice, Target, &Out, Next);
     } else {
       ++Result.Stats.Joins;
@@ -497,7 +497,7 @@ AnalysisResult Analyzer::run(const Program &P) const {
       break;
     bool Changed = false;
     for (NodeId N = 0; N < P.numNodes(); ++N) {
-      Conjunction Refined = Lattice.meetCached(Result.Invariants[N], Inputs[N]);
+      Conjunction Refined = Lattice.meet(Result.Invariants[N], Inputs[N]);
       if (Refined != Result.Invariants[N]) {
         Result.Invariants[N] = std::move(Refined);
         Changed = true;

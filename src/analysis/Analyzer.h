@@ -62,11 +62,13 @@ struct AnalyzerOptions {
   /// count; refinements need one pass per node on the chain from the
   /// refined loop head, and the loop stops early once stable.
   unsigned NarrowingPasses = 3;
-  /// Memoize lattice operations (join/meet/entailment/unsat/quantification,
-  /// keyed on canonical conjunction fingerprints) and edge transfers across
-  /// fixpoint iterations.  Analysis results are bit-for-bit identical with
-  /// memoization on or off (the cache-equivalence test enforces this); off
-  /// exists for that test and for measuring the speedup.
+  /// Memoize lattice operations (join, entailment, unsat and implied
+  /// variable equalities, keyed on canonical conjunction fingerprints, plus
+  /// each product's purification and the polyhedra LP solves) and edge
+  /// transfers across fixpoint iterations.  Analysis results are bit-for-bit
+  /// identical with memoization on or off (the cache-equivalence test
+  /// enforces this); off exists for that test and for measuring the
+  /// speedup.
   bool Memoize = true;
   /// Cooperative cancellation: when non-null and set, the fixpoint loop
   /// stops at its next step boundary and the run returns with

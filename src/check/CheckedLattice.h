@@ -18,10 +18,12 @@
 ///
 /// Each check replays the result through the inner lattice's own
 /// entailment, so a violation means the domain disagrees with itself --
-/// strong evidence of a bug regardless of which side is wrong.  Calls are
-/// routed through the inner lattice's *cached* entry points on purpose:
-/// a stale memo entry (the cache returning a value the recomputed
-/// operation would not) surfaces as a contract violation too.
+/// strong evidence of a bug regardless of which side is wrong.  join,
+/// entails, isUnsat and impliedVarEqualities are routed through the inner
+/// lattice's *cached* entry points on purpose: a stale memo entry (the
+/// cache returning a value the recomputed operation would not) surfaces
+/// as a contract violation too.  meet, widen and existQuant have no memo
+/// table and call the inner operation directly.
 ///
 /// Violations are recorded with the active obs::ProvenanceRecorder context
 /// stamped by the fixpoint engine, so a report names the exact CFG node,

@@ -66,8 +66,6 @@ public:
   const LPResult *lookup(const LPKey &K) { return Cache.lookup(K); }
   void insert(const LPKey &K, LPResult R) { Cache.insert(K, std::move(R)); }
   const QueryCacheCounters &counters() const { return Cache.counters(); }
-  size_t size() const { return Cache.size(); }
-  void clear() { Cache.clear(); }
 
   /// The cache consulted by the simplex entry points, or nullptr when LP
   /// memoization is off (the --no-memo path).

@@ -25,7 +25,7 @@ Conjunction DirectProduct::existQuant(const Conjunction &E,
                                       const std::vector<Term> &Vars) const {
   if (E.isBottom())
     return E;
-  return L1.existQuantCached(E, Vars).meet(L2.existQuantCached(E, Vars));
+  return L1.existQuant(E, Vars).meet(L2.existQuant(E, Vars));
 }
 
 bool DirectProduct::entails(const Conjunction &E, const Atom &A) const {
@@ -64,5 +64,5 @@ Conjunction DirectProduct::widen(const Conjunction &Old,
     return New;
   if (New.isBottom())
     return Old;
-  return L1.widenCached(Old, New).meet(L2.widenCached(Old, New));
+  return L1.widen(Old, New).meet(L2.widen(Old, New));
 }

@@ -55,11 +55,11 @@ std::set<Term, TermStructLess> insideVars(const TermContext &Ctx,
 } // namespace
 
 std::shared_ptr<const LogicalProduct::SatEntry>
-LogicalProduct::purifySaturate(const Conjunction &E, bool UseAltCache) const {
+LogicalProduct::purifySaturate(const Conjunction &E, bool UseCache) const {
   assert(!E.isBottom() && "purifySaturate on bottom");
-  auto &Cache = UseAltCache ? SatCacheAlt : SatCache;
-  if (memoizationEnabled())
-    if (const auto *Hit = Cache.lookup(E)) {
+  const bool Memo = UseCache && memoizationEnabled();
+  if (Memo)
+    if (const auto *Hit = SatCache.lookup(E)) {
       CAI_METRIC_INC("product.purify_saturate.cache_hits");
       return *Hit;
     }
@@ -77,8 +77,8 @@ LogicalProduct::purifySaturate(const Conjunction &E, bool UseAltCache) const {
   Entry->P.Definitions = Entry->Pur.definitions();
   Entry->Sat = noSaturate(Ctx, L1, L2, Entry->P.Side1, Entry->P.Side2);
   SatRounds += Entry->Sat.Rounds;
-  if (memoizationEnabled())
-    Cache.insert(E, Entry);
+  if (Memo)
+    SatCache.insert(E, Entry);
   return Entry;
 }
 
@@ -97,11 +97,10 @@ Conjunction LogicalProduct::combine(const Conjunction &A, const Conjunction &B,
   // purification names: the component joins drop each side's private
   // fresh-variable facts precisely because the other side leaves them
   // unconstrained.  Distinct conjunctions get distinct cache entries and
-  // hence disjoint names; joining a conjunction with itself routes the
-  // right side through the independent alternate cache, so a repeated
-  // self-join re-purifies nothing while the names stay disjoint.
+  // hence disjoint names; a self-join purifies its right side afresh,
+  // without the table, exactly as a cache miss would.
   std::shared_ptr<const SatEntry> EL = purifySaturate(A);
-  std::shared_ptr<const SatEntry> ER = purifySaturate(B, /*UseAltCache=*/A == B);
+  std::shared_ptr<const SatEntry> ER = purifySaturate(B, /*UseCache=*/A != B);
   const PurifyResult &PL = EL->P;
   const PurifyResult &PR = ER->P;
   if (EL->Sat.Bottom)
@@ -152,11 +151,11 @@ Conjunction LogicalProduct::combine(const Conjunction &A, const Conjunction &B,
     }
   }
 
-  // Lines 8-9: component-wise join (or widening, Section 4.3), through the
-  // components' memoized entry points.
-  Conjunction E1 = UseWiden ? L1.widenCached(Left1, Right1)
+  // Lines 8-9: component-wise join (through the components' memoized
+  // entry point) or widening (Section 4.3).
+  Conjunction E1 = UseWiden ? L1.widen(Left1, Right1)
                             : L1.joinCached(Left1, Right1);
-  Conjunction E2 = UseWiden ? L2.widenCached(Left2, Right2)
+  Conjunction E2 = UseWiden ? L2.widen(Left2, Right2)
                             : L2.joinCached(Left2, Right2);
   Conjunction E = E1.meet(E2);
 
@@ -310,8 +309,8 @@ Conjunction LogicalProduct::existQuant(const Conjunction &E,
     Q.Remaining = V1;
 
   // Lines 5-6: component quantification over the undefined variables.
-  Conjunction E12 = L1.existQuantCached(Sat.Side1, Q.Remaining);
-  Conjunction E22 = L2.existQuantCached(Sat.Side2, Q.Remaining);
+  Conjunction E12 = L1.existQuant(Sat.Side1, Q.Remaining);
+  Conjunction E22 = L2.existQuant(Sat.Side2, Q.Remaining);
 
   // Lines 7-8: back-substitute the definitions, producing mixed facts.
   E12 = backSubstitute(std::move(E12), Q.Defs);

@@ -121,11 +121,8 @@ public:
   void collectStats(LatticeStats &S) const override {
     LogicalLattice::collectStats(S);
     S.SaturationRounds += SatRounds;
-    for (const QueryCacheCounters &C :
-         {SatCache.counters(), SatCacheAlt.counters()}) {
-      S.CacheHits += C.Hits;
-      S.CacheMisses += C.Misses;
-    }
+    S.CacheHits += SatCache.counters().Hits;
+    S.CacheMisses += SatCache.counters().Misses;
     L1.collectStats(S);
     L2.collectStats(S);
   }
@@ -145,15 +142,13 @@ private:
         : Pur(Ctx, L1, L2) {}
   };
 
-  /// Returns the (possibly cached) purified + saturated form of \p E,
-  /// which must not be bottom.  \p UseAltCache selects the second,
-  /// independently-named cache: combine() sends its right-hand side there
-  /// when joining a conjunction with itself, so both sides are memoized
-  /// yet carry disjoint purification names (every SatEntry allocates
-  /// globally fresh variables, so entries from the two caches can never
-  /// collide).
+  /// Returns the purified + saturated form of \p E, which must not be
+  /// bottom: from SatCache when \p UseCache is set (and memoization is
+  /// on), otherwise freshly computed and not recorded.  Every computed
+  /// SatEntry allocates globally fresh purification variables, so a
+  /// fresh entry never shares a name with a cached one.
   std::shared_ptr<const SatEntry>
-  purifySaturate(const Conjunction &E, bool UseAltCache = false) const;
+  purifySaturate(const Conjunction &E, bool UseCache = true) const;
   /// Shared implementation of join and widen (Section 4.3: the widening is
   /// the join algorithm with component widenings).
   Conjunction combine(const Conjunction &A, const Conjunction &B,
@@ -181,11 +176,6 @@ private:
   mutable QueryCache<Conjunction, std::shared_ptr<const SatEntry>,
                      ConjunctionHash>
       SatCache{1 << 12};
-  /// Self-join alternate: caches the right-hand-side purification of
-  /// join(E, E) under E's key, with names disjoint from SatCache's entry.
-  mutable QueryCache<Conjunction, std::shared_ptr<const SatEntry>,
-                     ConjunctionHash>
-      SatCacheAlt{1 << 12};
   mutable unsigned long SatRounds = 0;
 };
 

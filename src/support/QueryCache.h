@@ -2,8 +2,10 @@
 ///
 /// \file
 /// A bounded map from query keys to previously computed results, used to
-/// memoize lattice operations (join, meet, entailment, unsat, existential
-/// quantification, Nelson-Oppen saturation) across fixpoint iterations.
+/// memoize the operations one analysis repeats across fixpoint iterations:
+/// join, entailment, unsat and implied variable equalities in every
+/// lattice, a product's purification + Nelson-Oppen saturation, the
+/// polyhedra LP solves and the analyzer's edge transfers.
 /// Keys are stored in full and compared with operator== on lookup, so hash
 /// collisions can never produce a wrong answer -- the fingerprint only
 /// buys O(1) bucketing.
@@ -53,21 +55,15 @@ public:
 
   /// Records \p V as the result for \p K.  Flushes first when full.
   void insert(const Key &K, Value V) {
-    if (Map.size() >= Capacity) {
+    if (Map.size() >= Capacity)
       Map.clear();
-      ++Flushes;
-    }
     Map.emplace(K, std::move(V));
   }
 
-  void clear() { Map.clear(); }
-  size_t size() const { return Map.size(); }
-  unsigned long flushes() const { return Flushes; }
   const QueryCacheCounters &counters() const { return Counters; }
 
 private:
   size_t Capacity;
-  unsigned long Flushes = 0;
   QueryCacheCounters Counters;
   std::unordered_map<Key, Value, Hasher> Map;
 };

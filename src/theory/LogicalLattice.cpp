@@ -50,43 +50,6 @@ Conjunction LogicalLattice::joinCached(const Conjunction &A,
   return R;
 }
 
-Conjunction LogicalLattice::widenCached(const Conjunction &Old,
-                                        const Conjunction &New) const {
-  if (!MemoEnabled)
-    return widen(Old, New);
-  detail::ConjPairKey K{Old, New};
-  if (const Conjunction *Hit = WidenCache.lookup(K))
-    return *Hit;
-  Conjunction R = widen(Old, New);
-  WidenCache.insert(std::move(K), R);
-  return R;
-}
-
-Conjunction LogicalLattice::meetCached(const Conjunction &A,
-                                       const Conjunction &B) const {
-  if (!MemoEnabled)
-    return meet(A, B);
-  detail::ConjPairKey K{A, B};
-  if (const Conjunction *Hit = MeetCache.lookup(K))
-    return *Hit;
-  Conjunction R = meet(A, B);
-  MeetCache.insert(std::move(K), R);
-  return R;
-}
-
-Conjunction
-LogicalLattice::existQuantCached(const Conjunction &E,
-                                 const std::vector<Term> &Vars) const {
-  if (!MemoEnabled)
-    return existQuant(E, Vars);
-  detail::QuantKey K{E, Vars};
-  if (const Conjunction *Hit = QuantCache.lookup(K))
-    return *Hit;
-  Conjunction R = existQuant(E, Vars);
-  QuantCache.insert(std::move(K), R);
-  return R;
-}
-
 bool LogicalLattice::entailsCached(const Conjunction &E, const Atom &A) const {
   if (!MemoEnabled)
     return entails(E, A);
@@ -110,28 +73,14 @@ bool LogicalLattice::isUnsatCached(const Conjunction &E) const {
 
 bool LogicalLattice::entailsAllCached(const Conjunction &E,
                                       const Conjunction &C) const {
-  if (!MemoEnabled)
-    return entailsAll(E, C);
-  detail::ConjPairKey K{E, C};
-  if (const bool *Hit = EntailAllCache.lookup(K))
-    return *Hit;
-  // Recompute through the per-atom cache so partially overlapping queries
-  // (same E, different C sharing atoms) still share work.
-  bool R;
   if (E.isBottom())
-    R = true;
-  else if (C.isBottom())
-    R = isUnsatCached(E);
-  else {
-    R = true;
-    for (const Atom &A : C.atoms())
-      if (!entailsCached(E, A)) {
-        R = false;
-        break;
-      }
-  }
-  EntailAllCache.insert(std::move(K), R);
-  return R;
+    return true;
+  if (C.isBottom())
+    return isUnsatCached(E);
+  for (const Atom &A : C.atoms())
+    if (!entailsCached(E, A))
+      return false;
+  return true;
 }
 
 std::vector<std::pair<Term, Term>>
@@ -147,9 +96,8 @@ LogicalLattice::impliedVarEqualitiesCached(const Conjunction &E) const {
 
 void LogicalLattice::collectStats(LatticeStats &S) const {
   for (const QueryCacheCounters &C :
-       {JoinCache.counters(), WidenCache.counters(), MeetCache.counters(),
-        EntailAllCache.counters(), EntailCache.counters(),
-        UnsatCache.counters(), QuantCache.counters(), VarEqCache.counters()}) {
+       {JoinCache.counters(), EntailCache.counters(), UnsatCache.counters(),
+        VarEqCache.counters()}) {
     S.CacheHits += C.Hits;
     S.CacheMisses += C.Misses;
   }

@@ -47,9 +47,9 @@ struct LatticeStats {
 
 namespace detail {
 
-/// Memoization key for binary conjunction operations (join, widen, meet,
-/// mutual entailment).  Stores both operands in full; the hash buckets by
-/// fingerprint and equality is exact, so collisions are harmless.
+/// Memoization key for join.  Stores both operands in full; the hash
+/// buckets by fingerprint and equality is exact, so collisions are
+/// harmless.
 struct ConjPairKey {
   Conjunction A, B;
   bool operator==(const ConjPairKey &RHS) const {
@@ -75,24 +75,6 @@ struct ConjAtomHash {
   size_t operator()(const ConjAtomKey &K) const {
     return static_cast<size_t>(K.E.fingerprint() * 0x9e3779b97f4a7c15ull ^
                                K.A.hash());
-  }
-};
-
-/// Memoization key for existential quantification (conjunction + the
-/// id-ordered variable list being eliminated).
-struct QuantKey {
-  Conjunction E;
-  std::vector<Term> Vars;
-  bool operator==(const QuantKey &RHS) const {
-    return Vars == RHS.Vars && E == RHS.E;
-  }
-};
-struct QuantHash {
-  size_t operator()(const QuantKey &K) const {
-    uint64_t H = K.E.fingerprint();
-    for (Term V : K.Vars)
-      H = H * 0x100000001b3ull ^ V->id();
-    return static_cast<size_t>(H);
   }
 };
 
@@ -190,20 +172,22 @@ public:
   /// Non-virtual wrappers over the virtual operations above that cache
   /// results keyed on the operands' canonical fingerprints.  The fixpoint
   /// engine and the product combinators route their calls through these;
-  /// identical queries across fixpoint iterations become O(1) lookups.
-  /// With memoization disabled (setMemoization(false)) every wrapper
-  /// forwards to the virtual operation unconditionally -- the
-  /// cache-equivalence test asserts bit-for-bit identical analysis results
-  /// either way.
+  /// identical queries within one analysis become O(1) lookups.  Only join,
+  /// entailment, unsat and implied variable equalities have a table: they
+  /// are the ones a cold analysis measurably profits from (EXPERIMENTS.md
+  /// E22).  meet, widen and existQuant are called directly -- meet's
+  /// costly step is isUnsatCached, and repeated transfers are answered by
+  /// the analyzer's transfer cache before they reach existQuant.  With
+  /// memoization disabled (setMemoization(false)) every wrapper forwards
+  /// to the virtual operation unconditionally -- the cache-equivalence
+  /// test asserts bit-for-bit identical analysis results either way.
   /// @{
 
   Conjunction joinCached(const Conjunction &A, const Conjunction &B) const;
-  Conjunction widenCached(const Conjunction &Old, const Conjunction &New) const;
-  Conjunction meetCached(const Conjunction &A, const Conjunction &B) const;
-  Conjunction existQuantCached(const Conjunction &E,
-                               const std::vector<Term> &Vars) const;
   bool entailsCached(const Conjunction &E, const Atom &A) const;
   bool isUnsatCached(const Conjunction &E) const;
+  /// entailsAll answered atom by atom through entailsCached (and
+  /// isUnsatCached for a bottom \p C); it has no table of its own.
   bool entailsAllCached(const Conjunction &E, const Conjunction &C) const;
   std::vector<std::pair<Term, Term>>
   impliedVarEqualitiesCached(const Conjunction &E) const;
@@ -241,14 +225,10 @@ private:
 
   mutable bool MemoEnabled = true;
   mutable QueryCache<detail::ConjPairKey, Conjunction, detail::ConjPairHash>
-      JoinCache, WidenCache, MeetCache;
-  mutable QueryCache<detail::ConjPairKey, bool, detail::ConjPairHash>
-      EntailAllCache;
+      JoinCache;
   mutable QueryCache<detail::ConjAtomKey, bool, detail::ConjAtomHash>
       EntailCache;
   mutable QueryCache<Conjunction, bool, ConjunctionHash> UnsatCache;
-  mutable QueryCache<detail::QuantKey, Conjunction, detail::QuantHash>
-      QuantCache;
   mutable QueryCache<Conjunction, std::vector<std::pair<Term, Term>>,
                      ConjunctionHash>
       VarEqCache;
