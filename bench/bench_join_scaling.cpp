@@ -5,7 +5,9 @@
 /// These benchmarks grow conjunction chains of length n and time the
 /// affine join, the UF join, and the product join (pruned and full dummy
 /// pairs) on them.  Comparing the growth of the product rows against the
-/// component rows exhibits the envelope.
+/// component rows exhibits the envelope.  Every rung builds its domains
+/// inside the timing loop: a domain kept across iterations would answer
+/// the repeated join from its memo tables.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,12 +64,12 @@ Conjunction mixedChain(TermContext &Ctx, int N, int K) {
 
 void BM_JoinAffine(benchmark::State &State) {
   TermContext Ctx;
-  AffineDomain D(Ctx);
   int N = static_cast<int>(State.range(0));
   Conjunction E1 = affineChain(Ctx, N, 1);
   Conjunction E2 = affineChain(Ctx, N, 2);
   size_t Size = 0;
   for (auto _ : State) {
+    AffineDomain D(Ctx);
     Conjunction J = D.join(E1, E2);
     Size = J.size();
     benchmark::DoNotOptimize(J);
@@ -77,12 +79,12 @@ void BM_JoinAffine(benchmark::State &State) {
 
 void BM_JoinUF(benchmark::State &State) {
   TermContext Ctx;
-  UFDomain D(Ctx);
   int N = static_cast<int>(State.range(0));
   Conjunction E1 = ufChain(Ctx, N, 1);
   Conjunction E2 = ufChain(Ctx, N, 2);
   size_t Size = 0;
   for (auto _ : State) {
+    UFDomain D(Ctx);
     Conjunction J = D.join(E1, E2);
     Size = J.size();
     benchmark::DoNotOptimize(J);
@@ -92,14 +94,14 @@ void BM_JoinUF(benchmark::State &State) {
 
 void BM_JoinLogicalProduct(benchmark::State &State) {
   TermContext Ctx;
-  AffineDomain LA(Ctx);
-  UFDomain UF(Ctx);
-  LogicalProduct D(Ctx, LA, UF);
   int N = static_cast<int>(State.range(0));
   Conjunction E1 = mixedChain(Ctx, N, 1);
   Conjunction E2 = mixedChain(Ctx, N, 1);
   size_t Size = 0;
   for (auto _ : State) {
+    AffineDomain LA(Ctx);
+    UFDomain UF(Ctx);
+    LogicalProduct D(Ctx, LA, UF);
     Conjunction J = D.join(E1, E2);
     Size = J.size();
     benchmark::DoNotOptimize(J);
@@ -109,14 +111,14 @@ void BM_JoinLogicalProduct(benchmark::State &State) {
 
 void BM_JoinLogicalProductFullPairs(benchmark::State &State) {
   TermContext Ctx;
-  AffineDomain LA(Ctx);
-  UFDomain UF(Ctx);
-  LogicalProduct D(Ctx, LA, UF, LogicalProduct::Mode::Logical,
-                   LogicalProduct::DummyPairs::Full);
   int N = static_cast<int>(State.range(0));
   Conjunction E1 = mixedChain(Ctx, N, 1);
   Conjunction E2 = mixedChain(Ctx, N, 1);
   for (auto _ : State) {
+    AffineDomain LA(Ctx);
+    UFDomain UF(Ctx);
+    LogicalProduct D(Ctx, LA, UF, LogicalProduct::Mode::Logical,
+                     LogicalProduct::DummyPairs::Full);
     Conjunction J = D.join(E1, E2);
     benchmark::DoNotOptimize(J);
   }
@@ -124,13 +126,13 @@ void BM_JoinLogicalProductFullPairs(benchmark::State &State) {
 
 void BM_JoinReducedProduct(benchmark::State &State) {
   TermContext Ctx;
-  AffineDomain LA(Ctx);
-  UFDomain UF(Ctx);
-  LogicalProduct D(Ctx, LA, UF, LogicalProduct::Mode::Reduced);
   int N = static_cast<int>(State.range(0));
   Conjunction E1 = mixedChain(Ctx, N, 1);
   Conjunction E2 = mixedChain(Ctx, N, 1);
   for (auto _ : State) {
+    AffineDomain LA(Ctx);
+    UFDomain UF(Ctx);
+    LogicalProduct D(Ctx, LA, UF, LogicalProduct::Mode::Reduced);
     Conjunction J = D.join(E1, E2);
     benchmark::DoNotOptimize(J);
   }

@@ -39,21 +39,34 @@ WorkloadOptions optionsFor(benchmark::State &State) {
   return Opts;
 }
 
+/// The five sweep tiers over one affine and one uf domain.  Every rung
+/// builds them inside its timing loop, so each iteration starts with empty
+/// memo tables exactly as one analysis job does; a domain kept across
+/// iterations would time its own cache hits.
+struct SweepTiers {
+  AffineDomain LA;
+  UFDomain UF;
+  DirectProduct Direct;
+  LogicalProduct Reduced;
+  LogicalProduct Logical;
+  explicit SweepTiers(TermContext &Ctx)
+      : LA(Ctx), UF(Ctx), Direct(Ctx, LA, UF),
+        Reduced(Ctx, LA, UF, LogicalProduct::Mode::Reduced),
+        Logical(Ctx, LA, UF) {}
+  const LogicalLattice &tier(unsigned Tier) const {
+    const LogicalLattice *Tiers[] = {&LA, &UF, &Direct, &Reduced, &Logical};
+    return *Tiers[Tier];
+  }
+};
+
 template <unsigned Tier> void BM_ProductSweep(benchmark::State &State) {
   TermContext Ctx;
-  AffineDomain LA(Ctx);
-  UFDomain UF(Ctx);
-  DirectProduct Direct(Ctx, LA, UF);
-  LogicalProduct Reduced(Ctx, LA, UF, LogicalProduct::Mode::Reduced);
-  LogicalProduct Logical(Ctx, LA, UF);
-  const LogicalLattice *Tiers[] = {&LA, &UF, &Direct, &Reduced, &Logical};
-  const LogicalLattice &Domain = *Tiers[Tier];
-
   Workload W = generateWorkload(Ctx, optionsFor(State));
   unsigned Verified = 0;
   AnalyzerStats LastStats;
   for (auto _ : State) {
-    AnalysisResult R = Analyzer(Domain).run(W.P);
+    SweepTiers D(Ctx);
+    AnalysisResult R = Analyzer(D.tier(Tier)).run(W.P);
     Verified = R.numVerified();
     LastStats = R.Stats;
     benchmark::DoNotOptimize(R);
@@ -67,12 +80,6 @@ template <unsigned Tier> void BM_ProductSweep(benchmark::State &State) {
 /// three theories in one invariant.
 void BM_NestedThreeTheories(benchmark::State &State) {
   TermContext Ctx;
-  AffineDomain LA(Ctx);
-  ListDomain Lists(Ctx);
-  UFDomain UF(Ctx, {Lists.carSym(), Lists.cdrSym(), Lists.consSym()});
-  LogicalProduct Inner(Ctx, LA, UF);
-  LogicalProduct Outer(Ctx, Inner, Lists);
-
   std::string Error;
   std::optional<Program> P = parseProgram(Ctx, R"(
     n := 1;
@@ -87,6 +94,12 @@ void BM_NestedThreeTheories(benchmark::State &State) {
     std::abort();
   unsigned Verified = 0;
   for (auto _ : State) {
+    // Fresh domains per iteration, cold as in the sweep rungs.
+    AffineDomain LA(Ctx);
+    ListDomain Lists(Ctx);
+    UFDomain UF(Ctx, {Lists.carSym(), Lists.cdrSym(), Lists.consSym()});
+    LogicalProduct Inner(Ctx, LA, UF);
+    LogicalProduct Outer(Ctx, Inner, Lists);
     AnalysisResult R = Analyzer(Outer).run(*P);
     Verified = R.numVerified();
     benchmark::DoNotOptimize(R);

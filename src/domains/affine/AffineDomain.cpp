@@ -5,44 +5,35 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 
+#include <algorithm>
+#include <numeric>
+
 using namespace cai;
+
+namespace {
+
+/// The linear sides of an equality atom; nullopt when the atom is not a
+/// linear equality.
+std::optional<std::pair<LinearExpr, LinearExpr>>
+linearSides(const TermContext &Ctx, const Atom &A) {
+  if (A.predicate() != Ctx.eqSymbol())
+    return std::nullopt;
+  std::optional<LinearExpr> Lhs = LinearExpr::fromTerm(Ctx, A.lhs());
+  std::optional<LinearExpr> Rhs = LinearExpr::fromTerm(Ctx, A.rhs());
+  if (!Lhs || !Rhs)
+    return std::nullopt;
+  return std::make_pair(std::move(*Lhs), std::move(*Rhs));
+}
+
+} // namespace
 
 void AffineDomain::Env::add(Term T) {
   if (Index.emplace(T, Columns.size()).second)
     Columns.push_back(T);
 }
 
-void AffineDomain::Env::addIndeterminates(const TermContext &Ctx,
-                                          const Atom &A) {
-  if (A.predicate() != Ctx.eqSymbol())
-    return;
-  std::optional<LinearExpr> Lhs = LinearExpr::fromTerm(Ctx, A.lhs());
-  std::optional<LinearExpr> Rhs = LinearExpr::fromTerm(Ctx, A.rhs());
-  if (!Lhs || !Rhs)
-    return;
-  for (const auto &[T, C] : Lhs->terms())
-    add(T);
-  for (const auto &[T, C] : Rhs->terms())
-    add(T);
-}
-
-void AffineDomain::Env::addIndeterminates(const TermContext &Ctx,
-                                          const Conjunction &E) {
-  if (E.isBottom())
-    return;
-  for (const Atom &A : E.atoms())
-    addIndeterminates(Ctx, A);
-}
-
-std::optional<LinRow<Rational>> AffineDomain::rowOf(const Atom &A,
-                                                         const Env &Env) const {
-  if (A.predicate() != context().eqSymbol())
-    return std::nullopt;
-  std::optional<LinearExpr> Lhs = LinearExpr::fromTerm(context(), A.lhs());
-  std::optional<LinearExpr> Rhs = LinearExpr::fromTerm(context(), A.rhs());
-  if (!Lhs || !Rhs)
-    return std::nullopt;
-  LinearExpr Diff = *Lhs - *Rhs;
+std::optional<LinRow<Rational>>
+AffineDomain::rowOf(const LinearExpr &Diff, const Env &Env) {
   LinRow<Rational> Row(Env.Columns.size() + 1);
   for (const auto &[T, C] : Diff.terms()) {
     auto It = Env.Index.find(T);
@@ -54,29 +45,60 @@ std::optional<LinRow<Rational>> AffineDomain::rowOf(const Atom &A,
   return Row;
 }
 
-AffineSystem<Rational> AffineDomain::toSystem(const Conjunction &E,
-                                              const Env &Env) const {
-  AffineSystem<Rational> S(Env.Columns.size());
-  if (E.isBottom())
-    return AffineSystem<Rational>::inconsistent(Env.Columns.size());
-  for (const Atom &A : E.atoms())
-    if (std::optional<LinRow<Rational>> Row = rowOf(A, Env))
-      S.addRow(std::move(*Row));
-  return S;
+std::shared_ptr<const AffineDomain::Canon>
+AffineDomain::canon(const Conjunction &E) const {
+  assert(!E.isBottom() && "no structured form for bottom");
+  const bool Memo = memoizationEnabled();
+  if (Memo) {
+    const uint64_t Fp = E.fingerprint();
+    for (size_t I = 0; I < CanonSlots && Recent[I]; ++I) {
+      if (Recent[I]->Key.fingerprint() != Fp || Recent[I]->Key != E)
+        continue;
+      CAI_METRIC_INC("domain.affine.canon_hits");
+      std::rotate(Recent.begin(), Recent.begin() + I, Recent.begin() + I + 1);
+      return Recent[0];
+    }
+  }
+  CAI_METRIC_INC("domain.affine.canon_misses");
+  auto C = std::make_shared<Canon>();
+  // Columns in order of first occurrence, left side before right side;
+  // atoms that are not linear equalities are dropped (a sound
+  // over-approximation).
+  std::vector<LinearExpr> Diffs;
+  for (const Atom &A : E.atoms()) {
+    auto Sides = linearSides(context(), A);
+    if (!Sides)
+      continue;
+    for (const auto &[T, Coeff] : Sides->first.terms())
+      C->Cols.add(T);
+    for (const auto &[T, Coeff] : Sides->second.terms())
+      C->Cols.add(T);
+    Diffs.push_back(Sides->first - Sides->second);
+  }
+  C->Sys = AffineSystem<Rational>(C->Cols.Columns.size());
+  for (const LinearExpr &Diff : Diffs)
+    C->Sys.addRow(std::move(*rowOf(Diff, C->Cols)));
+  C->Sys.isInconsistent(); // Canonicalize here, once.
+  if (Memo) {
+    C->Key = E;
+    std::rotate(Recent.rbegin(), Recent.rbegin() + 1, Recent.rend());
+    Recent[0] = C;
+  }
+  return C;
 }
 
 Conjunction AffineDomain::fromSystem(const AffineSystem<Rational> &S,
-                                     const Env &Env) const {
+                                     const std::vector<Term> &Columns) const {
   if (S.isInconsistent())
     return Conjunction::bottom();
   TermContext &Ctx = context();
   Conjunction Out;
   for (const LinRow<Rational> &Row : S.rows()) {
     LinearExpr Lhs;
-    for (size_t C = 0; C < Env.Columns.size(); ++C)
+    for (size_t C = 0; C < Columns.size(); ++C)
       if (!Row[C].isZero())
-        Lhs.addTerm(Env.Columns[C], Row[C]);
-    LinearExpr Rhs(Row[Env.Columns.size()]);
+        Lhs.addTerm(Columns[C], Row[C]);
+    LinearExpr Rhs(Row[Columns.size()]);
     // Scale to integral coefficients for readable canonical output.
     LinearExpr Diff = Lhs - Rhs;
     Rational Scale = Diff.normalizeIntegral(/*NormalizeSign=*/true);
@@ -87,39 +109,64 @@ Conjunction AffineDomain::fromSystem(const AffineSystem<Rational> &S,
   return Out;
 }
 
+Term AffineDomain::termOf(const LinRow<Rational> &Row,
+                          const std::vector<Term> &Columns) const {
+  LinearExpr Expr(Row[Columns.size()]);
+  for (size_t C = 0; C < Columns.size(); ++C)
+    if (!Row[C].isZero())
+      Expr.addTerm(Columns[C], Row[C]);
+  return Expr.toTerm(context());
+}
+
 Conjunction AffineDomain::join(const Conjunction &A,
                                const Conjunction &B) const {
   CAI_TRACE_SPAN("affine.join", "domain");
   CAI_METRIC_INC("domain.affine.joins");
-  if (A.isBottom() || isUnsat(A))
+  if (A.isBottom())
     return B;
-  if (B.isBottom() || isUnsat(B))
+  std::shared_ptr<const Canon> CA = canon(A);
+  if (CA->Sys.isInconsistent())
+    return B;
+  if (B.isBottom())
     return A;
-  Env Env;
-  Env.addIndeterminates(context(), A);
-  Env.addIndeterminates(context(), B);
-  AffineSystem<Rational> SA = toSystem(A, Env);
-  AffineSystem<Rational> SB = toSystem(B, Env);
-  return fromSystem(AffineSystem<Rational>::join(SA, SB), Env);
+  std::shared_ptr<const Canon> CB = canon(B);
+  if (CB->Sys.isInconsistent())
+    return A;
+  // The union column space: A's columns, then B's new ones in B's order.
+  std::vector<Term> Columns = CA->Cols.Columns;
+  std::vector<size_t> ACol(Columns.size()), BCol(CB->Cols.Columns.size());
+  std::iota(ACol.begin(), ACol.end(), 0);
+  for (size_t C = 0; C < BCol.size(); ++C) {
+    Term T = CB->Cols.Columns[C];
+    auto It = CA->Cols.Index.find(T);
+    if (It != CA->Cols.Index.end()) {
+      BCol[C] = It->second;
+    } else {
+      BCol[C] = Columns.size();
+      Columns.push_back(T);
+    }
+  }
+  AffineSystem<Rational> SA = CA->Sys.embed(ACol, Columns.size());
+  AffineSystem<Rational> SB = CB->Sys.embed(BCol, Columns.size());
+  return fromSystem(AffineSystem<Rational>::join(SA, SB), Columns);
 }
 
 Conjunction AffineDomain::existQuant(const Conjunction &E,
                                      const std::vector<Term> &Vars) const {
   if (E.isBottom())
     return E;
-  Env Env;
-  Env.addIndeterminates(context(), E);
-  AffineSystem<Rational> S = toSystem(E, Env);
+  std::shared_ptr<const Canon> C = canon(E);
+  const std::vector<Term> &Columns = C->Cols.Columns;
   // Eliminate each variable column in Vars, and every opaque column whose
   // term mentions one of them.
-  std::vector<bool> Mask(Env.Columns.size(), false);
-  for (size_t C = 0; C < Env.Columns.size(); ++C)
+  std::vector<bool> Mask(Columns.size(), false);
+  for (size_t Col = 0; Col < Columns.size(); ++Col)
     for (Term V : Vars)
-      if (occursIn(V, Env.Columns[C])) {
-        Mask[C] = true;
+      if (occursIn(V, Columns[Col])) {
+        Mask[Col] = true;
         break;
       }
-  return fromSystem(S.project(Mask), Env);
+  return fromSystem(C->Sys.project(Mask), Columns);
 }
 
 bool AffineDomain::entails(const Conjunction &E, const Atom &A) const {
@@ -127,21 +174,21 @@ bool AffineDomain::entails(const Conjunction &E, const Atom &A) const {
     return true;
   if (A.isTrivial(context()))
     return true;
-  Env Env;
-  Env.addIndeterminates(context(), E);
-  Env.addIndeterminates(context(), A);
-  std::optional<LinRow<Rational>> Row = rowOf(A, Env);
-  if (!Row)
+  std::shared_ptr<const Canon> C = canon(E);
+  if (C->Sys.isInconsistent())
+    return true;
+  auto Sides = linearSides(context(), A);
+  if (!Sides)
     return false; // Not a linear equality: not expressible here.
-  return toSystem(E, Env).entails(std::move(*Row));
+  // A term outside E's columns is unconstrained by the consistent E, so an
+  // atom still mentioning one after cancellation is not entailed.
+  std::optional<LinRow<Rational>> Row =
+      rowOf(Sides->first - Sides->second, C->Cols);
+  return Row && C->Sys.entails(std::move(*Row));
 }
 
 bool AffineDomain::isUnsat(const Conjunction &E) const {
-  if (E.isBottom())
-    return true;
-  Env Env;
-  Env.addIndeterminates(context(), E);
-  return toSystem(E, Env).isInconsistent();
+  return E.isBottom() || canon(E)->Sys.isInconsistent();
 }
 
 std::vector<std::pair<Term, Term>>
@@ -149,21 +196,19 @@ AffineDomain::impliedVarEqualities(const Conjunction &E) const {
   std::vector<std::pair<Term, Term>> Out;
   if (E.isBottom())
     return Out;
-  Env Env;
-  Env.addIndeterminates(context(), E);
-  AffineSystem<Rational> S = toSystem(E, Env);
-  if (S.isInconsistent())
+  std::shared_ptr<const Canon> C = canon(E);
+  if (C->Sys.isInconsistent())
     return Out;
-  std::vector<LinRow<Rational>> Reps = S.varRepresentatives();
+  const std::vector<Term> &Columns = C->Cols.Columns;
+  std::vector<LinRow<Rational>> Reps = C->Sys.varRepresentatives();
   // Group variable columns with identical representatives.
-  std::map<LinRow<Rational>, Term, std::less<LinRow<Rational>>>
-      Leader;
-  for (size_t C = 0; C < Env.Columns.size(); ++C) {
-    if (!Env.Columns[C]->isVariable())
+  std::map<LinRow<Rational>, Term, std::less<LinRow<Rational>>> Leader;
+  for (size_t Col = 0; Col < Columns.size(); ++Col) {
+    if (!Columns[Col]->isVariable())
       continue;
-    auto [It, Inserted] = Leader.emplace(Reps[C], Env.Columns[C]);
+    auto [It, Inserted] = Leader.emplace(Reps[Col], Columns[Col]);
     if (!Inserted)
-      Out.emplace_back(It->second, Env.Columns[C]);
+      Out.emplace_back(It->second, Columns[Col]);
   }
   return Out;
 }
@@ -174,37 +219,30 @@ AffineDomain::alternate(const Conjunction &E, Term Var,
   if (E.isBottom())
     return std::nullopt;
   assert(Var->isVariable() && "alternate target must be a variable");
-  Env Env;
-  Env.addIndeterminates(context(), E);
-  auto VarIt = Env.Index.find(Var);
-  if (VarIt == Env.Index.end())
-    return std::nullopt;
-  AffineSystem<Rational> S = toSystem(E, Env);
-  if (S.isInconsistent())
+  std::shared_ptr<const Canon> C = canon(E);
+  const std::vector<Term> &Columns = C->Cols.Columns;
+  auto VarIt = C->Cols.Index.find(Var);
+  if (VarIt == C->Cols.Index.end() || C->Sys.isInconsistent())
     return std::nullopt;
   // A column is unusable if its term mentions Var or any avoided variable.
-  std::vector<bool> Mask(Env.Columns.size(), false);
-  for (size_t C = 0; C < Env.Columns.size(); ++C) {
-    if (C == VarIt->second)
+  std::vector<bool> Mask(Columns.size(), false);
+  for (size_t Col = 0; Col < Columns.size(); ++Col) {
+    if (Col == VarIt->second)
       continue;
-    if (occursIn(Var, Env.Columns[C])) {
-      Mask[C] = true;
+    if (occursIn(Var, Columns[Col])) {
+      Mask[Col] = true;
       continue;
     }
     for (Term V : Avoid)
-      if (occursIn(V, Env.Columns[C])) {
-        Mask[C] = true;
+      if (occursIn(V, Columns[Col])) {
+        Mask[Col] = true;
         break;
       }
   }
-  std::optional<LinRow<Rational>> Row = S.solveFor(VarIt->second, Mask);
+  std::optional<LinRow<Rational>> Row = C->Sys.solveFor(VarIt->second, Mask);
   if (!Row)
     return std::nullopt;
-  LinearExpr Expr((*Row)[Env.Columns.size()]);
-  for (size_t C = 0; C < Env.Columns.size(); ++C)
-    if (!(*Row)[C].isZero())
-      Expr.addTerm(Env.Columns[C], (*Row)[C]);
-  return Expr.toTerm(context());
+  return termOf(*Row, Columns);
 }
 
 std::vector<std::pair<Term, Term>>
@@ -213,32 +251,27 @@ AffineDomain::alternateBatch(const Conjunction &E,
   std::vector<std::pair<Term, Term>> Out;
   if (E.isBottom())
     return Out;
-  Env Env;
-  Env.addIndeterminates(context(), E);
-  AffineSystem<Rational> S = toSystem(E, Env);
-  if (S.isInconsistent())
+  std::shared_ptr<const Canon> C = canon(E);
+  if (C->Sys.isInconsistent())
     return Out;
+  const std::vector<Term> &Columns = C->Cols.Columns;
   // Target columns: the target variables themselves plus every opaque
   // column whose term mentions one (those may not appear in definitions).
-  std::vector<bool> Mask(Env.Columns.size(), false);
+  std::vector<bool> Mask(Columns.size(), false);
   bool AnyTarget = false;
-  for (size_t C = 0; C < Env.Columns.size(); ++C)
+  for (size_t Col = 0; Col < Columns.size(); ++Col)
     for (Term V : Targets)
-      if (occursIn(V, Env.Columns[C])) {
-        Mask[C] = true;
-        AnyTarget |= Env.Columns[C]->isVariable();
+      if (occursIn(V, Columns[Col])) {
+        Mask[Col] = true;
+        AnyTarget |= Columns[Col]->isVariable();
         break;
       }
   if (!AnyTarget)
     return Out;
-  for (auto &[Col, Row] : S.solveForMany(Mask)) {
-    if (!Env.Columns[Col]->isVariable())
+  for (auto &[Col, Row] : C->Sys.solveForMany(Mask)) {
+    if (!Columns[Col]->isVariable())
       continue; // Opaque columns are not QSaturation targets.
-    LinearExpr Expr(Row[Env.Columns.size()]);
-    for (size_t C = 0; C < Env.Columns.size(); ++C)
-      if (!Row[C].isZero())
-        Expr.addTerm(Env.Columns[C], Row[C]);
-    Out.emplace_back(Env.Columns[Col], Expr.toTerm(context()));
+    Out.emplace_back(Columns[Col], termOf(Row, Columns));
   }
   return Out;
 }

@@ -20,7 +20,9 @@
 #include "term/LinearExpr.h"
 #include "theory/LogicalLattice.h"
 
+#include <array>
 #include <map>
+#include <memory>
 
 namespace cai {
 
@@ -49,24 +51,41 @@ public:
                  const std::vector<Term> &Targets) const override;
 
 private:
-  /// The column space shared by one operation: terms acting as
-  /// indeterminates, with their index.
+  /// A column space: terms acting as indeterminates, with their index.
   struct Env {
     std::vector<Term> Columns;
     std::map<Term, size_t, TermStructLess> Index;
 
-    void addIndeterminates(const TermContext &Ctx, const Conjunction &E);
-    void addIndeterminates(const TermContext &Ctx, const Atom &A);
     void add(Term T);
   };
 
-  AffineSystem<Rational> toSystem(const Conjunction &E, const Env &Env) const;
+  /// A conjunction's structured form: its column space (indeterminates in
+  /// order of first occurrence) and its canonical system over it.
+  struct Canon {
+    Conjunction Key;
+    Env Cols;
+    AffineSystem<Rational> Sys{0};
+  };
+
+  /// The structured form of the non-bottom \p E, built once and shared by
+  /// every operator: the product asks unsat, VE, Alternate, entailment, Q
+  /// and J of the same purified sides in turn.  The last CanonSlots forms
+  /// are kept, most recently used first (no list with memoization off).
+  std::shared_ptr<const Canon> canon(const Conjunction &E) const;
+
   Conjunction fromSystem(const AffineSystem<Rational> &S,
-                         const Env &Env) const;
-  /// Converts atom lhs = rhs into a row over \p Env; nullopt when the atom
-  /// is not a linear equality (dropped: sound over-approximation).
-  std::optional<LinRow<Rational>> rowOf(const Atom &A,
-                                             const Env &Env) const;
+                         const std::vector<Term> &Columns) const;
+  /// The row over \p Env of the equation Diff = 0; nullopt when \p Diff
+  /// mentions a term outside \p Env.
+  static std::optional<LinRow<Rational>> rowOf(const LinearExpr &Diff,
+                                               const Env &Env);
+  /// Rewrites a definition row (coefficients over \p Columns, then the
+  /// constant) as a term.
+  Term termOf(const LinRow<Rational> &Row,
+              const std::vector<Term> &Columns) const;
+
+  static constexpr size_t CanonSlots = 8;
+  mutable std::array<std::shared_ptr<const Canon>, CanonSlots> Recent;
 };
 
 } // namespace cai

@@ -8,6 +8,11 @@
 /// project is block elimination, and variable representatives give the
 /// VE_T operator of the paper in one pass.
 ///
+/// Every operation runs one Gauss-Jordan kernel (reducedRowEchelon below)
+/// directly on the rows, with the column visit order as its parameter.
+/// The Field concept: default constructor yields zero, static one(), the
+/// four arithmetic operators, ==, and isZero().
+///
 /// Variables are dense column indices 0..NumVars-1; mapping them to terms
 /// is the domains' business.
 ///
@@ -16,11 +21,101 @@
 #ifndef CAI_LINALG_AFFINESYSTEM_H
 #define CAI_LINALG_AFFINESYSTEM_H
 
-#include "linalg/Matrix.h"
+#include "support/SmallVec.h"
 
+#include <cassert>
+#include <cstddef>
+#include <numeric>
 #include <optional>
+#include <utility>
+#include <vector>
 
 namespace cai {
+
+/// Row vector of the linear-algebra layer: NumVars coefficients (plus, in
+/// AffineSystem rows, a trailing constant).  Eight entries inline covers
+/// the variable counts of the analyzed programs, so RREF row shuffling and
+/// nullspace extraction stay off the allocator.
+template <typename F> using LinRow = SmallVec<F, 8>;
+
+/// Gauss-Jordan elimination in place.  Visits the columns of \p Order in
+/// turn; for each, swaps a row with a non-zero entry there into the next
+/// pivot position, scales it to a unit pivot and clears the column from
+/// every other row.  Returns the pivot column of each leading row; the
+/// rows after them are zero on every column of \p Order.  With every
+/// column in \p Order this is the reduced row echelon form for that
+/// column order, which is unique for a given row space.
+template <typename F>
+std::vector<size_t> reducedRowEchelon(std::vector<LinRow<F>> &Rows,
+                                      const std::vector<size_t> &Order) {
+  std::vector<size_t> Pivots;
+  const size_t NumRows = Rows.size();
+  if (NumRows == 0)
+    return Pivots;
+  const size_t NumCols = Rows[0].size();
+  for (const LinRow<F> &Row : Rows)
+    assert(Row.size() == NumCols && "ragged row");
+  for (size_t Col : Order) {
+    const size_t PivotRow = Pivots.size();
+    if (PivotRow == NumRows)
+      break;
+    assert(Col < NumCols && "pivot column out of range");
+    size_t Found = PivotRow;
+    while (Found < NumRows && Rows[Found][Col].isZero())
+      ++Found;
+    if (Found == NumRows)
+      continue;
+    if (Found != PivotRow)
+      std::swap(Rows[Found], Rows[PivotRow]);
+    F *P = Rows[PivotRow].data();
+    // Scale to a unit pivot, skipping zero entries and already-unit
+    // pivots: most entries of an echelonized row are zero, and each skipped
+    // field operation saves a gcd normalization.
+    if (!(P[Col] == F::one())) {
+      F Inv = F::one() / P[Col];
+      for (size_t C = 0; C < NumCols; ++C)
+        if (!P[C].isZero())
+          P[C] = P[C] * Inv;
+    }
+    for (size_t R = 0; R < NumRows; ++R) {
+      F *X = Rows[R].data();
+      if (R == PivotRow || X[Col].isZero())
+        continue;
+      F Factor = X[Col];
+      bool Unit = Factor == F::one();
+      for (size_t C = 0; C < NumCols; ++C) {
+        if (P[C].isZero())
+          continue;
+        X[C] = Unit ? X[C] - P[C] : X[C] - Factor * P[C];
+      }
+    }
+    Pivots.push_back(Col);
+  }
+  return Pivots;
+}
+
+/// A basis of the null space {x : Rows.x = 0} over the first \p NumCols
+/// columns, for \p Rows in reduced row echelon form (columns in index
+/// order) with \p Pivots as returned by reducedRowEchelon.
+template <typename F>
+std::vector<LinRow<F>> nullspaceBasis(const std::vector<LinRow<F>> &Rows,
+                                      const std::vector<size_t> &Pivots,
+                                      size_t NumCols) {
+  std::vector<bool> IsPivot(NumCols, false);
+  for (size_t P : Pivots)
+    IsPivot[P] = true;
+  std::vector<LinRow<F>> Basis;
+  for (size_t Free = 0; Free < NumCols; ++Free) {
+    if (IsPivot[Free])
+      continue;
+    LinRow<F> V(NumCols);
+    V[Free] = F::one();
+    for (size_t R = 0; R < Pivots.size(); ++R)
+      V[Pivots[R]] = F() - Rows[R][Free];
+    Basis.push_back(std::move(V));
+  }
+  return Basis;
+}
 
 /// A canonicalized system of affine equations over field \p F.
 ///
@@ -64,6 +159,12 @@ public:
   /// columns are kept; eliminated columns simply no longer occur).
   AffineSystem project(const std::vector<bool> &Eliminate) const;
 
+  /// The same equations over a space of \p NewNumVars variables, column C
+  /// becoming column \p NewCol[C]; the other columns are unconstrained.
+  /// Stays canonical, with no elimination, when \p NewCol is increasing.
+  AffineSystem embed(const std::vector<size_t> &NewCol,
+                     size_t NewNumVars) const;
+
   /// The affine hull of the union of the two solution sets (the join of
   /// the corresponding lattice elements).
   static AffineSystem join(const AffineSystem &A, const AffineSystem &B);
@@ -91,18 +192,23 @@ public:
   solveForMany(const std::vector<bool> &Targets) const;
 
   bool operator==(const AffineSystem &RHS) const {
-    if (Inconsistent != RHS.Inconsistent || NumVars != RHS.NumVars)
+    if (isInconsistent() != RHS.isInconsistent() || NumVars != RHS.NumVars)
       return false;
     return rows() == RHS.rows();
   }
 
 private:
   void canonicalize() const;
-  /// RREF with the given column visit order; returns surviving rows in
-  /// original column indexing.
-  static std::vector<LinRow<F>>
-  echelonWithOrder(const std::vector<LinRow<F>> &Input, size_t NumVars,
-                   const std::vector<size_t> &ColOrder, bool &Inconsistent);
+  /// The canonical rows re-echelonized with the columns in \p Mask first,
+  /// then column \p Lead (if any), then the others, each block in index
+  /// order; and their pivot columns.  The system must be canonical and
+  /// consistent.
+  std::pair<std::vector<LinRow<F>>, std::vector<size_t>>
+  echelonMaskedFirst(const std::vector<bool> &Mask,
+                     std::optional<size_t> Lead = std::nullopt) const;
+  /// \p Row (a canonical row of a consistent system) solved for its
+  /// column \p Pivot: the other coefficients negated, the constant kept.
+  LinRow<F> definitionOf(const LinRow<F> &Row, size_t Pivot) const;
 
   size_t NumVars;
   mutable bool Inconsistent = false;
@@ -120,51 +226,22 @@ template <typename F> void AffineSystem<F>::addRow(LinRow<F> Row) {
   Dirty = true;
 }
 
-template <typename F>
-std::vector<LinRow<F>>
-AffineSystem<F>::echelonWithOrder(const std::vector<LinRow<F>> &Input,
-                                  size_t NumVars,
-                                  const std::vector<size_t> &ColOrder,
-                                  bool &Inconsistent) {
-  assert(ColOrder.size() == NumVars && "column order must cover all vars");
-  // Permute columns, run RREF (constant column last, never a pivot), then
-  // permute back.
-  Matrix<F> M(Input.size(), NumVars + 1);
-  for (size_t R = 0; R < Input.size(); ++R) {
-    for (size_t C = 0; C < NumVars; ++C)
-      M.at(R, C) = Input[R][ColOrder[C]];
-    M.at(R, NumVars) = Input[R][NumVars];
-  }
-  std::vector<size_t> Pivots = M.reducedRowEchelon();
-  std::vector<LinRow<F>> Out;
-  for (size_t R = 0; R < Pivots.size(); ++R) {
-    if (Pivots[R] == NumVars) {
-      // Pivot in the constant column: the row reads 0 = 1.
-      Inconsistent = true;
-      return {};
-    }
-    LinRow<F> Row(NumVars + 1);
-    for (size_t C = 0; C < NumVars; ++C)
-      Row[ColOrder[C]] = M.at(R, C);
-    Row[NumVars] = M.at(R, NumVars);
-    Out.push_back(std::move(Row));
-  }
-  return Out;
-}
-
 template <typename F> void AffineSystem<F>::canonicalize() const {
   if (!Dirty || Inconsistent)
     return;
   Dirty = false;
   std::vector<size_t> Identity(NumVars);
-  for (size_t I = 0; I < NumVars; ++I)
-    Identity[I] = I;
-  bool Bad = false;
-  Rows = echelonWithOrder(Rows, NumVars, Identity, Bad);
-  if (Bad) {
-    Inconsistent = true;
-    Rows.clear();
-  }
+  std::iota(Identity.begin(), Identity.end(), 0);
+  size_t Rank = reducedRowEchelon(Rows, Identity).size();
+  // Rows past the rank are zero on every variable; a non-zero constant
+  // there reads 0 = c.
+  for (size_t R = Rank; R < Rows.size(); ++R)
+    if (!Rows[R][NumVars].isZero()) {
+      Inconsistent = true;
+      Rows.clear();
+      return;
+    }
+  Rows.erase(Rows.begin() + Rank, Rows.end());
 }
 
 template <typename F>
@@ -173,11 +250,44 @@ const std::vector<LinRow<F>> &AffineSystem<F>::rows() const {
   return Rows;
 }
 
+template <typename F>
+std::pair<std::vector<LinRow<F>>, std::vector<size_t>>
+AffineSystem<F>::echelonMaskedFirst(const std::vector<bool> &Mask,
+                                    std::optional<size_t> Lead) const {
+  assert(Mask.size() == NumVars && "mask size mismatch");
+  assert(!Dirty && !Inconsistent && "needs a canonical consistent system");
+  std::vector<size_t> Order;
+  for (size_t I = 0; I < NumVars; ++I)
+    if (Mask[I])
+      Order.push_back(I);
+  if (Lead)
+    Order.push_back(*Lead);
+  for (size_t I = 0; I < NumVars; ++I)
+    if (!Mask[I] && I != Lead)
+      Order.push_back(I);
+  std::vector<LinRow<F>> Echelon = Rows;
+  std::vector<size_t> Pivots = reducedRowEchelon(Echelon, Order);
+  // A consistent system has full row rank: every row got a pivot.
+  assert(Pivots.size() == Echelon.size() && "rank dropped on re-echelon");
+  return {std::move(Echelon), std::move(Pivots)};
+}
+
+template <typename F>
+LinRow<F> AffineSystem<F>::definitionOf(const LinRow<F> &Row,
+                                        size_t Pivot) const {
+  assert((Row[Pivot] == F::one()) && "pivot not normalized");
+  LinRow<F> Def(NumVars + 1);
+  for (size_t C = 0; C < NumVars; ++C)
+    if (C != Pivot)
+      Def[C] = F() - Row[C];
+  Def[NumVars] = Row[NumVars];
+  return Def;
+}
+
 template <typename F> bool AffineSystem<F>::entails(LinRow<F> Row) const {
   assert(Row.size() == NumVars + 1 && "row size mismatch");
-  if (Inconsistent)
+  if (isInconsistent())
     return true;
-  canonicalize();
   // Reduce the row against the RREF basis; entailed iff it reduces to zero.
   for (const LinRow<F> &Basis : Rows) {
     size_t Pivot = 0;
@@ -201,32 +311,38 @@ template <typename F>
 AffineSystem<F>
 AffineSystem<F>::project(const std::vector<bool> &Eliminate) const {
   assert(Eliminate.size() == NumVars && "eliminate mask size mismatch");
-  if (Inconsistent)
+  if (isInconsistent())
     return inconsistent(NumVars);
-  canonicalize();
-  // Visit eliminated columns first; rows whose coefficients on eliminated
-  // columns are all zero then span exactly the projection (block
-  // elimination).
-  std::vector<size_t> Order;
-  for (size_t I = 0; I < NumVars; ++I)
-    if (Eliminate[I])
-      Order.push_back(I);
-  for (size_t I = 0; I < NumVars; ++I)
-    if (!Eliminate[I])
-      Order.push_back(I);
-  bool Bad = false;
-  std::vector<LinRow<F>> Echelon =
-      echelonWithOrder(Rows, NumVars, Order, Bad);
+  // Visit eliminated columns first; the rows whose pivot is a kept column
+  // are zero on every eliminated column and span exactly the projection
+  // (block elimination).  With the kept columns visited in index order
+  // they are already canonical.
+  auto [Echelon, Pivots] = echelonMaskedFirst(Eliminate);
   AffineSystem Out(NumVars);
-  if (Bad)
-    return inconsistent(NumVars);
-  for (LinRow<F> &Row : Echelon) {
-    bool TouchesEliminated = false;
-    for (size_t I = 0; I < NumVars && !TouchesEliminated; ++I)
-      TouchesEliminated = Eliminate[I] && !Row[I].isZero();
-    if (!TouchesEliminated)
-      Out.addRow(std::move(Row));
+  for (size_t R = 0; R < Echelon.size(); ++R)
+    if (!Eliminate[Pivots[R]])
+      Out.Rows.push_back(std::move(Echelon[R]));
+  return Out;
+}
+
+template <typename F>
+AffineSystem<F> AffineSystem<F>::embed(const std::vector<size_t> &NewCol,
+                                       size_t NewNumVars) const {
+  assert(NewCol.size() == NumVars && "column map size mismatch");
+  if (isInconsistent())
+    return inconsistent(NewNumVars);
+  AffineSystem Out(NewNumVars);
+  for (const LinRow<F> &Row : Rows) {
+    LinRow<F> Wide(NewNumVars + 1);
+    for (size_t C = 0; C < NumVars; ++C) {
+      assert(NewCol[C] < NewNumVars && "column map out of range");
+      Wide[NewCol[C]] = Row[C];
+    }
+    Wide[NewNumVars] = Row[NumVars];
+    Out.Rows.push_back(std::move(Wide));
   }
+  for (size_t C = 1; C < NumVars && !Out.Dirty; ++C)
+    Out.Dirty = NewCol[C] <= NewCol[C - 1];
   return Out;
 }
 
@@ -239,15 +355,12 @@ AffineSystem<F> AffineSystem<F>::join(const AffineSystem &A,
   if (B.isInconsistent())
     return A;
   size_t N = A.NumVars;
-  A.canonicalize();
-  B.canonicalize();
 
   // Represent each solution set as particular point + span of a basis.
   auto PointAndBasis = [N](const AffineSystem &S, LinRow<F> &Point,
                            std::vector<LinRow<F>> &Basis) {
-    Matrix<F> M = Matrix<F>::fromRows(S.Rows, N + 1);
-    std::vector<size_t> Pivots;
     // S.Rows is already RREF with pivot per row in column order.
+    std::vector<size_t> Pivots;
     for (const LinRow<F> &Row : S.Rows) {
       size_t P = 0;
       while (Row[P].isZero())
@@ -259,20 +372,7 @@ AffineSystem<F> AffineSystem<F>::join(const AffineSystem &A,
     for (size_t R = 0; R < Pivots.size(); ++R)
       Point[Pivots[R]] = S.Rows[R][N];
     // Null space of the homogeneous part.
-    std::vector<bool> IsPivot(N, false);
-    for (size_t P : Pivots)
-      IsPivot[P] = true;
-    Basis.clear();
-    for (size_t Free = 0; Free < N; ++Free) {
-      if (IsPivot[Free])
-        continue;
-      LinRow<F> V(N);
-      V[Free] = F::one();
-      for (size_t R = 0; R < Pivots.size(); ++R)
-        V[Pivots[R]] = F() - S.Rows[R][Free];
-      Basis.push_back(std::move(V));
-    }
-    (void)M;
+    Basis = nullspaceBasis(S.Rows, Pivots, N);
   };
 
   LinRow<F> PointA, PointB;
@@ -281,51 +381,47 @@ AffineSystem<F> AffineSystem<F>::join(const AffineSystem &A,
   PointAndBasis(B, PointB, BasisB);
 
   // Affine hull = PointA + span(BasisA, BasisB, PointB - PointA).
-  std::vector<LinRow<F>> Directions = BasisA;
-  Directions.insert(Directions.end(), BasisB.begin(), BasisB.end());
-  LinRow<F> Delta(N);
-  for (size_t I = 0; I < N; ++I)
-    Delta[I] = PointB[I] - PointA[I];
-  Directions.push_back(std::move(Delta));
-
   // An affine functional a.x = c holds on the hull iff a.d = 0 for every
-  // direction d and a.PointA = c.  Solve for (a, c) as the null space of
-  // the constraint matrix below.
-  std::vector<LinRow<F>> ConstraintRows;
-  for (const LinRow<F> &D : Directions) {
+  // direction d and a.PointA = c, i.e. (a, c) is in the null space of the
+  // rows (d, 0) and (PointA, -1).
+  std::vector<LinRow<F>> Constraints;
+  auto AddDirection = [&](const LinRow<F> &D) {
     LinRow<F> Row(N + 1);
     for (size_t I = 0; I < N; ++I)
       Row[I] = D[I];
-    ConstraintRows.push_back(std::move(Row));
+    Constraints.push_back(std::move(Row));
+  };
+  for (const LinRow<F> &D : BasisA)
+    AddDirection(D);
+  for (const LinRow<F> &D : BasisB)
+    AddDirection(D);
+  {
+    LinRow<F> Row(N + 1);
+    for (size_t I = 0; I < N; ++I)
+      Row[I] = PointB[I] - PointA[I];
+    Constraints.push_back(std::move(Row));
   }
   {
     LinRow<F> Row(N + 1);
     for (size_t I = 0; I < N; ++I)
       Row[I] = PointA[I];
     Row[N] = F() - F::one();
-    ConstraintRows.push_back(std::move(Row));
+    Constraints.push_back(std::move(Row));
   }
-  Matrix<F> Constraints = Matrix<F>::fromRows(ConstraintRows, N + 1);
-  std::vector<size_t> Pivots = Constraints.reducedRowEchelon();
-  std::vector<LinRow<F>> EquationBasis =
-      Constraints.nullspaceBasis(Pivots);
+  std::vector<size_t> AllColumns(N + 1);
+  std::iota(AllColumns.begin(), AllColumns.end(), 0);
+  std::vector<size_t> Pivots = reducedRowEchelon(Constraints, AllColumns);
 
   AffineSystem Out(N);
-  for (LinRow<F> &Eq : EquationBasis) {
-    // Null-space vector (a, k) encodes a.x + k*(-1)... the constant column
-    // participated with coefficient (a.PointA - c) sign handled above:
-    // Eq[N] is c directly because the last constraint row was
-    // (PointA, -1).(a, c) = 0, i.e. a.PointA = c.
+  for (LinRow<F> &Eq : nullspaceBasis(Constraints, Pivots, N + 1))
     Out.addRow(std::move(Eq));
-  }
   return Out;
 }
 
 template <typename F>
 std::vector<LinRow<F>> AffineSystem<F>::varRepresentatives() const {
-  canonicalize();
   std::vector<LinRow<F>> Reps;
-  if (Inconsistent)
+  if (isInconsistent())
     return Reps;
   // Pivot variables are rewritten over the free variables; free variables
   // represent themselves.
@@ -338,18 +434,14 @@ std::vector<LinRow<F>> AffineSystem<F>::varRepresentatives() const {
   }
   Reps.resize(NumVars);
   for (size_t V = 0; V < NumVars; ++V) {
-    LinRow<F> Rep(NumVars + 1);
     if (PivotRowOf[V] == ~size_t(0)) {
+      LinRow<F> Rep(NumVars + 1);
       Rep[V] = F::one();
+      Reps[V] = std::move(Rep);
     } else {
-      const LinRow<F> &Row = Rows[PivotRowOf[V]];
       // Row: x_V + sum f_j x_j = c  ==>  x_V = c - sum f_j x_j.
-      for (size_t C = 0; C < NumVars; ++C)
-        if (C != V)
-          Rep[C] = F() - Row[C];
-      Rep[NumVars] = Row[NumVars];
+      Reps[V] = definitionOf(Rows[PivotRowOf[V]], V);
     }
-    Reps[V] = std::move(Rep);
   }
   return Reps;
 }
@@ -358,39 +450,19 @@ template <typename F>
 std::optional<LinRow<F>>
 AffineSystem<F>::solveFor(size_t Var, const std::vector<bool> &Avoid) const {
   assert(Var < NumVars && "variable out of range");
-  if (Inconsistent)
+  if (isInconsistent())
     return std::nullopt;
-  // Project out the avoided variables (always avoiding Var would lose the
-  // very equation we need, so Var stays).
+  // Echelon with the avoided columns first, then Var, then the rest: the
+  // row whose pivot is Var is zero on every avoided column, so it defines
+  // Var over the rest.  (It is the Var-first echelon row of the projection
+  // onto the unavoided columns.)
   std::vector<bool> Mask = Avoid;
   Mask.resize(NumVars, false);
   Mask[Var] = false;
-  AffineSystem Projected = project(Mask);
-  // Re-echelon with Var first so a defining row, if any, has Var as pivot.
-  std::vector<size_t> Order;
-  Order.push_back(Var);
-  for (size_t I = 0; I < NumVars; ++I)
-    if (I != Var)
-      Order.push_back(I);
-  bool Bad = false;
-  Projected.canonicalize();
-  std::vector<LinRow<F>> Echelon =
-      echelonWithOrder(Projected.Rows, NumVars, Order, Bad);
-  if (Bad)
-    return std::nullopt;
-  for (const LinRow<F> &Row : Echelon) {
-    if (Row[Var].isZero())
-      continue;
-    // Row: a*Var + rest = c with a == 1 (RREF scaling in permuted order
-    // guarantees the pivot is 1).  Var = c - rest.
-    LinRow<F> Out(NumVars + 1);
-    for (size_t C = 0; C < NumVars; ++C)
-      if (C != Var)
-        Out[C] = F() - Row[C];
-    Out[NumVars] = Row[NumVars];
-    assert((Row[Var] == F::one()) && "pivot not normalized");
-    return Out;
-  }
+  auto [Echelon, Pivots] = echelonMaskedFirst(Mask, Var);
+  for (size_t R = 0; R < Pivots.size(); ++R)
+    if (Pivots[R] == Var)
+      return definitionOf(Echelon[R], Var);
   return std::nullopt;
 }
 
@@ -400,30 +472,14 @@ AffineSystem<F>::solveForMany(const std::vector<bool> &Targets) const {
   std::vector<std::pair<size_t, LinRow<F>>> Out;
   if (isInconsistent())
     return Out;
-  canonicalize();
   // Echelon with target columns first: a row whose pivot is a target and
   // whose remaining target entries are all zero rewrites that target over
   // the non-target columns.  (Chains resolve automatically: pivot rows are
   // reduced against each other.)
-  std::vector<size_t> Order;
-  for (size_t I = 0; I < NumVars; ++I)
-    if (Targets[I])
-      Order.push_back(I);
-  for (size_t I = 0; I < NumVars; ++I)
-    if (!Targets[I])
-      Order.push_back(I);
-  bool Bad = false;
-  std::vector<LinRow<F>> Echelon =
-      echelonWithOrder(Rows, NumVars, Order, Bad);
-  if (Bad)
-    return Out;
-  for (const LinRow<F> &Row : Echelon) {
-    // The pivot is the first nonzero entry in the *permuted* column order.
-    size_t Pivot = NumVars;
-    for (size_t K = 0; K < NumVars && Pivot == NumVars; ++K)
-      if (!Row[Order[K]].isZero())
-        Pivot = Order[K];
-    assert(Pivot != NumVars && "all-zero echelon row");
+  auto [Echelon, Pivots] = echelonMaskedFirst(Targets);
+  for (size_t R = 0; R < Echelon.size(); ++R) {
+    const LinRow<F> &Row = Echelon[R];
+    size_t Pivot = Pivots[R];
     if (!Targets[Pivot])
       continue;
     bool Clean = true;
@@ -431,12 +487,7 @@ AffineSystem<F>::solveForMany(const std::vector<bool> &Targets) const {
       Clean = C == Pivot || !Targets[C] || Row[C].isZero();
     if (!Clean)
       continue;
-    LinRow<F> Def(NumVars + 1);
-    for (size_t C = 0; C < NumVars; ++C)
-      if (C != Pivot)
-        Def[C] = F() - Row[C];
-    Def[NumVars] = Row[NumVars];
-    Out.emplace_back(Pivot, std::move(Def));
+    Out.emplace_back(Pivot, definitionOf(Row, Pivot));
   }
   return Out;
 }

@@ -17,7 +17,7 @@
 
 namespace cai {
 
-/// An element of GF(2).  Models the Field concept used by linalg::Matrix.
+/// An element of GF(2).  Models the Field concept of linalg/AffineSystem.h.
 class GF2 {
 public:
   /// Constructs zero.

@@ -18,8 +18,8 @@ namespace cai {
 
 /// An exact rational number.
 ///
-/// Also models the Field concept used by linalg::Matrix: default constructor
-/// is zero, and it provides +, -, *, /, ==, isZero and one().
+/// Also models the Field concept of linalg/AffineSystem.h: default
+/// constructor is zero, and it provides +, -, *, /, ==, isZero and one().
 class Rational {
 public:
   /// Constructs zero.

@@ -21,8 +21,8 @@
 /// Deliberate deviations from std::vector:
 ///   - An *implicit* converting constructor from std::vector<T> (moving
 ///     the elements).  Rows flow in from APIs that still build
-///     std::vectors (parser, tests, Matrix::nullspaceBasis); absorbing
-///     them at the signature boundary keeps call sites unchanged.
+///     std::vectors (parser, tests); absorbing them at the signature
+///     boundary keeps call sites unchanged.
 ///   - No shrink_to_fit, no allocator parameter, iterators are plain T*.
 ///
 /// Capacity choices for the library's aliases are documented in DESIGN.md

@@ -1,9 +1,11 @@
 //===- tests/affine_test.cpp - The Karr affine-equality domain -------------===//
 
 #include "domains/affine/AffineDomain.h"
+#include "obs/Metrics.h"
 
 #include "TestUtil.h"
 
+#include <algorithm>
 #include <random>
 
 using namespace cai;
@@ -174,3 +176,87 @@ TEST_P(AffineJoinProperty, UpperBoundAndMonotone) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AffineJoinProperty,
                          ::testing::Values(11, 22, 33, 44));
+
+// The structured-form list keeps the last 8 conjunctions.  Interleave 12
+// distinct ones so it evicts and re-hits, and check every operator against
+// a domain with memoization off (which never consults the list).
+TEST_F(AffineTest, CanonListAgreesWithMemoOff) {
+  AffineDomain Cold(Ctx);
+  Cold.setMemoization(false);
+  const char *Texts[] = {
+      "x = y + 1 && y = z",     "x = 2*y && z = 3",
+      "x + y = z && w = 1",     "x = 1 && x = 2",
+      "F(x) = y + 1 && x = z",  "x = y && y = z && z = w",
+      "2*x + 3*y = 5",          "x = w - 4 && y = 0",
+      "x = y + z && w = x - y", "y = 7 && z = y + 1",
+      "x = z && F(y) = w",      "x - y = 2 && z - w = 2"};
+  std::vector<Conjunction> Es;
+  for (const char *Text : Texts)
+    Es.push_back(C(Ctx, Text));
+  std::vector<Atom> Queries = {A(Ctx, "x = y"), A(Ctx, "x = z + 1"),
+                               A(Ctx, "w = 1"), A(Ctx, "x = q + 1")};
+  Term X = T(Ctx, "x"), Y = T(Ctx, "y"), Z = T(Ctx, "z"), W = T(Ctx, "w");
+
+  struct Answers {
+    std::vector<bool> Bools;
+    std::vector<Conjunction> Conjs;
+    std::vector<std::vector<std::pair<Term, Term>>> Pairs;
+    std::vector<std::optional<Term>> Terms;
+  };
+  // Four shuffled rounds over all twelve, every operator on each.
+  auto Run = [&](const AffineDomain &Dom) {
+    Answers Out;
+    std::mt19937 Rng(5);
+    std::vector<size_t> Order(Es.size());
+    for (size_t I = 0; I < Order.size(); ++I)
+      Order[I] = I;
+    for (int Round = 0; Round < 4; ++Round) {
+      std::shuffle(Order.begin(), Order.end(), Rng);
+      for (size_t K = 0; K < Order.size(); ++K) {
+        const Conjunction &E = Es[Order[K]];
+        const Conjunction &Next = Es[Order[(K + 1) % Order.size()]];
+        Out.Bools.push_back(Dom.isUnsat(E));
+        Out.Pairs.push_back(Dom.impliedVarEqualities(E));
+        for (const Atom &Q : Queries)
+          Out.Bools.push_back(Dom.entails(E, Q));
+        Out.Conjs.push_back(Dom.existQuant(E, {X}));
+        Out.Conjs.push_back(Dom.existQuant(E, {Y, Z}));
+        Out.Terms.push_back(Dom.alternate(E, X, {Y}));
+        Out.Terms.push_back(Dom.alternate(E, W, {}));
+        Out.Pairs.push_back(Dom.alternateBatch(E, {X, Y}));
+        Out.Conjs.push_back(Dom.join(E, Next));
+        Out.Conjs.push_back(Dom.join(Next, E));
+      }
+    }
+    return Out;
+  };
+  auto Counter = [](const char *Name) -> uint64_t {
+    auto Values = obs::MetricsRegistry::global().counterValues();
+    auto It = Values.find(Name);
+    return It == Values.end() ? 0 : It->second;
+  };
+
+  uint64_t Hits0 = Counter("domain.affine.canon_hits");
+  uint64_t Misses0 = Counter("domain.affine.canon_misses");
+  Answers Warm = Run(D);
+  [[maybe_unused]] uint64_t Hits =
+      Counter("domain.affine.canon_hits") - Hits0;
+  uint64_t Misses = Counter("domain.affine.canon_misses") - Misses0;
+  Answers Reference = Run(Cold);
+  [[maybe_unused]] uint64_t ColdBuilds =
+      Counter("domain.affine.canon_misses") - Misses0 - Misses;
+
+  EXPECT_EQ(Warm.Bools, Reference.Bools);
+  EXPECT_EQ(Warm.Conjs, Reference.Conjs);
+  EXPECT_EQ(Warm.Pairs, Reference.Pairs);
+  EXPECT_EQ(Warm.Terms, Reference.Terms);
+
+#ifndef CAI_DISABLE_OBS
+  // Both runs ask for the same structured forms; with memoization off each
+  // is built anew.  The list answers some, and the shuffled rounds bring
+  // back conjunctions it has evicted, which are built a second time.
+  EXPECT_EQ(Hits + Misses, ColdBuilds);
+  EXPECT_GT(Hits, 0u);
+  EXPECT_GT(Misses, Es.size());
+#endif
+}

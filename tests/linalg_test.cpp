@@ -1,4 +1,4 @@
-//===- tests/linalg_test.cpp - Matrix and AffineSystem ---------------------===//
+//===- tests/linalg_test.cpp - Row kernel and AffineSystem ----------------===//
 
 #include "linalg/AffineSystem.h"
 #include "support/GF2.h"
@@ -21,33 +21,29 @@ LinRow<Rational> row(std::initializer_list<int64_t> Values) {
 
 } // namespace
 
-TEST(MatrixTest, RrefIdentifiesPivots) {
-  Matrix<Rational> M = Matrix<Rational>::fromRows(
-      std::vector<LinRow<Rational>>{row({1, 2, 3}), row({2, 4, 6}),
-                                    row({1, 0, 1})},
-      3);
-  std::vector<size_t> Pivots = M.reducedRowEchelon();
+TEST(RowKernelTest, RrefIdentifiesPivots) {
+  std::vector<LinRow<Rational>> Rows{row({1, 2, 3}), row({2, 4, 6}),
+                                     row({1, 0, 1})};
+  std::vector<size_t> Pivots = reducedRowEchelon(Rows, {0, 1, 2});
   ASSERT_EQ(Pivots.size(), 2u);
   EXPECT_EQ(Pivots[0], 0u);
   EXPECT_EQ(Pivots[1], 1u);
   // Row 2 is all zero after reduction.
   for (size_t C = 0; C < 3; ++C)
-    EXPECT_TRUE(M.at(2, C).isZero());
+    EXPECT_TRUE(Rows[2][C].isZero());
 }
 
-TEST(MatrixTest, NullspaceSatisfiesSystem) {
-  Matrix<Rational> M = Matrix<Rational>::fromRows(
-      std::vector<LinRow<Rational>>{row({1, 1, -1, 0}), row({0, 1, 1, -2})},
-      4);
-  Matrix<Rational> Copy = M;
-  std::vector<size_t> Pivots = M.reducedRowEchelon();
-  std::vector<LinRow<Rational>> Basis = M.nullspaceBasis(Pivots);
+TEST(RowKernelTest, NullspaceSatisfiesSystem) {
+  std::vector<LinRow<Rational>> Rows{row({1, 1, -1, 0}), row({0, 1, 1, -2})};
+  std::vector<LinRow<Rational>> Copy = Rows;
+  std::vector<size_t> Pivots = reducedRowEchelon(Rows, {0, 1, 2, 3});
+  std::vector<LinRow<Rational>> Basis = nullspaceBasis(Rows, Pivots, 4);
   EXPECT_EQ(Basis.size(), 2u); // 4 columns, rank 2.
   for (const auto &V : Basis)
-    for (size_t R = 0; R < Copy.rows(); ++R) {
+    for (const LinRow<Rational> &R : Copy) {
       Rational Dot;
-      for (size_t C = 0; C < Copy.cols(); ++C)
-        Dot += Copy.at(R, C) * V[C];
+      for (size_t C = 0; C < R.size(); ++C)
+        Dot += R[C] * V[C];
       EXPECT_TRUE(Dot.isZero());
     }
 }
@@ -57,6 +53,34 @@ TEST(AffineSystemTest, InconsistencyDetected) {
   S.addRow(row({1, 0, 1})); // x = 1
   S.addRow(row({1, 0, 2})); // x = 2
   EXPECT_TRUE(S.isInconsistent());
+}
+
+namespace {
+
+// The queries below must see the contradiction without an isInconsistent()
+// call first: each canonicalizes before it tests for inconsistency.
+AffineSystem<Rational> contradictoryX() {
+  AffineSystem<Rational> S(2); // Columns (x, y).
+  S.addRow(row({1, 0, 1}));    // x = 1
+  S.addRow(row({1, 0, 2}));    // x = 2
+  return S;
+}
+
+} // namespace
+
+TEST(AffineSystemTest, UncanonicalUnsatEntailsEverything) {
+  EXPECT_TRUE(contradictoryX().entails(row({0, 1, 5}))); // y = 5
+}
+
+TEST(AffineSystemTest, UncanonicalUnsatProjectsToUnsat) {
+  AffineSystem<Rational> P = contradictoryX().project({true, false});
+  EXPECT_TRUE(P.isInconsistent());
+  EXPECT_FALSE(P.isTrivial());
+}
+
+TEST(AffineSystemTest, UncanonicalUnsatSolvesNothing) {
+  EXPECT_FALSE(contradictoryX().solveFor(1, {false, false}).has_value());
+  EXPECT_TRUE(contradictoryX().solveForMany({false, true}).empty());
 }
 
 TEST(AffineSystemTest, EntailsReducesAgainstBasis) {
