@@ -2,6 +2,8 @@
 
 #include "net/Conn.h"
 
+#include "support/Decimal.h"
+
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -22,14 +24,9 @@ bool parseHostPort(const std::string &Spec, std::string *Host,
   if (Colon == std::string::npos)
     return false;
   std::string H = Spec.substr(0, Colon);
-  std::string P = Spec.substr(Colon + 1);
-  if (P.empty() || P.find_first_not_of("0123456789") != std::string::npos)
-    return false;
-  unsigned long V = std::stoul(P);
-  if (V > 65535)
+  if (!parseDecimal(std::string_view(Spec).substr(Colon + 1), *Port))
     return false;
   *Host = H.empty() ? std::string("127.0.0.1") : H;
-  *Port = uint16_t(V);
   return true;
 }
 

@@ -25,7 +25,7 @@ namespace cai {
 namespace net {
 
 /// Splits "HOST:PORT" (host may be empty -> 127.0.0.1).  Returns false on
-/// a missing/non-numeric port.
+/// a missing, non-numeric or out-of-range port.
 bool parseHostPort(const std::string &Spec, std::string *Host,
                    uint16_t *Port);
 

@@ -81,59 +81,36 @@ LogicalLattice *DomainFactory::parse(const std::string &S, size_t &Pos) {
                     : LogicalProduct::Mode::Logical;
     return keep(std::make_unique<LogicalProduct>(Ctx, *First, *Second, Mode));
   }
-  struct Named {
-    const char *Name;
-    std::unique_ptr<LogicalLattice> (DomainFactory::*Make)();
+  auto Take = [&](const char *Word) {
+    if (!StartsWith(Word))
+      return false;
+    Pos += std::strlen(Word);
+    return true;
   };
-  const Named Table[] = {
-      {"affine", &DomainFactory::makeAffine},
-      {"poly", &DomainFactory::makePoly},
-      {"uf", &DomainFactory::makeUF},
-      {"parity", &DomainFactory::makeParity},
-      {"sign", &DomainFactory::makeSign},
-      {"lists", &DomainFactory::makeLists},
-      {"arrays", &DomainFactory::makeArrays},
-  };
-  for (const Named &N : Table) {
-    size_t Len = std::strlen(N.Name);
-    if (S.compare(Pos, Len, N.Name) == 0) {
-      Pos += Len;
-      return keep((this->*N.Make)());
-    }
+  std::unique_ptr<LogicalLattice> L;
+  if (Take("affine")) {
+    L = std::make_unique<AffineDomain>(Ctx);
+  } else if (Take("poly")) {
+    L = std::make_unique<PolyDomain>(Ctx);
+  } else if (Take("uf")) {
+    // If a lists domain participates anywhere in the spec, cede its
+    // symbols so the nested product dispatches them correctly.
+    std::set<Symbol> Excluded;
+    if (ListsInstance)
+      Excluded = {ListsInstance->carSym(), ListsInstance->cdrSym(),
+                  ListsInstance->consSym()};
+    L = std::make_unique<UFDomain>(Ctx, Excluded);
+  } else if (Take("parity")) {
+    L = std::make_unique<ParityDomain>(Ctx);
+  } else if (Take("sign")) {
+    L = std::make_unique<SignDomain>(Ctx);
+  } else if (Take("lists")) {
+    L = std::make_unique<ListDomain>(Ctx);
+  } else if (Take("arrays")) {
+    L = std::make_unique<ArrayDomain>(Ctx);
+  } else {
+    Error = "unknown domain at '" + S.substr(Pos) + "'";
+    return nullptr;
   }
-  Error = "unknown domain at '" + S.substr(Pos) + "'";
-  return nullptr;
-}
-
-std::unique_ptr<LogicalLattice> DomainFactory::makeAffine() {
-  return std::make_unique<AffineDomain>(Ctx);
-}
-std::unique_ptr<LogicalLattice> DomainFactory::makePoly() {
-  return std::make_unique<PolyDomain>(Ctx);
-}
-std::unique_ptr<LogicalLattice> DomainFactory::makeUF() {
-  // If a lists domain participates anywhere in the spec, cede its symbols
-  // so the nested product dispatches them correctly.
-  std::set<Symbol> Excluded;
-  if (ListsInstance) {
-    Excluded.insert(ListsInstance->carSym());
-    Excluded.insert(ListsInstance->cdrSym());
-    Excluded.insert(ListsInstance->consSym());
-  }
-  return std::make_unique<UFDomain>(Ctx, Excluded);
-}
-std::unique_ptr<LogicalLattice> DomainFactory::makeParity() {
-  return std::make_unique<ParityDomain>(Ctx);
-}
-std::unique_ptr<LogicalLattice> DomainFactory::makeSign() {
-  return std::make_unique<SignDomain>(Ctx);
-}
-std::unique_ptr<LogicalLattice> DomainFactory::makeArrays() {
-  return std::make_unique<ArrayDomain>(Ctx);
-}
-std::unique_ptr<LogicalLattice> DomainFactory::makeLists() {
-  auto L = std::make_unique<ListDomain>(Ctx);
-  if (!ListsInstance)
-    ListsInstance = std::make_unique<ListDomain>(Ctx);
-  return L;
+  return keep(std::move(L));
 }

@@ -50,14 +50,6 @@ public:
 private:
   LogicalLattice *parse(const std::string &S, size_t &Pos);
 
-  std::unique_ptr<LogicalLattice> makeAffine();
-  std::unique_ptr<LogicalLattice> makePoly();
-  std::unique_ptr<LogicalLattice> makeUF();
-  std::unique_ptr<LogicalLattice> makeParity();
-  std::unique_ptr<LogicalLattice> makeSign();
-  std::unique_ptr<LogicalLattice> makeArrays();
-  std::unique_ptr<LogicalLattice> makeLists();
-
   TermContext &Ctx;
   std::vector<std::unique_ptr<LogicalLattice>> Owned;
   /// Non-null once a lists domain participates: UF cedes car/cdr/cons so

@@ -4,10 +4,35 @@
 
 #include "persist/PersistStore.h"
 
+#include <climits>
+#include <cmath>
+#include <cstdint>
 #include <sstream>
 
 using namespace cai;
 using namespace cai::service;
+
+namespace {
+
+/// Reads \p V into \p Out when it is a whole number in [0, Max]: a JSON
+/// integer, or an integral double such as 2.0 (range-checked as a double
+/// first, so the conversion is always defined).
+template <typename T> bool wholeNumber(const Json &V, T &Out, uint64_t Max) {
+  uint64_t N;
+  if (V.kind() == Json::Kind::Int && V.asInt() >= 0)
+    N = static_cast<uint64_t>(V.asInt());
+  else if (V.kind() == Json::Kind::Double && V.asDouble() >= 0 &&
+           V.asDouble() < 0x1p63 && V.asDouble() == std::floor(V.asDouble()))
+    N = static_cast<uint64_t>(V.asDouble());
+  else
+    return false;
+  if (N > Max)
+    return false;
+  Out = static_cast<T>(N);
+  return true;
+}
+
+} // namespace
 
 bool cai::service::jobOptionsFromJson(const Json &Obj, JobOptions &Opts,
                                       std::string *Error) {
@@ -15,6 +40,14 @@ bool cai::service::jobOptionsFromJson(const Json &Obj, JobOptions &Opts,
     if (Error)
       *Error = Msg;
     return false;
+  };
+  // A count must fit its field: a value that wrapped or truncated would
+  // run, and be cached, as a different job.
+  auto Count = [&](const std::string &Key, const Json &V, auto &Field,
+                   uint64_t Max) {
+    return wholeNumber(V, Field, Max) ||
+           Fail("option \"" + Key + "\" must be a whole number in [0, " +
+                std::to_string(Max) + "]");
   };
   if (const Json *Domain = Obj.get("domain")) {
     if (!Domain->isString())
@@ -32,13 +65,11 @@ bool cai::service::jobOptionsFromJson(const Json &Obj, JobOptions &Opts,
         return Fail("option \"encode\" must be a string");
       Opts.Encode = V.asString();
     } else if (Key == "widening_delay") {
-      if (!V.isNumber())
-        return Fail("option \"widening_delay\" must be a number");
-      Opts.WideningDelay = static_cast<unsigned>(V.asInt());
+      if (!Count(Key, V, Opts.WideningDelay, UINT_MAX))
+        return false;
     } else if (Key == "narrowing_passes") {
-      if (!V.isNumber())
-        return Fail("option \"narrowing_passes\" must be a number");
-      Opts.NarrowingPasses = static_cast<unsigned>(V.asInt());
+      if (!Count(Key, V, Opts.NarrowingPasses, UINT_MAX))
+        return false;
     } else if (Key == "semantic_convergence") {
       if (!V.isBool())
         return Fail("option \"semantic_convergence\" must be a boolean");
@@ -48,9 +79,8 @@ bool cai::service::jobOptionsFromJson(const Json &Obj, JobOptions &Opts,
         return Fail("option \"memoize\" must be a boolean");
       Opts.Memoize = V.asBool();
     } else if (Key == "poly_max_rows") {
-      if (!V.isNumber() || V.asInt() < 0)
-        return Fail("option \"poly_max_rows\" must be a non-negative number");
-      Opts.PolyMaxRows = static_cast<size_t>(V.asInt());
+      if (!Count(Key, V, Opts.PolyMaxRows, INT64_MAX))
+        return false;
     } else if (Key == "lint") {
       if (!V.isBool())
         return Fail("option \"lint\" must be a boolean");
@@ -63,9 +93,8 @@ bool cai::service::jobOptionsFromJson(const Json &Obj, JobOptions &Opts,
         return Fail(LintErr);
       Opts.LintChecks = V.asString();
     } else if (Key == "timeout_ms") {
-      if (!V.isNumber() || V.asInt() < 0)
-        return Fail("option \"timeout_ms\" must be a non-negative number");
-      Opts.TimeoutMs = static_cast<uint64_t>(V.asInt());
+      if (!Count(Key, V, Opts.TimeoutMs, INT64_MAX))
+        return false;
     } else if (Key == "test_crash") {
       if (!V.isBool())
         return Fail("option \"test_crash\" must be a boolean");
@@ -126,9 +155,9 @@ cai::service::parseRequest(const std::string &Line, uint64_t DefaultId,
   Req.Command = Request::Kind::Analyze;
   Req.Spec.Id = DefaultId;
   if (const Json *Id = J->get("id")) {
-    if (!Id->isNumber() || Id->asInt() < 0)
-      return Fail("\"id\" must be a non-negative number");
-    Req.Spec.Id = static_cast<uint64_t>(Id->asInt());
+    if (!wholeNumber(*Id, Req.Spec.Id, INT64_MAX))
+      return Fail("\"id\" must be a whole number in [0, " +
+                  std::to_string(INT64_MAX) + "]");
   }
   if (const Json *Name = J->get("name")) {
     if (!Name->isString())

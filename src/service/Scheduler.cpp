@@ -2,36 +2,17 @@
 
 #include "service/Scheduler.h"
 
-#include "analysis/Analyzer.h"
-#include "domains/poly/Polyhedron.h"
-#include "encodings/Encodings.h"
-#include "ir/ProgramParser.h"
 #include "obs/EventLog.h"
-#include "service/DomainFactory.h"
 #include "service/Fingerprint.h"
-#include "term/TermContext.h"
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <optional>
-#include <stdexcept>
 
 using namespace cai;
 using namespace cai::service;
 
 namespace {
-
-/// Scopes the polyhedra row cap (a thread-local, so per-worker) to one job.
-/// PolyMaxRows == SIZE_MAX keeps the build-wide default.
-struct RowCapScope {
-  explicit RowCapScope(size_t Cap) : Prev(polyRowCap()) {
-    if (Cap != SIZE_MAX)
-      setPolyRowCap(Cap);
-  }
-  ~RowCapScope() { setPolyRowCap(Prev); }
-  size_t Prev;
-};
 
 /// Per-status counter in the calling worker's shard registry.  The name is
 /// dynamic, so this bypasses the per-site probe cache; once per job is
@@ -45,153 +26,13 @@ void bumpStatusCounter(JobStatus S) {
 } // namespace
 
 JobResult AnalysisScheduler::runJobIsolated(const JobSpec &Spec,
-                                            const std::atomic<bool> *Cancel,
-                                            const FixpointSnapshot *SnapIn,
-                                            FixpointSnapshot *SnapOut,
-                                            JobPhases *Phases) {
-  JobResult R;
-  R.Id = Spec.Id;
-  R.Name = Spec.Name;
-  R.Fingerprint = fingerprintJob(Spec);
-  auto Begin = std::chrono::steady_clock::now();
-  try {
-    if (Spec.Opts.TestCrash)
-      throw std::runtime_error("deliberate crash (TestCrash test hook)");
-
-    if (!Spec.Opts.Encode.empty() && Spec.Opts.Encode != "comm" &&
-        Spec.Opts.Encode != "arity") {
-      R.Status = JobStatus::BadDomain;
-      R.Error = "unknown encode '" + Spec.Opts.Encode + "'";
-      return R;
-    }
-
-    // Everything below is built fresh per job: the term context, the
-    // domain tree (with its memoization state), and the program.  No
-    // state outlives the job, so results cannot depend on which worker
-    // ran it or what ran before.
-    TermContext Ctx;
-    // Pre-intern the theory predicates so the parser recognizes them even
-    // if the chosen domains do not mention them (mirrors cai-analyze).
-    Ctx.getPredicate("even", 1);
-    Ctx.getPredicate("odd", 1);
-    Ctx.getPredicate("positive", 1);
-    Ctx.getPredicate("negative", 1);
-
-    DomainFactory Factory(Ctx);
-    LogicalLattice *Domain = Factory.build(Spec.Opts.DomainSpec);
-    if (!Domain) {
-      R.Status = JobStatus::BadDomain;
-      R.Error = Factory.error();
-      return R;
-    }
-    R.Domain = Domain->name();
-
-    // Phase timing is telemetry-only: clock reads happen solely when a
-    // JobPhases out-param asks for them, keeping the telemetry-off path
-    // free of extra syscalls.
-    auto ParseBegin = Phases ? std::chrono::steady_clock::now()
-                             : std::chrono::steady_clock::time_point();
-    std::string ParseError;
-    std::optional<Program> P =
-        parseProgram(Ctx, Spec.ProgramText, &ParseError);
-    if (!P) {
-      R.Status = JobStatus::ParseError;
-      R.Error = ParseError;
-      return R;
-    }
-
-    Program Analyzed = *P;
-    if (Spec.Opts.Encode == "comm") {
-      TermEncoder Enc(Ctx, TermEncoder::Scheme::Commutative);
-      Analyzed = Enc.encode(Analyzed);
-    } else if (Spec.Opts.Encode == "arity") {
-      TermEncoder Enc(Ctx, TermEncoder::Scheme::ArityReduction);
-      Analyzed = Enc.encode(Analyzed);
-    }
-    if (Phases) {
-      Phases->ParseUs = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - ParseBegin)
-              .count());
-      Phases->HasParse = true;
-    }
-
-    AnalyzerOptions AOpts;
-    AOpts.WideningDelay = Spec.Opts.WideningDelay;
-    AOpts.NarrowingPasses = Spec.Opts.NarrowingPasses;
-    AOpts.SemanticConvergence = Spec.Opts.SemanticConvergence;
-    AOpts.Memoize = Spec.Opts.Memoize;
-    AOpts.SnapshotIn = SnapIn;
-    AOpts.SnapshotOut = SnapOut;
-    AOpts.CancelFlag = Cancel;
-    const bool HasDeadline = Spec.Opts.TimeoutMs != 0;
-    if (HasDeadline)
-      AOpts.Deadline =
-          Begin + std::chrono::milliseconds(Spec.Opts.TimeoutMs);
-
-    RowCapScope CapScope(Spec.Opts.PolyMaxRows);
-    auto AnalyzeBegin = Phases ? std::chrono::steady_clock::now()
-                               : std::chrono::steady_clock::time_point();
-    AnalysisResult AR = Analyzer(*Domain, AOpts).run(Analyzed);
-    if (Phases) {
-      Phases->AnalyzeUs = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - AnalyzeBegin)
-              .count());
-      Phases->HasAnalyze = true;
-    }
-
-    R.Assertions = AR.Assertions;
-    R.NumVerified = AR.numVerified();
-    R.Stats = AR.Stats;
-    if (AR.Cancelled) {
-      if (HasDeadline && std::chrono::steady_clock::now() >= AOpts.Deadline) {
-        R.Status = JobStatus::Timeout;
-        R.Error = "deadline of " + std::to_string(Spec.Opts.TimeoutMs) +
-                  " ms exceeded";
-      } else {
-        R.Status = JobStatus::Error;
-        R.Error = "cancelled";
-      }
-    } else if (!AR.Converged) {
-      R.Status = JobStatus::NotConverged;
-      R.Error = "fixpoint did not converge (MaxUpdatesPerNode exceeded)";
-    } else if (R.NumVerified == R.Assertions.size()) {
-      R.Status = JobStatus::Verified;
-    } else {
-      R.Status = JobStatus::AssertionsFailed;
-    }
-
-    // Lint jobs: derive findings from the stabilized invariants.  Runs
-    // only on converged results (runLint refuses anything else) and folds
-    // into the cached bytes -- the Lint/LintChecks options are part of the
-    // fingerprint, so an analyze job never serves a lint job's slot.
-    if (Spec.Opts.Lint && AR.Converged && !AR.Cancelled) {
-      auto LintBegin = Phases ? std::chrono::steady_clock::now()
-                              : std::chrono::steady_clock::time_point();
-      lint::LintOptions LOpts;
-      LOpts.Checks = Spec.Opts.LintChecks;
-      R.Findings = lint::runLint(Ctx, Analyzed, AR, *Domain, LOpts);
-      R.Linted = true;
-      if (Phases) {
-        Phases->LintUs = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - LintBegin)
-                .count());
-        Phases->HasLint = true;
-      }
-    }
-  } catch (const std::exception &E) {
-    R.Status = JobStatus::Error;
-    R.Error = E.what();
-  } catch (...) {
-    R.Status = JobStatus::Error;
-    R.Error = "unknown exception";
-  }
-  R.DurationMs = std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - Begin)
-                     .count();
-  return R;
+                                            const std::atomic<bool> *Cancel) {
+  JobHooks Hooks;
+  Hooks.Cancel = Cancel;
+  Hooks.Fingerprint = fingerprintJob(Spec);
+  JobRun Run;
+  runJob(Spec, Hooks, Run);
+  return std::move(Run.Result);
 }
 
 AnalysisScheduler::AnalysisScheduler(const SchedulerOptions &O)
@@ -347,29 +188,24 @@ void AnalysisScheduler::mergeMetricsInto(obs::MetricsRegistry &Into) const {
 
 std::string AnalysisScheduler::telemetryJsonLine() {
   Json Rep = Hub.report(numWorkers());
-  auto Permille = [](uint64_t Num, uint64_t Den) {
-    return Json::integer(Den == 0 ? 0
-                                  : static_cast<int64_t>((Num * 1000) / Den));
+  auto HitRates = [](uint64_t Hits, uint64_t Misses) {
+    uint64_t Total = Hits + Misses;
+    Json Obj = Json::object();
+    Obj.set("hits", Json::integer(static_cast<int64_t>(Hits)));
+    Obj.set("misses", Json::integer(static_cast<int64_t>(Misses)));
+    Obj.set("hit_rate_permille",
+            Json::integer(Total == 0 ? 0
+                                     : static_cast<int64_t>(Hits * 1000 /
+                                                            Total)));
+    return Obj;
   };
   ResultCacheStats CS = Cache.stats();
-  Json CacheObj = Json::object();
-  CacheObj.set("hits", Json::integer(static_cast<int64_t>(CS.Hits)));
-  CacheObj.set("misses", Json::integer(static_cast<int64_t>(CS.Misses)));
-  CacheObj.set("hit_rate_permille", Permille(CS.Hits, CS.Hits + CS.Misses));
-  Rep.set("result_cache", std::move(CacheObj));
+  Rep.set("result_cache", HitRates(CS.Hits, CS.Misses));
   SnapshotCacheStats SS = Snapshots.stats();
-  Json SnapObj = Json::object();
-  SnapObj.set("hits", Json::integer(static_cast<int64_t>(SS.Hits)));
-  SnapObj.set("misses", Json::integer(static_cast<int64_t>(SS.Misses)));
-  SnapObj.set("hit_rate_permille", Permille(SS.Hits, SS.Hits + SS.Misses));
-  Rep.set("snapshot_cache", std::move(SnapObj));
+  Rep.set("snapshot_cache", HitRates(SS.Hits, SS.Misses));
   if (Opts.Persist) {
     persist::PersistStats PS = Opts.Persist->stats();
-    Json PersistObj = Json::object();
-    PersistObj.set("hits", Json::integer(static_cast<int64_t>(PS.Hits)));
-    PersistObj.set("misses",
-                   Json::integer(static_cast<int64_t>(PS.Misses)));
-    PersistObj.set("hit_rate_permille", Permille(PS.Hits, PS.Hits + PS.Misses));
+    Json PersistObj = HitRates(PS.Hits, PS.Misses);
     PersistObj.set("live_records",
                    Json::integer(static_cast<int64_t>(PS.LiveRecords)));
     PersistObj.set("log_bytes",
@@ -383,16 +219,15 @@ std::string AnalysisScheduler::telemetryJsonLine() {
   return Rep.dump();
 }
 
-/// runJobIsolated plus the telemetry wrappers: phase timing when \p LS
-/// asks, and -- when SlowMs is armed -- a per-job tracer that temporarily
-/// replaces whatever tracer is installed (the shard tracer, usually), so a
-/// job that overruns the threshold arrives with its own Perfetto-loadable
-/// engine trace instead of being lost in the merged timeline.
-JobResult AnalysisScheduler::runCaptured(const JobSpec &Spec,
+/// runJob on the scheduler's hooks, plus the slow-job exemplar capture:
+/// when SlowMs is armed, a per-job tracer temporarily replaces whatever
+/// tracer is installed (the shard tracer, usually), so a job that overruns
+/// the threshold arrives with its own Perfetto-loadable engine trace
+/// instead of being lost in the merged timeline.
+JobResult AnalysisScheduler::runCaptured(const JobSpec &Spec, std::string FP,
                                          const FixpointSnapshot *SnapIn,
                                          FixpointSnapshot *SnapOut,
                                          LifecycleSample *LS) {
-  JobPhases Phases;
   std::unique_ptr<obs::Tracer> JobTracer;
   obs::Tracer *Prev = nullptr;
   if (Opts.SlowMs != 0) {
@@ -400,18 +235,17 @@ JobResult AnalysisScheduler::runCaptured(const JobSpec &Spec,
     JobTracer = std::make_unique<obs::Tracer>(obs::Tracer::Sink::Buffer);
     obs::Tracer::install(JobTracer.get());
   }
-  JobResult R = runJobIsolated(Spec, &CancelAll, SnapIn, SnapOut,
-                               LS ? &Phases : nullptr);
+  JobHooks Hooks;
+  Hooks.Cancel = &CancelAll;
+  Hooks.SnapIn = SnapIn;
+  Hooks.SnapOut = SnapOut;
+  Hooks.Phases = LS;
+  Hooks.Fingerprint = std::move(FP);
+  JobRun Run;
+  runJob(Spec, Hooks, Run);
+  JobResult R = std::move(Run.Result);
   if (JobTracer)
     obs::Tracer::install(Prev);
-  if (LS) {
-    LS->ParseUs = Phases.ParseUs;
-    LS->AnalyzeUs = Phases.AnalyzeUs;
-    LS->LintUs = Phases.LintUs;
-    LS->HasParse = Phases.HasParse;
-    LS->HasAnalyze = Phases.HasAnalyze;
-    LS->HasLint = Phases.HasLint;
-  }
 
   if (Opts.SlowMs != 0 && R.DurationMs > static_cast<double>(Opts.SlowMs)) {
     SlowJobRecord Rec;
@@ -447,30 +281,13 @@ void AnalysisScheduler::noteOutcome(const JobSpec &Spec, const JobResult &R) {
   obs::EventLog &Log = obs::EventLog::global();
   if (!Log.enabled())
     return;
-  const char *Event = nullptr;
-  obs::Severity Sev = obs::Severity::Warn;
-  switch (R.Status) {
-  case JobStatus::Timeout:
-    Event = "job-timeout";
-    break;
-  case JobStatus::Error:
-    Event = "job-error";
-    Sev = obs::Severity::Error;
-    break;
-  case JobStatus::NotConverged:
-    Event = "job-not-converged";
-    break;
-  case JobStatus::ParseError:
-    Event = "job-parse-error";
-    break;
-  case JobStatus::BadDomain:
-    Event = "job-bad-domain";
-    break;
-  default:
-    break;
-  }
-  if (Event)
-    Log.emit(Sev, "service.scheduler", Event,
+  // Failed and degraded outcomes log as "job-<status>" ("job-timeout",
+  // "job-parse-error", ...); only a thrown job is an error.
+  if (R.Status != JobStatus::Verified &&
+      R.Status != JobStatus::AssertionsFailed)
+    Log.emit(R.Status == JobStatus::Error ? obs::Severity::Error
+                                          : obs::Severity::Warn,
+             "service.scheduler", std::string("job-") + statusName(R.Status),
              {obs::EventField::num("id", R.Id),
               obs::EventField::str("name", R.Name),
               obs::EventField::str("error", R.Error)});
@@ -482,38 +299,23 @@ void AnalysisScheduler::noteOutcome(const JobSpec &Spec, const JobResult &R) {
 
 JobResult AnalysisScheduler::executeOrServe(const JobSpec &Spec,
                                             LifecycleSample *LS) {
+  std::string FP = fingerprintJob(Spec);
   // TestCrash jobs bypass both cache tiers entirely: the hook exists to
   // exercise the crash path, and crashes are not cacheable anyway.
-  if (Spec.Opts.TestCrash) {
-    JobResult R = runCaptured(Spec, nullptr, nullptr, LS);
-    CAI_METRIC_INC("service.jobs.completed");
-    bumpStatusCounter(R.Status);
-    noteOutcome(Spec, R);
-    return R;
-  }
-
-  std::string FP = fingerprintJob(Spec);
-  if (std::shared_ptr<const JobResult> Hit = Cache.lookup(FP)) {
-    CAI_METRIC_INC("service.jobs.cache_hits");
-    JobResult R = *Hit;
-    R.Id = Spec.Id;
-    R.Name = Spec.Name;
-    R.CacheHit = true;
-    R.DurationMs = 0;
-    if (LS)
-      LS->CacheHit = true;
-    return R;
-  }
-
-  // Disk tier: a memory miss probes the persist store before computing.
-  // A hit is promoted into the LRU (so the next submission is a memory
-  // hit) and served exactly like a memory hit -- same "cached":true
-  // bytes, same replayed stats.
-  if (Opts.Persist) {
-    if (std::shared_ptr<const JobResult> DiskHit = Opts.Persist->lookup(FP)) {
+  if (!Spec.Opts.TestCrash) {
+    std::shared_ptr<const JobResult> Hit = Cache.lookup(FP);
+    if (Hit) {
+      CAI_METRIC_INC("service.jobs.cache_hits");
+    } else if (Opts.Persist && (Hit = Opts.Persist->lookup(FP))) {
+      // Disk tier: a memory miss probes the persist store before
+      // computing.  A hit is promoted into the LRU (so the next
+      // submission is a memory hit) and served exactly like a memory hit
+      // -- same "cached":true bytes, same replayed stats.
       CAI_METRIC_INC("service.jobs.persist_hits");
-      Cache.insert(FP, DiskHit);
-      JobResult R = *DiskHit;
+      Cache.insert(FP, Hit);
+    }
+    if (Hit) {
+      JobResult R = *Hit;
       R.Id = Spec.Id;
       R.Name = Spec.Name;
       R.CacheHit = true;
@@ -526,52 +328,37 @@ JobResult AnalysisScheduler::executeOrServe(const JobSpec &Spec,
 
   // Snapshot tier: only jobs with a known identity (explicit program_id
   // or an analyze_edit request) pay for snapshot recording; everything
-  // else runs exactly as before.
-  const bool Identified = !Spec.ProgramId.empty() || Spec.Edit;
-  if (!Identified) {
-    JobResult R = runCaptured(Spec, nullptr, nullptr, LS);
-    CAI_METRIC_INC("service.jobs.completed");
-    bumpStatusCounter(R.Status);
-    noteOutcome(Spec, R);
-    if (jobCacheable(R.Status)) {
-      auto WriteBegin = LS ? std::chrono::steady_clock::now()
-                           : std::chrono::steady_clock::time_point();
-      Cache.insert(FP, std::make_shared<const JobResult>(R));
-      if (Opts.Persist)
-        Opts.Persist->append(R);
-      if (LS) {
-        LS->CacheWriteUs = static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - WriteBegin)
-                .count());
-        LS->HasCacheWrite = true;
-      }
-    }
-    return R;
-  }
-
-  std::string Canon = canonicalProgramText(Spec.ProgramText);
-  std::string OptKey = optionsFingerprint(Spec.Opts);
+  // else runs without one.
+  const bool Identified =
+      !Spec.Opts.TestCrash && (!Spec.ProgramId.empty() || Spec.Edit);
+  std::string Canon, OptKey;
   std::shared_ptr<const FixpointSnapshot> SnapIn;
-  if (Spec.Edit) {
-    Edits.fetch_add(1, std::memory_order_relaxed);
-    SnapIn = Snapshots.lookup(Spec.ProgramId, Canon, OptKey);
+  FixpointSnapshot SnapOut;
+  if (Identified) {
+    Canon = canonicalProgramText(Spec.ProgramText);
+    OptKey = optionsFingerprint(Spec.Opts);
+    if (Spec.Edit) {
+      Edits.fetch_add(1, std::memory_order_relaxed);
+      SnapIn = Snapshots.lookup(Spec.ProgramId, Canon, OptKey);
+    }
   }
 
-  FixpointSnapshot SnapOut;
-  JobResult R = runCaptured(Spec, SnapIn.get(), &SnapOut, LS);
+  JobResult R = runCaptured(Spec, FP, SnapIn.get(),
+                            Identified ? &SnapOut : nullptr, LS);
   CAI_METRIC_INC("service.jobs.completed");
   bumpStatusCounter(R.Status);
   noteOutcome(Spec, R);
 
-  ComponentsReused.fetch_add(R.Stats.ComponentsReused,
-                             std::memory_order_relaxed);
-  ComponentsRecomputed.fetch_add(R.Stats.ComponentsRecomputed,
-                                 std::memory_order_relaxed);
-  // A fallback is an edit that ran from scratch anyway: no usable
-  // snapshot, or a WTO-shape change that invalidated every component.
-  if (Spec.Edit && R.Stats.ComponentsReused == 0)
-    IncrementalFallbacks.fetch_add(1, std::memory_order_relaxed);
+  if (Identified) {
+    ComponentsReused.fetch_add(R.Stats.ComponentsReused,
+                               std::memory_order_relaxed);
+    ComponentsRecomputed.fetch_add(R.Stats.ComponentsRecomputed,
+                                   std::memory_order_relaxed);
+    // A fallback is an edit that ran from scratch anyway: no usable
+    // snapshot, or a WTO-shape change that invalidated every component.
+    if (Spec.Edit && R.Stats.ComponentsReused == 0)
+      IncrementalFallbacks.fetch_add(1, std::memory_order_relaxed);
+  }
 
   if (jobCacheable(R.Status)) {
     auto WriteBegin = LS ? std::chrono::steady_clock::now()
@@ -584,10 +371,7 @@ JobResult AnalysisScheduler::executeOrServe(const JobSpec &Spec,
                        std::make_shared<const FixpointSnapshot>(
                            std::move(SnapOut)));
     if (LS) {
-      LS->CacheWriteUs = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - WriteBegin)
-              .count());
+      LS->CacheWriteUs = microsSince(WriteBegin);
       LS->HasCacheWrite = true;
     }
   }
@@ -618,14 +402,8 @@ void AnalysisScheduler::workerMain(unsigned Index) {
     // here, parsed/analyzed/cache-write inside executeOrServe, responded
     // after the callback below.
     LifecycleSample LS;
-    auto Dequeued = std::chrono::steady_clock::time_point();
-    if (Telemetry) {
-      Dequeued = std::chrono::steady_clock::now();
-      LS.QueueUs = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              Dequeued - Spec.EnqueueTime)
-              .count());
-    }
+    if (Telemetry)
+      LS.QueueUs = microsSince(Spec.EnqueueTime);
     JobResult R = executeOrServe(Spec, Telemetry ? &LS : nullptr);
     Finished.fetch_add(1, std::memory_order_relaxed);
     auto RespondBegin = Telemetry ? std::chrono::steady_clock::now()
@@ -642,15 +420,8 @@ void AnalysisScheduler::workerMain(unsigned Index) {
       // Record the lifecycle sample BEFORE retiring the job from Pending,
       // so waitIdle() (stats drain, shutdown) implies the hub has seen
       // every finished job -- phase counts equal jobs deterministically.
-      auto Done = std::chrono::steady_clock::now();
-      LS.RespondUs = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(Done -
-                                                                RespondBegin)
-              .count());
-      LS.TotalUs = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              Done - Spec.EnqueueTime)
-              .count());
+      LS.RespondUs = microsSince(RespondBegin);
+      LS.TotalUs = microsSince(Spec.EnqueueTime);
       Hub.recordJob(LS, Index);
       std::lock_guard<std::mutex> Lock(ResultsMu);
       --Pending;

@@ -5,9 +5,11 @@
 /// (program, domain-spec, options) jobs out of one queue.  Isolation is
 /// the design center --
 ///
-///  * every job builds its own TermContext, domain tree and caches, so
-///    results are bit-identical regardless of worker count or scheduling
-///    order (the batch determinism test enforces this);
+///  * every job runs through runJob (service/Job.h), the pipeline
+///    cai-analyze and cai-lint call too, and builds its own TermContext,
+///    domain tree and caches, so results are bit-identical regardless of
+///    worker count or scheduling order (the batch determinism test
+///    enforces this);
 ///  * every worker owns a shard Tracer and MetricsRegistry, installed
 ///    thread-locally at thread start; shards are merged deterministically
 ///    (shard index order) on export, closing the ROADMAP's "per-shard
@@ -85,17 +87,6 @@ struct SchedulerOptions {
   std::shared_ptr<persist::PersistStore> Persist;
 };
 
-/// Timing the isolated runner measures for the telemetry channel (only
-/// when asked -- a null out-param means no clock reads).
-struct JobPhases {
-  uint64_t ParseUs = 0;   ///< parseProgram + optional term encoding.
-  uint64_t AnalyzeUs = 0; ///< Analyzer::run.
-  uint64_t LintUs = 0;    ///< lint::runLint (lint jobs only).
-  bool HasParse = false;
-  bool HasAnalyze = false;
-  bool HasLint = false;
-};
-
 class AnalysisScheduler {
 public:
   /// Called on the completing worker's thread, one call at a time (the
@@ -169,18 +160,11 @@ public:
   /// (obs_test/service_test pin this).
   void mergeMetricsInto(obs::MetricsRegistry &Into) const;
 
-  /// Runs one job in full isolation on the calling thread: fingerprint,
-  /// parse, build domain, analyze under \p Cancel, convert any throw into
-  /// a structured error result.  The workers and the single-shot tools'
-  /// testing paths share this.  \p SnapIn, when non-null and Complete,
-  /// seeds the fixpoint with a prior version's snapshot (results stay
-  /// bit-identical; only the work changes); \p SnapOut, when non-null,
-  /// receives this run's snapshot for retention.
+  /// Runs one job in full isolation on the calling thread through runJob
+  /// (service/Job.h), fingerprint included, under \p Cancel.  For callers
+  /// that want the result of a cold, uncached analysis.
   static JobResult runJobIsolated(const JobSpec &Spec,
-                                  const std::atomic<bool> *Cancel,
-                                  const FixpointSnapshot *SnapIn = nullptr,
-                                  FixpointSnapshot *SnapOut = nullptr,
-                                  JobPhases *Phases = nullptr);
+                                  const std::atomic<bool> *Cancel);
 
 private:
   struct Shard {
@@ -189,12 +173,14 @@ private:
   };
 
   void workerMain(unsigned Index);
-  /// Cache lookup, else runJobIsolated + cache publish.  \p LS, when
+  /// Cache lookup, else runCaptured + cache publish.  \p LS, when
   /// non-null, receives the parse/analyze/cache-write phase timings and
   /// the cache-hit flag (telemetry only).
   JobResult executeOrServe(const JobSpec &Spec, LifecycleSample *LS);
-  /// runJobIsolated plus the slow-job exemplar capture wrapper.
-  JobResult runCaptured(const JobSpec &Spec, const FixpointSnapshot *SnapIn,
+  /// runJob under the scheduler's cancel flag, with the job's fingerprint
+  /// \p FP, plus the slow-job exemplar capture wrapper.
+  JobResult runCaptured(const JobSpec &Spec, std::string FP,
+                        const FixpointSnapshot *SnapIn,
                         FixpointSnapshot *SnapOut, LifecycleSample *LS);
   /// Event-log reporting for failed/degraded outcomes.
   void noteOutcome(const JobSpec &Spec, const JobResult &R);

@@ -49,12 +49,7 @@ void TelemetryHub::recordSlowJob(SlowJobRecord R) {
     Slow.pop_front();
 }
 
-uint64_t TelemetryHub::uptimeUs() const {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - Epoch)
-          .count());
-}
+uint64_t TelemetryHub::uptimeUs() const { return microsSince(Epoch); }
 
 void TelemetryHub::mergeInto(obs::MetricsRegistry &Into) const {
   if (!On)

@@ -27,6 +27,7 @@
 #include "obs/Metrics.h"
 #include "service/Json.h"
 
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -36,11 +37,19 @@
 namespace cai {
 namespace service {
 
+/// Microseconds from \p Since to now: one lifecycle phase.
+inline uint64_t microsSince(std::chrono::steady_clock::time_point Since) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - Since)
+          .count());
+}
+
 /// Wall-clock phase durations of one job's lifecycle, in microseconds.
 /// Queue and respond are measured by the scheduler around executeOrServe;
-/// parse/analyze come from inside runJobIsolated; cache-write wraps the
-/// cache publish.  Cache hits have no parse/analyze/cache-write phases
-/// (the Has* flags keep their histograms honest).
+/// parse/analyze/lint come from inside runJob (service/Job.h); cache-write
+/// wraps the cache publish.  Cache hits have no parse/analyze/cache-write
+/// phases (the Has* flags keep their histograms honest).
 struct LifecycleSample {
   uint64_t QueueUs = 0;     ///< submit() to dequeue on a worker.
   uint64_t ParseUs = 0;     ///< Program text to IR.

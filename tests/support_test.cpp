@@ -1,6 +1,7 @@
 //===- tests/support_test.cpp - BigInt, Rational, GF2 ----------------------===//
 
 #include "support/BigInt.h"
+#include "support/Decimal.h"
 #include "support/GF2.h"
 #include "support/Rational.h"
 #include "support/SmallVec.h"
@@ -356,4 +357,30 @@ TEST(SmallVecTest, RationalRowsSurviveGrowth) {
     Row.push_back(Rational(BigInt(I), BigInt(I + 1)));
   for (int I = 0; I < 12; ++I)
     EXPECT_EQ(Row[I], Rational(BigInt(I), BigInt(I + 1)));
+}
+
+TEST(Decimal, ReadsPlainDigitsUpToTheMaximum) {
+  uint64_t U = 7;
+  EXPECT_TRUE(parseDecimal("0", U));
+  EXPECT_EQ(U, 0u);
+  EXPECT_TRUE(parseDecimal("18446744073709551615", U));
+  EXPECT_EQ(U, UINT64_MAX);
+  U = 7;
+  for (const char *Bad : {"", "-1", "+1", " 1", "1 ", "1x", "0x10",
+                          "18446744073709551616", "99999999999999999999999"}) {
+    EXPECT_FALSE(parseDecimal(Bad, U)) << Bad;
+    EXPECT_EQ(U, 7u) << Bad;
+  }
+  // The destination's own range, with no silent truncation.
+  unsigned W = 0;
+  EXPECT_TRUE(parseDecimal("4294967295", W));
+  EXPECT_EQ(W, 4294967295u);
+  EXPECT_FALSE(parseDecimal("4294967297", W));
+  uint16_t Port = 0;
+  EXPECT_TRUE(parseDecimal("65535", Port));
+  EXPECT_FALSE(parseDecimal("65536", Port));
+  // An explicit maximum below the type's.
+  EXPECT_TRUE(parseDecimal("10", U, uint64_t(10)));
+  EXPECT_FALSE(parseDecimal("11", U, uint64_t(10)));
+  EXPECT_EQ(U, 10u);
 }

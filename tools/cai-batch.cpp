@@ -70,8 +70,10 @@
 #include "persist/PersistStore.h"
 #include "service/Protocol.h"
 #include "service/Scheduler.h"
+#include "support/Decimal.h"
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -108,16 +110,13 @@ void usage() {
       "exit codes: 0 all verified, 1 some job failed, 2 usage/I/O error\n");
 }
 
-bool parseCount(const std::string &Arg, size_t Prefix, uint64_t &Out) {
-  std::string Value = Arg.substr(Prefix);
-  if (Value.empty() ||
-      Value.find_first_not_of("0123456789") != std::string::npos) {
-    std::fprintf(stderr, "error: '%s' expects a number\n",
-                 Arg.substr(0, Prefix).c_str());
-    return false;
-  }
-  Out = std::stoull(Value);
-  return true;
+bool parseCount(const std::string &Arg, size_t Prefix, uint64_t &Out,
+                uint64_t Max = UINT64_MAX) {
+  if (parseDecimal(Arg.substr(Prefix), Out, Max))
+    return true;
+  std::fprintf(stderr, "error: '%s' expects a number\n",
+               Arg.substr(0, Prefix).c_str());
+  return false;
 }
 
 bool readFile(const std::string &Path, std::string &Out) {
@@ -184,7 +183,7 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--no-memo") {
       Defaults.Memoize = false;
     } else if (Arg.rfind("--jobs=", 0) == 0) {
-      if (!parseCount(Arg, 7, Workers) || Workers == 0) {
+      if (!parseCount(Arg, 7, Workers, UINT_MAX) || Workers == 0) {
         std::fprintf(stderr, "error: --jobs expects a positive number\n");
         return 2;
       }

@@ -29,11 +29,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "analysis/Analyzer.h"
-#include "encodings/Encodings.h"
-#include "ir/ProgramParser.h"
 #include "lint/Lint.h"
-#include "service/DomainFactory.h"
+#include "service/Job.h"
+#include "support/Decimal.h"
 
 #include <cstdio>
 #include <fstream>
@@ -60,23 +58,22 @@ void usage() {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  std::string DomainSpec = "logical:poly,uf";
-  std::string Encode;
   std::string Path;
   std::string Format = "text";
   std::string BaselinePath;
   std::string WriteBaselinePath;
-  lint::LintOptions LintOpts;
-  AnalyzerOptions Opts;
+  service::JobSpec Spec;
+  service::JobOptions &Opts = Spec.Opts;
+  Opts.Lint = true;
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
     if (Arg.rfind("--domain=", 0) == 0) {
-      DomainSpec = Arg.substr(9);
+      Opts.DomainSpec = Arg.substr(9);
     } else if (Arg.rfind("--checks=", 0) == 0) {
-      LintOpts.Checks = Arg.substr(9);
+      Opts.LintChecks = Arg.substr(9);
       std::string LintErr;
-      if (!lint::validateLintChecks(LintOpts.Checks, &LintErr)) {
+      if (!lint::validateLintChecks(Opts.LintChecks, &LintErr)) {
         std::fprintf(stderr, "error: %s\n", LintErr.c_str());
         return 2;
       }
@@ -99,21 +96,19 @@ int main(int Argc, char **Argv) {
         return 2;
       }
     } else if (Arg.rfind("--encode=", 0) == 0) {
-      Encode = Arg.substr(9);
-      if (Encode != "comm" && Encode != "arity") {
-        std::fprintf(stderr, "error: unknown --encode '%s'\n", Encode.c_str());
+      Opts.Encode = Arg.substr(9);
+      if (Opts.Encode != "comm" && Opts.Encode != "arity") {
+        std::fprintf(stderr, "error: unknown --encode '%s'\n",
+                     Opts.Encode.c_str());
         return 2;
       }
     } else if (Arg.rfind("--widening-delay=", 0) == 0) {
-      std::string Value = Arg.substr(17);
-      if (Value.empty() ||
-          Value.find_first_not_of("0123456789") != std::string::npos) {
+      if (!parseDecimal(Arg.substr(17), Opts.WideningDelay)) {
         std::fprintf(stderr,
                      "error: --widening-delay expects a number, got '%s'\n",
-                     Value.c_str());
+                     Arg.substr(17).c_str());
         return 2;
       }
-      Opts.WideningDelay = static_cast<unsigned>(std::stoul(Value));
     } else if (Arg == "--no-memo") {
       Opts.Memoize = false;
     } else if (Arg == "--help" || Arg == "-h") {
@@ -139,6 +134,7 @@ int main(int Argc, char **Argv) {
   }
   std::stringstream Buffer;
   Buffer << In.rdbuf();
+  Spec.ProgramText = Buffer.str();
 
   std::set<std::string> Baseline;
   if (!BaselinePath.empty()) {
@@ -152,46 +148,30 @@ int main(int Argc, char **Argv) {
     Baseline = lint::parseBaseline(BBuf.str());
   }
 
-  TermContext Ctx;
-  Ctx.getPredicate("even", 1);
-  Ctx.getPredicate("odd", 1);
-  Ctx.getPredicate("positive", 1);
-  Ctx.getPredicate("negative", 1);
-
-  service::DomainFactory Factory(Ctx);
-  LogicalLattice *Domain = Factory.build(DomainSpec);
-  if (!Domain) {
-    std::fprintf(stderr, "error: bad --domain spec: %s\n",
-                 Factory.error().c_str());
-    return 2;
-  }
-
-  std::string ParseError;
-  std::optional<Program> P = parseProgram(Ctx, Buffer.str(), &ParseError);
-  if (!P) {
-    std::fprintf(stderr, "error: %s: %s\n", Path.c_str(), ParseError.c_str());
-    return 2;
-  }
-
-  Program Analyzed = *P;
-  if (Encode == "comm") {
-    TermEncoder Enc(Ctx, TermEncoder::Scheme::Commutative);
-    Analyzed = Enc.encode(Analyzed);
-  } else if (Encode == "arity") {
-    TermEncoder Enc(Ctx, TermEncoder::Scheme::ArityReduction);
-    Analyzed = Enc.encode(Analyzed);
-  }
-
-  AnalysisResult R = Analyzer(*Domain, Opts).run(Analyzed);
-  if (!R.Converged) {
+  service::JobRun Run;
+  service::runJob(Spec, {}, Run);
+  const service::JobResult &R = Run.Result;
+  switch (R.Status) {
+  case service::JobStatus::Verified:
+  case service::JobStatus::AssertionsFailed:
+    break;
+  case service::JobStatus::NotConverged:
     std::fprintf(stderr, "error: fixpoint did not converge; the invariants "
                          "cannot justify lint findings\n");
     return 3;
+  case service::JobStatus::BadDomain:
+    std::fprintf(stderr, "error: bad --domain spec: %s\n", R.Error.c_str());
+    return 2;
+  case service::JobStatus::ParseError:
+    std::fprintf(stderr, "error: %s: %s\n", Path.c_str(), R.Error.c_str());
+    return 2;
+  default:
+    std::fprintf(stderr, "error: %s\n", R.Error.c_str());
+    return 2;
   }
 
   std::vector<lint::LintFinding> Findings =
-      lint::applyBaseline(lint::runLint(Ctx, Analyzed, R, *Domain, LintOpts),
-                          Baseline);
+      lint::applyBaseline(R.Findings, Baseline);
 
   if (!WriteBaselinePath.empty()) {
     std::ofstream BOut(WriteBaselinePath);

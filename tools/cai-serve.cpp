@@ -67,8 +67,10 @@
 #include "persist/PersistStore.h"
 #include "service/Protocol.h"
 #include "service/Scheduler.h"
+#include "support/Decimal.h"
 
 #include <atomic>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -300,18 +302,15 @@ int main(int Argc, char **Argv) {
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
-    auto Number = [&](size_t Prefix, uint64_t &Out) {
-      std::string Value = Arg.substr(Prefix);
-      if (Value.empty() ||
-          Value.find_first_not_of("0123456789") != std::string::npos) {
-        std::fprintf(stderr, "error: '%s' expects a number\n", Arg.c_str());
-        return false;
-      }
-      Out = std::stoull(Value);
-      return true;
+    auto Number = [&](size_t Prefix, uint64_t &Out,
+                      uint64_t Max = UINT64_MAX) {
+      if (parseDecimal(Arg.substr(Prefix), Out, Max))
+        return true;
+      std::fprintf(stderr, "error: '%s' expects a number\n", Arg.c_str());
+      return false;
     };
     if (Arg.rfind("--jobs=", 0) == 0) {
-      if (!Number(7, Workers) || Workers == 0) {
+      if (!Number(7, Workers, UINT_MAX) || Workers == 0) {
         std::fprintf(stderr, "error: --jobs expects a positive number\n");
         return 2;
       }
