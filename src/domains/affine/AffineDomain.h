@@ -49,6 +49,8 @@ public:
   std::vector<std::pair<Term, Term>>
   alternateBatch(const Conjunction &E,
                  const std::vector<Term> &Targets) const override;
+  /// The affine hull commutes with linear projection, and widen is join.
+  bool joinCommutesWithProjection() const override { return true; }
 
 private:
   /// A column space: terms acting as indeterminates, with their index.

@@ -2,6 +2,8 @@
 
 #include "encodings/Encodings.h"
 
+#include <stdexcept>
+
 using namespace cai;
 
 int64_t TermEncoder::indexOf(Symbol G) {
@@ -47,15 +49,19 @@ Term TermEncoder::encode(Term T) {
   Term Arg = Ctx.mkNum(Index);
   switch (S) {
   case Scheme::Commutative:
-    assert(T->args().size() == 2 &&
-           "commutative encoding requires binary symbols");
+    if (T->args().size() != 2)
+      throw std::invalid_argument(
+          "commutative encoding requires binary function symbols, but '" +
+          Info.Name + "' has arity " + std::to_string(T->args().size()));
     // i + M(t1) + M(t2): addition's commutativity models the source
     // symbol's.
     for (Term Sub : T->args())
       Arg = Ctx.mkAdd(Arg, encode(Sub));
     break;
   case Scheme::ArityReduction: {
-    assert(!T->args().empty() && "cannot encode a nullary application");
+    if (T->args().empty())
+      throw std::invalid_argument("cannot encode the nullary application '" +
+                                  Info.Name + "'");
     // i + 2^1 M(t1) + ... + 2^a M(ta): positional weights keep argument
     // order significant.
     int64_t Weight = 2;

@@ -50,8 +50,8 @@ public:
   int64_t indexOf(Symbol G);
 
   /// M(T).  Arithmetic structure passes through unchanged; applications of
-  /// non-arithmetic symbols are encoded.  Asserts on arity 0 or, for the
-  /// commutative scheme, arity != 2.
+  /// non-arithmetic symbols are encoded.  Throws std::invalid_argument on
+  /// arity 0 or, for the commutative scheme, arity != 2.
   Term encode(Term T);
 
   Atom encode(const Atom &A);

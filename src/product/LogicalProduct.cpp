@@ -112,6 +112,7 @@ Conjunction LogicalProduct::combine(const Conjunction &A, const Conjunction &B,
   Conjunction Right1 = ER->Sat.Side1, Right2 = ER->Sat.Side2;
 
   std::vector<Term> DummyVars;
+  std::vector<std::pair<Atom, Atom>> DummyDefs; // Left and right, per dummy.
   if (M == Mode::Logical) {
     // Lines 5-7: one fresh dummy variable per <x, y> pair of left/right
     // variables, defined as x on the left and as y on the right, so the
@@ -141,22 +142,47 @@ Conjunction LogicalProduct::combine(const Conjunction &A, const Conjunction &B,
           continue;
         Term P = Ctx.freshVar("p");
         DummyVars.push_back(P);
-        Atom LeftDef = Atom::mkEq(Ctx, X, P);
-        Atom RightDef = Atom::mkEq(Ctx, Y, P);
-        Left1.add(LeftDef);
-        Left2.add(LeftDef);
-        Right1.add(RightDef);
-        Right2.add(RightDef);
+        DummyDefs.emplace_back(Atom::mkEq(Ctx, X, P), Atom::mkEq(Ctx, Y, P));
+        Left2.add(DummyDefs.back().first);
+        Right2.add(DummyDefs.back().second);
       }
     }
   }
 
   // Lines 8-9: component-wise join (through the components' memoized
-  // entry point) or widening (Section 4.3).
-  Conjunction E1 = UseWiden ? L1.widen(Left1, Right1)
-                            : L1.joinCached(Left1, Right1);
+  // entry point) or widening (Section 4.3), the second component first.
   Conjunction E2 = UseWiden ? L2.widen(Left2, Right2)
                             : L2.joinCached(Left2, Right2);
+
+  // A dummy the second component's result does not mention cannot occur in
+  // the existential quantification of line 10, so when the first
+  // component's join commutes with projecting it out, that component need
+  // not see its definitions at all: the two results are the same formula
+  // once the dummies are quantified away.
+  if (M == Mode::Logical) {
+    CAI_METRIC_ADD("product.pairs.offered", DummyVars.size());
+    if (Pairs == DummyPairs::Pruned && !DummyVars.empty() &&
+        L1.joinCommutesWithProjection()) {
+      std::vector<Term> Mentioned = E2.vars();
+      size_t Kept = 0;
+      for (size_t I = 0; I < DummyVars.size(); ++I)
+        if (std::binary_search(Mentioned.begin(), Mentioned.end(),
+                               DummyVars[I], TermStructLess())) {
+          DummyVars[Kept] = DummyVars[I];
+          DummyDefs[Kept] = DummyDefs[I];
+          ++Kept;
+        }
+      DummyVars.resize(Kept);
+      DummyDefs.resize(Kept);
+    }
+    CAI_METRIC_ADD("product.pairs.kept", DummyVars.size());
+  }
+  for (const auto &[LeftDef, RightDef] : DummyDefs) {
+    Left1.add(LeftDef);
+    Right1.add(RightDef);
+  }
+  Conjunction E1 = UseWiden ? L1.widen(Left1, Right1)
+                            : L1.joinCached(Left1, Right1);
   Conjunction E = E1.meet(E2);
 
   // Line 10: eliminate the dummies with the product's own Q, which is what

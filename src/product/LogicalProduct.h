@@ -56,7 +56,10 @@ public:
     /// surface in pure facts, which the component joins already find, so
     /// this keeps the paper's examples exact while avoiding the full
     /// quadratic blow-up on every join.  The ablation benchmark compares
-    /// the two.
+    /// the two.  Further, when the first component's join commutes with
+    /// projection (LogicalLattice::joinCommutesWithProjection), it sees
+    /// only the pairs whose dummy the second component's join kept; the
+    /// others are quantified away by line 10 anyway.
     Pruned,
   };
 

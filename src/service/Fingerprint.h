@@ -39,7 +39,11 @@ namespace service {
 ///      on-disk record log (persist/PersistStore.h), so the version also
 ///      guards the disk format -- it is embedded in every log file's
 ///      header and a mismatch rejects the file on load
-constexpr uint64_t CacheSchemaVersion = 3;
+///   4  logical products whose first component's join commutes with
+///      projection (logical:affine,uf) hand it only the dummy pairs the
+///      second component's join keeps: equivalent invariants, different
+///      bytes and engine counters
+constexpr uint64_t CacheSchemaVersion = 4;
 
 /// Version of the result-affecting option-fingerprint *format*: which
 /// JobOptions fields hashOptions() folds in and in what order.  Also

@@ -2,6 +2,8 @@
 
 #include "term/Atom.h"
 
+#include <algorithm>
+
 using namespace cai;
 
 Atom Atom::mkEq(TermContext &Ctx, Term A, Term B) {
@@ -56,6 +58,8 @@ Atom Atom::substitute(TermContext &Ctx, const Substitution &Subst) const {
 }
 
 void Atom::collectVars(std::vector<Term> &Out) const {
+  std::unordered_set<Term> Seen(Out.begin(), Out.end());
   for (Term Arg : Args)
-    cai::collectVars(Arg, Out);
+    appendNewVars(Arg, Seen, Out);
+  std::sort(Out.begin(), Out.end(), TermStructLess());
 }

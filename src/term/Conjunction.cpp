@@ -69,10 +69,11 @@ std::vector<Term> Conjunction::vars() const {
   std::vector<Term> Out;
   if (Bottom)
     return Out;
+  std::unordered_set<Term> Seen;
   for (const Atom &A : Items)
-    A.collectVars(Out);
+    for (Term Arg : A.args())
+      appendNewVars(Arg, Seen, Out);
   std::sort(Out.begin(), Out.end(), TermStructLess());
-  Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
   return Out;
 }
 

@@ -81,7 +81,8 @@ public:
   /// Applies a substitution to every atom.
   Conjunction substitute(TermContext &Ctx, const Substitution &Subst) const;
 
-  /// All variables occurring in the conjunction, deduped, ordered by id.
+  /// All variables occurring in the conjunction, deduped, in structural
+  /// order (TermStructLess).
   std::vector<Term> vars() const;
 
   /// Removes trivially valid atoms (t = t and friends).

@@ -3,12 +3,11 @@
 #include "term/Term.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 using namespace cai;
 
-static void collectVarsImpl(Term T, std::unordered_set<Term> &Seen,
-                            std::vector<Term> &Out) {
+void cai::appendNewVars(Term T, std::unordered_set<Term> &Seen,
+                        std::vector<Term> &Out) {
   if (T->isVariable()) {
     if (Seen.insert(T).second)
       Out.push_back(T);
@@ -16,12 +15,12 @@ static void collectVarsImpl(Term T, std::unordered_set<Term> &Seen,
   }
   if (T->isApp())
     for (Term Arg : T->args())
-      collectVarsImpl(Arg, Seen, Out);
+      appendNewVars(Arg, Seen, Out);
 }
 
 void cai::collectVars(Term T, std::vector<Term> &Out) {
   std::unordered_set<Term> Seen(Out.begin(), Out.end());
-  collectVarsImpl(T, Seen, Out);
+  appendNewVars(T, Seen, Out);
   std::sort(Out.begin(), Out.end(), TermStructLess());
 }
 

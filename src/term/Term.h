@@ -20,6 +20,7 @@
 #include "support/Rational.h"
 #include "term/Symbol.h"
 
+#include <unordered_set>
 #include <vector>
 
 namespace cai {
@@ -89,6 +90,12 @@ using Term = const TermNode *;
 /// Collects the set of variables occurring in \p T into \p Out (deduped,
 /// in structural order).
 void collectVars(Term T, std::vector<Term> &Out);
+
+/// Appends to \p Out every variable of \p T not yet in \p Seen, and adds
+/// it to \p Seen; \p Out is left unsorted.  Callers gathering the
+/// variables of many terms share one \p Seen and sort once at the end.
+void appendNewVars(Term T, std::unordered_set<Term> &Seen,
+                   std::vector<Term> &Out);
 
 /// Returns true if variable \p Var occurs in \p T.
 bool occursIn(Term Var, Term T);

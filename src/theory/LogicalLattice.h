@@ -155,6 +155,15 @@ public:
   virtual Conjunction widen(const Conjunction &Old,
                             const Conjunction &New) const;
 
+  /// True if join and widen commute with projecting out a variable that
+  /// each operand defines by one equation over its own variables (p = x on
+  /// the left, p = y on the right): J(A /\ p = x, B /\ p = y) with p
+  /// quantified out is equivalent to J(A, B), and so is widen.  The
+  /// logical product then hands this lattice only the dummy pairs the
+  /// other component's join keeps.  The default is false; an affine hull
+  /// commutes with that projection, so Karr's domain answers true.
+  virtual bool joinCommutesWithProjection() const { return false; }
+
   /// Greatest lower bound M_L: conjunction, with bottom detection.
   /// Virtual so decorators (check/CheckedLattice.h) can intercept it; the
   /// default is right for every concrete domain.

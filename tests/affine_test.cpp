@@ -2,6 +2,7 @@
 
 #include "domains/affine/AffineDomain.h"
 #include "obs/Metrics.h"
+#include "service/DomainFactory.h"
 
 #include "TestUtil.h"
 
@@ -176,6 +177,78 @@ TEST_P(AffineJoinProperty, UpperBoundAndMonotone) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AffineJoinProperty,
                          ::testing::Values(11, 22, 33, 44));
+
+// Property behind the logical product's pair pruning: for a lattice whose
+// joinCommutesWithProjection() is true, joining (or widening) with every
+// dummy definition and then projecting out the dropped dummies is
+// equivalent to joining with the kept definitions only.  Each dummy is a
+// fresh variable defined once per side, p = x on the left and p = y on the
+// right, as in Figure 6.  Runs for every domain that answers true.
+class ProjectionCommutesProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(ProjectionCommutesProperty, DroppedDummiesProjectAway) {
+  unsigned Checked = 0;
+  for (const char *Spec :
+       {"affine", "poly", "uf", "parity", "sign", "lists", "arrays",
+        "logical:affine,uf", "reduced:affine,uf", "direct:affine,uf"}) {
+    TermContext Ctx;
+    service::DomainFactory Factory(Ctx);
+    const LogicalLattice *L = Factory.build(Spec);
+    ASSERT_TRUE(L) << Spec;
+    if (!L->joinCommutesWithProjection())
+      continue;
+    std::mt19937 Rng(GetParam());
+    std::uniform_int_distribution<int> Coeff(-2, 2);
+    std::bernoulli_distribution Keep(0.5);
+    std::vector<Term> Vars = {Ctx.mkVar("x"), Ctx.mkVar("y"), Ctx.mkVar("z"),
+                              Ctx.mkVar("w")};
+    auto RandomConj = [&]() {
+      Conjunction Out;
+      for (int R = 0; R < 2; ++R) {
+        LinearExpr E;
+        for (Term V : Vars)
+          E.addTerm(V, Rational(Coeff(Rng)));
+        E.addConstant(Rational(Coeff(Rng)));
+        Out.add(Atom::mkEq(Ctx, E.toTerm(Ctx), Ctx.mkNum(0)));
+      }
+      return Out;
+    };
+    for (int Trial = 0; Trial < 30; ++Trial) {
+      Conjunction A = RandomConj(), B = RandomConj();
+      if (L->isUnsat(A) || L->isUnsat(B))
+        continue;
+      Conjunction AllA = A, AllB = B, KeptA = A, KeptB = B;
+      std::vector<Term> Dropped;
+      for (Term X : Vars)
+        for (Term Y : Vars) {
+          if (X == Y)
+            continue;
+          Term P = Ctx.freshVar("p");
+          Atom Left = Atom::mkEq(Ctx, X, P), Right = Atom::mkEq(Ctx, Y, P);
+          AllA.add(Left);
+          AllB.add(Right);
+          if (Keep(Rng)) {
+            KeptA.add(Left);
+            KeptB.add(Right);
+          } else {
+            Dropped.push_back(P);
+          }
+        }
+      std::string Where = std::string(Spec) + " trial " +
+                          std::to_string(Trial) + ": " + toString(Ctx, A) +
+                          " | " + toString(Ctx, B);
+      Conjunction Full = L->existQuant(L->join(AllA, AllB), Dropped);
+      EXPECT_TRUE(L->equivalent(Full, L->join(KeptA, KeptB))) << Where;
+      Conjunction FullW = L->existQuant(L->widen(AllA, AllB), Dropped);
+      EXPECT_TRUE(L->equivalent(FullW, L->widen(KeptA, KeptB))) << Where;
+      ++Checked;
+    }
+  }
+  EXPECT_GT(Checked, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ProjectionCommutesProperty,
+                         ::testing::Values(7, 19, 31, 43));
 
 // The structured-form list keeps the last 8 conjunctions.  Interleave 12
 // distinct ones so it evicts and re-hits, and check every operator against

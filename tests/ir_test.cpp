@@ -71,8 +71,9 @@ TEST_F(IRTest, NondeterministicBranchHasEmptyAssumes) {
   B.ifElse(std::nullopt, [&]() { B.assign("x", "1"); });
   Program P = B.take();
   for (const Edge &E : P.edges()) {
-    if (E.Act.Kind == ActionKind::Assume)
+    if (E.Act.Kind == ActionKind::Assume) {
       EXPECT_TRUE(E.Act.Cond.isTop());
+    }
   }
 }
 

@@ -48,13 +48,6 @@ std::vector<lint::LintFinding> lintSource(const std::string &Src,
   return lint::runLint(Ctx, *P, R, *Domain, LOpts);
 }
 
-std::set<std::string> rules(const std::vector<lint::LintFinding> &Fs) {
-  std::set<std::string> Out;
-  for (const lint::LintFinding &F : Fs)
-    Out.insert(F.Rule);
-  return Out;
-}
-
 bool hasFinding(const std::vector<lint::LintFinding> &Fs,
                 const std::string &Rule, const std::string &MessagePart) {
   for (const lint::LintFinding &F : Fs)
@@ -120,8 +113,9 @@ TEST(LintRules, DeadBranchFiresUnreachableAndBranchChecks) {
   EXPECT_EQ(Unreachable, 1u);
   // Findings carry real source locations (the if sits on line 3).
   for (const lint::LintFinding &F : Fs)
-    if (F.Rule == "branch-always-false")
+    if (F.Rule == "branch-always-false") {
       EXPECT_EQ(F.Line, 3u);
+    }
 }
 
 TEST(LintRules, ProvenBranchStaysSilent) {

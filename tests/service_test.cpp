@@ -446,6 +446,37 @@ TEST(Scheduler, PerJobStatuses) {
   EXPECT_EQ(Results[2].Status, JobStatus::BadDomain);
 }
 
+// The commutative encoding takes binary symbols only.  A request that
+// applies the unary F under "encode":"comm" is a job error, and the server
+// goes on to answer the next request.
+TEST(Scheduler, EncodingErrorIsReportedAndTheNextRequestAnswered) {
+  SchedulerOptions SO;
+  SO.Workers = 1;
+  AnalysisScheduler Scheduler(SO);
+  std::string Error;
+  std::optional<Request> Bad = parseRequest(
+      R"({"id":1,"program":"x := 1;\ny := F(x);\n",)"
+      R"("options":{"encode":"comm"}})",
+      0, &Error);
+  ASSERT_TRUE(Bad) << Error;
+  std::optional<Request> Next = parseRequest(
+      R"({"id":2,"program":"x := 1;\nassert(x = 1);\n"})", 2, &Error);
+  ASSERT_TRUE(Next) << Error;
+  Scheduler.submit(Bad->Spec);
+  Scheduler.submit(Next->Spec);
+  Scheduler.waitIdle();
+  std::vector<JobResult> Results = Scheduler.takeResults();
+  ASSERT_EQ(Results.size(), 2u);
+  EXPECT_EQ(Results[0].Id, 1u);
+  EXPECT_EQ(Results[0].Status, JobStatus::Error);
+  EXPECT_NE(Results[0].Error.find("binary"), std::string::npos)
+      << Results[0].Error;
+  EXPECT_NE(resultToJsonLine(Results[0]).find(R"("status":"error")"),
+            std::string::npos);
+  EXPECT_EQ(Results[1].Id, 2u);
+  EXPECT_EQ(Results[1].Status, JobStatus::Verified);
+}
+
 TEST(Scheduler, TimeoutReportsCleanlyWithoutKillingAnything) {
   // fig1-style poly,uf work takes tens of milliseconds at least; a 1 ms
   // deadline reliably fires at an early fixpoint step boundary.

@@ -156,10 +156,11 @@ TEST(SoundnessOracleTest, GeneratedProgramSweep) {
           ++Converged;
       }
   }
-  if (!Overridden)
+  if (!Overridden) {
     EXPECT_GE(Converged, 200u)
         << "the default sweep must run at least 200 oracle trials ("
         << Trials << " attempted)";
+  }
 }
 
 TEST(SoundnessOracleTest, OracleDetectsBrokenJoin) {

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <random>
+
 using namespace cai;
 
 namespace {
@@ -96,6 +100,59 @@ TEST_F(TermTest, CollectVarsDedupsAndOrders) {
   ASSERT_EQ(Vars.size(), 2u);
   EXPECT_EQ(Vars[0], X);
   EXPECT_EQ(Vars[1], Y);
+}
+
+// Atom::collectVars and Conjunction::vars gather in one pass and sort once.
+// They must give exactly what collecting one argument at a time gives
+// (collectVars per argument, sorting after each, then a final dedup for
+// vars()), also when the output vector already holds entries, unsorted and
+// with duplicates, which both ways keep.
+TEST_F(TermTest, OnePassVarCollectionMatchesPerArgument) {
+  std::mt19937 Rng(17);
+  Symbol F = Ctx.getFunction("F", 1), G = Ctx.getFunction("G", 2);
+  std::vector<Term> Pool = {Ctx.mkVar("x"), Ctx.mkVar("y"), Ctx.mkVar("z"),
+                            Ctx.mkVar("w"), Ctx.freshVar("a"),
+                            Ctx.freshVar("p")};
+  std::function<Term(int)> Random = [&](int Depth) -> Term {
+    switch (Depth == 0 ? Rng() % 2 : Rng() % 5) {
+    case 0:
+      return Pool[Rng() % Pool.size()];
+    case 1:
+      return Ctx.mkNum(static_cast<int64_t>(Rng() % 3));
+    case 2:
+      return Ctx.mkApp(F, {Random(Depth - 1)});
+    case 3:
+      return Ctx.mkApp(G, {Random(Depth - 1), Random(Depth - 1)});
+    default:
+      return Ctx.mkAdd(Random(Depth - 1), Random(Depth - 1));
+    }
+  };
+  auto PerArgument = [](const Atom &A, std::vector<Term> Out) {
+    for (Term Arg : A.args())
+      collectVars(Arg, Out);
+    return Out;
+  };
+  for (int Trial = 0; Trial < 200; ++Trial) {
+    Conjunction E;
+    for (int K = Rng() % 4; K >= 0; --K)
+      E.add(Atom::mkEq(Ctx, Random(3), Random(3)));
+    std::vector<Term> Expected;
+    for (const Atom &A : E.atoms())
+      Expected = PerArgument(A, Expected);
+    std::sort(Expected.begin(), Expected.end(), TermStructLess());
+    Expected.erase(std::unique(Expected.begin(), Expected.end()),
+                   Expected.end());
+    EXPECT_EQ(E.vars(), Expected) << toString(Ctx, E);
+
+    std::vector<Term> Prefilled = {Pool[Rng() % Pool.size()],
+                                   Pool[Rng() % Pool.size()],
+                                   Pool[Rng() % Pool.size()]};
+    for (const Atom &A : E.atoms()) {
+      std::vector<Term> Got = Prefilled;
+      A.collectVars(Got);
+      EXPECT_EQ(Got, PerArgument(A, Prefilled)) << toString(Ctx, A);
+    }
+  }
 }
 
 TEST_F(TermTest, AtomCanonicalizesEquality) {

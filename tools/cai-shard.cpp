@@ -134,8 +134,18 @@ int main(int Argc, char **Argv) {
         std::string One = Rest.substr(
             Start, Comma == std::string::npos ? std::string::npos
                                               : Comma - Start);
-        if (!One.empty())
+        if (!One.empty()) {
+          std::string Host;
+          uint16_t Port = 0;
+          if (!net::parseHostPort(One, &Host, &Port)) {
+            std::fprintf(stderr,
+                         "error: bad backend address '%s' (want HOST:PORT)\n",
+                         One.c_str());
+            usage();
+            return 2;
+          }
           Backends.push_back(One);
+        }
         if (Comma == std::string::npos)
           break;
         Start = Comma + 1;
