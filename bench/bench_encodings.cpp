@@ -25,14 +25,15 @@ namespace {
 Program commutativeProgram(TermContext &Ctx, int N) {
   ProgramBuilder B(Ctx);
   for (int I = 0; I < N; ++I) {
-    std::string S1 = "s1_" + std::to_string(I);
-    std::string S2 = "s2_" + std::to_string(I);
-    std::string V = "v" + std::to_string(I);
+    std::string S1 = std::string("s1_").append(std::to_string(I));
+    std::string S2 = std::string("s2_").append(std::to_string(I));
+    std::string V = std::string("v").append(std::to_string(I));
     B.assign(S1, "base");
     B.assign(S2, "base");
     B.assign(S1, "G(" + S1 + ", " + V + ")");
     B.assign(S2, "G(" + V + ", " + S2 + ")");
-    B.assertFact(S1 + " = " + S2, "comm#" + std::to_string(I));
+    B.assertFact(S1 + " = " + S2,
+                 std::string("comm#").append(std::to_string(I)));
   }
   return B.take();
 }
@@ -41,11 +42,12 @@ Program commutativeProgram(TermContext &Ctx, int N) {
 Program arityProgram(TermContext &Ctx, int N) {
   ProgramBuilder B(Ctx);
   for (int I = 0; I < N; ++I) {
-    std::string X = "x" + std::to_string(I);
-    std::string Y = "y" + std::to_string(I);
+    std::string X = std::string("x").append(std::to_string(I));
+    std::string Y = std::string("y").append(std::to_string(I));
     B.assign(X, "K(a, b, c)");
     B.assign(Y, "K(a, b, c)");
-    B.assertFact(X + " = " + Y, "memo#" + std::to_string(I));
+    B.assertFact(X + " = " + Y,
+                 std::string("memo#").append(std::to_string(I)));
   }
   return B.take();
 }

@@ -14,7 +14,6 @@
 #include "analysis/Analyzer.h"
 #include "check/CheckedLattice.h"
 #include "domains/affine/AffineDomain.h"
-#include "domains/poly/LPCache.h"
 #include "domains/poly/PolyDomain.h"
 #include "domains/uf/UFDomain.h"
 #include "ir/ProgramParser.h"
@@ -185,12 +184,9 @@ void BM_FixpointProductTraced(benchmark::State &State) {
   State.counters["trace_events"] = static_cast<double>(Events);
 }
 
-/// The LP workload the fixpoint engine actually generates: the same small
-/// constraint systems re-queried with the same objectives on every
-/// iteration.  A deterministic batch of (system, objective) pairs is
-/// replayed each benchmark iteration; the Cached twin answers repeats out
-/// of the SimplexCache, the Uncached twin re-solves every query.  Their
-/// ratio is the memoization speedup on the simplex layer alone.
+/// The simplex layer alone: a deterministic batch of small (system,
+/// objective) pairs like the ones the polyhedra domain asks, each solved
+/// anew by a two-phase cai::maximize every benchmark iteration.
 std::vector<std::pair<std::vector<LinearConstraint>, std::vector<Rational>>>
 simplexQueryBatch(size_t NumVars, size_t Systems, size_t Objectives) {
   std::vector<std::pair<std::vector<LinearConstraint>, std::vector<Rational>>>
@@ -226,7 +222,6 @@ simplexQueryBatch(size_t NumVars, size_t Systems, size_t Objectives) {
 
 void BM_SimplexUncached(benchmark::State &State) {
   auto Batch = simplexQueryBatch(4, 8, 6);
-  SimplexCache::Scope Disabled(nullptr);
   for (auto _ : State) {
     for (const auto &[Rows, Objective] : Batch) {
       LPResult R = maximize(Rows, Objective, 4);
@@ -236,25 +231,8 @@ void BM_SimplexUncached(benchmark::State &State) {
   State.counters["queries"] = static_cast<double>(Batch.size());
 }
 
-void BM_SimplexCached(benchmark::State &State) {
-  auto Batch = simplexQueryBatch(4, 8, 6);
-  SimplexCache Cache;
-  SimplexCache::Scope Installed(&Cache);
-  for (auto _ : State) {
-    for (const auto &[Rows, Objective] : Batch) {
-      LPResult R = maximize(Rows, Objective, 4);
-      benchmark::DoNotOptimize(R);
-    }
-  }
-  State.counters["queries"] = static_cast<double>(Batch.size());
-  const QueryCacheCounters &C = Cache.counters();
-  State.counters["hit_rate"] =
-      C.Hits + C.Misses ? static_cast<double>(C.Hits) / (C.Hits + C.Misses)
-                        : 0.0;
-}
-
-/// End-to-end rung for the tentpole: Figure 1 under poly >< uf, the
-/// configuration whose convergence the LP cache, warm-started solver and
+/// End-to-end rung for the polyhedra domain: Figure 1 under poly >< uf, the
+/// configuration whose convergence the warm-started solver and the
 /// equality-aware widening bought.  Arg(1) keeps it inside the CI
 /// regression gate's `/1` filter.
 void BM_FixpointPolyUF(benchmark::State &State) {
@@ -313,7 +291,6 @@ BENCHMARK(BM_FixpointProductTraced)
     ->DenseRange(1, 3)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimplexUncached)->Arg(1)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SimplexCached)->Arg(1)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FixpointPolyUF)->Arg(1)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -27,8 +27,8 @@ namespace {
 Conjunction affineChain(TermContext &Ctx, int N, int Step) {
   Conjunction Out;
   for (int I = 1; I <= N; ++I) {
-    Term Prev = Ctx.mkVar("x" + std::to_string(I - 1));
-    Term Cur = Ctx.mkVar("x" + std::to_string(I));
+    Term Prev = Ctx.mkVar(std::string("x").append(std::to_string(I - 1)));
+    Term Cur = Ctx.mkVar(std::string("x").append(std::to_string(I)));
     Out.add(Atom::mkEq(Ctx, Cur, Ctx.mkAdd(Prev, Ctx.mkNum(I * Step))));
   }
   return Out;
@@ -40,8 +40,8 @@ Conjunction ufChain(TermContext &Ctx, int N, int Base) {
   Conjunction Out;
   Out.add(Atom::mkEq(Ctx, Ctx.mkVar("x0"), Ctx.mkNum(Base)));
   for (int I = 1; I <= N; ++I) {
-    Term Prev = Ctx.mkVar("x" + std::to_string(I - 1));
-    Term Cur = Ctx.mkVar("x" + std::to_string(I));
+    Term Prev = Ctx.mkVar(std::string("x").append(std::to_string(I - 1)));
+    Term Cur = Ctx.mkVar(std::string("x").append(std::to_string(I)));
     Out.add(Atom::mkEq(Ctx, Cur, Ctx.mkApp(F, {Prev})));
   }
   return Out;
@@ -54,8 +54,8 @@ Conjunction mixedChain(TermContext &Ctx, int N, int K) {
   Conjunction Out;
   Out.add(Atom::mkEq(Ctx, Ctx.mkVar("x0"), Ctx.mkNum(K)));
   for (int I = 1; I <= N; ++I) {
-    Term Prev = Ctx.mkVar("x" + std::to_string(I - 1));
-    Term Cur = Ctx.mkVar("x" + std::to_string(I));
+    Term Prev = Ctx.mkVar(std::string("x").append(std::to_string(I - 1)));
+    Term Cur = Ctx.mkVar(std::string("x").append(std::to_string(I)));
     Out.add(Atom::mkEq(
         Ctx, Cur, Ctx.mkApp(F, {Ctx.mkAdd(Prev, Ctx.mkNum(K))})));
   }

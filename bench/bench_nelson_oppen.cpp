@@ -30,17 +30,19 @@ Conjunction figure2Chain(TermContext &Ctx, int N) {
   Symbol F = Ctx.getFunction("F", 1);
   Conjunction Out;
   for (int I = 0; I < N; ++I) {
-    Term U = Ctx.mkVar("u" + std::to_string(I));
-    Term V = Ctx.mkVar("v" + std::to_string(I));
-    Term W = Ctx.mkVar("w" + std::to_string(I));
+    Term U = Ctx.mkVar(std::string("u").append(std::to_string(I)));
+    Term V = Ctx.mkVar(std::string("v").append(std::to_string(I)));
+    Term W = Ctx.mkVar(std::string("w").append(std::to_string(I)));
     Term Alien =
         Ctx.mkApp(F, {Ctx.mkSub(Ctx.mkMul(Rational(2), V), U)});
     Out.add(Atom::mkLe(Ctx, W, Alien));
     Out.add(Atom::mkLe(Ctx, U, W));
     Out.add(Atom::mkEq(Ctx, U, Ctx.mkApp(F, {U})));
     Out.add(Atom::mkEq(Ctx, V, Ctx.mkApp(F, {Ctx.mkApp(F, {U})})));
-    if (I > 0)
-      Out.add(Atom::mkEq(Ctx, Ctx.mkVar("w" + std::to_string(I - 1)), U));
+    if (I > 0) {
+      Term Prev = Ctx.mkVar(std::string("w").append(std::to_string(I - 1)));
+      Out.add(Atom::mkEq(Ctx, Prev, U));
+    }
   }
   return Out;
 }

@@ -32,9 +32,9 @@ QuantInput mixedBlock(TermContext &Ctx, int N) {
   Symbol F = Ctx.getFunction("F", 1);
   QuantInput Out;
   for (int I = 0; I < N; ++I) {
-    Term X = Ctx.mkVar("x" + std::to_string(I));
-    Term Y = Ctx.mkVar("y" + std::to_string(I));
-    Term Z = Ctx.mkVar("z" + std::to_string(I));
+    Term X = Ctx.mkVar(std::string("x").append(std::to_string(I)));
+    Term Y = Ctx.mkVar(std::string("y").append(std::to_string(I)));
+    Term Z = Ctx.mkVar(std::string("z").append(std::to_string(I)));
     Out.E.add(Atom::mkEq(Ctx, Y, Ctx.mkApp(F, {Ctx.mkAdd(X, Ctx.mkNum(1))})));
     Out.E.add(Atom::mkEq(Ctx, Z, Ctx.mkAdd(X, Ctx.mkNum(2))));
     Out.Kill.push_back(X);
@@ -45,9 +45,9 @@ QuantInput mixedBlock(TermContext &Ctx, int N) {
 QuantInput affineBlock(TermContext &Ctx, int N) {
   QuantInput Out;
   for (int I = 0; I < N; ++I) {
-    Term X = Ctx.mkVar("x" + std::to_string(I));
-    Term Y = Ctx.mkVar("y" + std::to_string(I));
-    Term Z = Ctx.mkVar("z" + std::to_string(I));
+    Term X = Ctx.mkVar(std::string("x").append(std::to_string(I)));
+    Term Y = Ctx.mkVar(std::string("y").append(std::to_string(I)));
+    Term Z = Ctx.mkVar(std::string("z").append(std::to_string(I)));
     Out.E.add(Atom::mkEq(Ctx, Y, Ctx.mkAdd(X, Ctx.mkNum(I))));
     Out.E.add(Atom::mkEq(Ctx, Z, Ctx.mkAdd(X, Ctx.mkNum(2 * I + 1))));
     Out.Kill.push_back(X);
@@ -59,9 +59,9 @@ QuantInput ufBlock(TermContext &Ctx, int N) {
   Symbol F = Ctx.getFunction("F", 1);
   QuantInput Out;
   for (int I = 0; I < N; ++I) {
-    Term X = Ctx.mkVar("x" + std::to_string(I));
-    Term Y = Ctx.mkVar("y" + std::to_string(I));
-    Term Z = Ctx.mkVar("z" + std::to_string(I));
+    Term X = Ctx.mkVar(std::string("x").append(std::to_string(I)));
+    Term Y = Ctx.mkVar(std::string("y").append(std::to_string(I)));
+    Term Z = Ctx.mkVar(std::string("z").append(std::to_string(I)));
     Out.E.add(Atom::mkEq(Ctx, Y, Ctx.mkApp(F, {X})));
     Out.E.add(Atom::mkEq(Ctx, Z, Ctx.mkApp(F, {X})));
     Out.Kill.push_back(X);

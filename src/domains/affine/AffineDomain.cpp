@@ -5,9 +5,6 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 
-#include <algorithm>
-#include <numeric>
-
 using namespace cai;
 
 namespace {
@@ -27,21 +24,16 @@ linearSides(const TermContext &Ctx, const Atom &A) {
 
 } // namespace
 
-void AffineDomain::Env::add(Term T) {
-  if (Index.emplace(T, Columns.size()).second)
-    Columns.push_back(T);
-}
-
 std::optional<LinRow<Rational>>
-AffineDomain::rowOf(const LinearExpr &Diff, const Env &Env) {
-  LinRow<Rational> Row(Env.Columns.size() + 1);
+AffineDomain::rowOf(const LinearExpr &Diff, const ColumnSpace &Space) {
+  LinRow<Rational> Row(Space.Columns.size() + 1);
   for (const auto &[T, C] : Diff.terms()) {
-    auto It = Env.Index.find(T);
-    if (It == Env.Index.end())
+    auto It = Space.Index.find(T);
+    if (It == Space.Index.end())
       return std::nullopt; // Indeterminate unknown to this column space.
     Row[It->second] = C;
   }
-  Row[Env.Columns.size()] = -Diff.constant();
+  Row[Space.Columns.size()] = -Diff.constant();
   return Row;
 }
 
@@ -50,13 +42,9 @@ AffineDomain::canon(const Conjunction &E) const {
   assert(!E.isBottom() && "no structured form for bottom");
   const bool Memo = memoizationEnabled();
   if (Memo) {
-    const uint64_t Fp = E.fingerprint();
-    for (size_t I = 0; I < CanonSlots && Recent[I]; ++I) {
-      if (Recent[I]->Key.fingerprint() != Fp || Recent[I]->Key != E)
-        continue;
+    if (std::shared_ptr<const Canon> Hit = Recent.lookup(E)) {
       CAI_METRIC_INC("domain.affine.canon_hits");
-      std::rotate(Recent.begin(), Recent.begin() + I, Recent.begin() + I + 1);
-      return Recent[0];
+      return Hit;
     }
   }
   CAI_METRIC_INC("domain.affine.canon_misses");
@@ -79,11 +67,8 @@ AffineDomain::canon(const Conjunction &E) const {
   for (const LinearExpr &Diff : Diffs)
     C->Sys.addRow(std::move(*rowOf(Diff, C->Cols)));
   C->Sys.isInconsistent(); // Canonicalize here, once.
-  if (Memo) {
-    C->Key = E;
-    std::rotate(Recent.rbegin(), Recent.rbegin() + 1, Recent.rend());
-    Recent[0] = C;
-  }
+  if (Memo)
+    Recent.insert(E, C);
   return C;
 }
 
@@ -132,23 +117,10 @@ Conjunction AffineDomain::join(const Conjunction &A,
   std::shared_ptr<const Canon> CB = canon(B);
   if (CB->Sys.isInconsistent())
     return A;
-  // The union column space: A's columns, then B's new ones in B's order.
-  std::vector<Term> Columns = CA->Cols.Columns;
-  std::vector<size_t> ACol(Columns.size()), BCol(CB->Cols.Columns.size());
-  std::iota(ACol.begin(), ACol.end(), 0);
-  for (size_t C = 0; C < BCol.size(); ++C) {
-    Term T = CB->Cols.Columns[C];
-    auto It = CA->Cols.Index.find(T);
-    if (It != CA->Cols.Index.end()) {
-      BCol[C] = It->second;
-    } else {
-      BCol[C] = Columns.size();
-      Columns.push_back(T);
-    }
-  }
-  AffineSystem<Rational> SA = CA->Sys.embed(ACol, Columns.size());
-  AffineSystem<Rational> SB = CB->Sys.embed(BCol, Columns.size());
-  return fromSystem(AffineSystem<Rational>::join(SA, SB), Columns);
+  ColumnUnion U = uniteColumns(CA->Cols, CB->Cols);
+  AffineSystem<Rational> SA = CA->Sys.embed(U.ACol, U.Columns.size());
+  AffineSystem<Rational> SB = CB->Sys.embed(U.BCol, U.Columns.size());
+  return fromSystem(AffineSystem<Rational>::join(SA, SB), U.Columns);
 }
 
 Conjunction AffineDomain::existQuant(const Conjunction &E,

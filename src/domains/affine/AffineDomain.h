@@ -17,12 +17,10 @@
 #define CAI_DOMAINS_AFFINE_AFFINEDOMAIN_H
 
 #include "linalg/AffineSystem.h"
+#include "support/CanonList.h"
+#include "term/ColumnSpace.h"
 #include "term/LinearExpr.h"
 #include "theory/LogicalLattice.h"
-
-#include <array>
-#include <map>
-#include <memory>
 
 namespace cai {
 
@@ -53,41 +51,32 @@ public:
   bool joinCommutesWithProjection() const override { return true; }
 
 private:
-  /// A column space: terms acting as indeterminates, with their index.
-  struct Env {
-    std::vector<Term> Columns;
-    std::map<Term, size_t, TermStructLess> Index;
-
-    void add(Term T);
-  };
-
   /// A conjunction's structured form: its column space (indeterminates in
   /// order of first occurrence) and its canonical system over it.
   struct Canon {
     Conjunction Key;
-    Env Cols;
+    ColumnSpace Cols;
     AffineSystem<Rational> Sys{0};
   };
 
   /// The structured form of the non-bottom \p E, built once and shared by
   /// every operator: the product asks unsat, VE, Alternate, entailment, Q
-  /// and J of the same purified sides in turn.  The last CanonSlots forms
-  /// are kept, most recently used first (no list with memoization off).
+  /// and J of the same purified sides in turn.  Recent keeps the last
+  /// eight forms (no list with memoization off).
   std::shared_ptr<const Canon> canon(const Conjunction &E) const;
 
   Conjunction fromSystem(const AffineSystem<Rational> &S,
                          const std::vector<Term> &Columns) const;
-  /// The row over \p Env of the equation Diff = 0; nullopt when \p Diff
-  /// mentions a term outside \p Env.
+  /// The row over \p Space of the equation Diff = 0; nullopt when \p Diff
+  /// mentions a term outside \p Space.
   static std::optional<LinRow<Rational>> rowOf(const LinearExpr &Diff,
-                                               const Env &Env);
+                                               const ColumnSpace &Space);
   /// Rewrites a definition row (coefficients over \p Columns, then the
   /// constant) as a term.
   Term termOf(const LinRow<Rational> &Row,
               const std::vector<Term> &Columns) const;
 
-  static constexpr size_t CanonSlots = 8;
-  mutable std::array<std::shared_ptr<const Canon>, CanonSlots> Recent;
+  mutable CanonList<Canon> Recent;
 };
 
 } // namespace cai

@@ -5,80 +5,130 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 
-#include "linalg/AffineSystem.h"
+#include <algorithm>
 
 using namespace cai;
 
-void PolyDomain::Env::add(Term T) {
-  if (Index.emplace(T, Columns.size()).second)
-    Columns.push_back(T);
+namespace {
+
+/// Coefficients over \p Columns, then optionally a constant, as a linear
+/// expression.
+template <typename RowT>
+LinearExpr exprOf(const RowT &Coeffs, const std::vector<Term> &Columns,
+                  Rational Constant = Rational()) {
+  LinearExpr Expr(std::move(Constant));
+  for (size_t C = 0; C < Columns.size(); ++C)
+    if (!Coeffs[C].isZero())
+      Expr.addTerm(Columns[C], Coeffs[C]);
+  return Expr;
 }
 
-void PolyDomain::Env::addIndeterminates(const TermContext &Ctx,
-                                        const Atom &A) {
-  if (A.predicate() != Ctx.eqSymbol() && A.predicate() != Ctx.leSymbol())
-    return;
-  for (Term Side : A.args()) {
-    std::optional<LinearExpr> L = LinearExpr::fromTerm(Ctx, Side);
-    if (!L)
-      return;
-    for (const auto &[T, C] : L->terms())
-      add(T);
-  }
+/// The equality C.Coeffs . x = C.Rhs, sign-normalized so both halves of an
+/// equality pair render as the same atom.
+Atom eqAtom(TermContext &Ctx, const LinearConstraint &C,
+            const std::vector<Term> &Columns) {
+  LinearExpr Lhs = exprOf(C.Coeffs, Columns);
+  LinearExpr Rhs(C.Rhs);
+  LinearExpr Diff = Lhs - Rhs;
+  Rational Scale = Diff.normalizeIntegral(/*NormalizeSign=*/true);
+  Lhs = Lhs.scaled(Scale);
+  Rhs = Rhs.scaled(Scale);
+  return Atom::mkEq(Ctx, Lhs.toTerm(Ctx), Rhs.toTerm(Ctx));
 }
 
-void PolyDomain::Env::addIndeterminates(const TermContext &Ctx,
-                                        const Conjunction &E) {
-  if (E.isBottom())
-    return;
-  for (const Atom &A : E.atoms())
-    addIndeterminates(Ctx, A);
+Atom leAtom(TermContext &Ctx, const LinearConstraint &C,
+            const std::vector<Term> &Columns) {
+  return Atom::mkLe(Ctx, exprOf(C.Coeffs, Columns).toTerm(Ctx),
+                    Ctx.mkNum(C.Rhs));
 }
 
-std::optional<std::tuple<std::vector<Rational>, Rational, bool>>
-PolyDomain::rowOf(const Atom &A, const Env &Env) const {
-  const TermContext &Ctx = context();
-  bool IsEq = A.predicate() == Ctx.eqSymbol();
-  bool IsLe = A.predicate() == Ctx.leSymbol();
-  if (!IsEq && !IsLe)
-    return std::nullopt;
-  std::optional<LinearExpr> Lhs = LinearExpr::fromTerm(Ctx, A.lhs());
-  std::optional<LinearExpr> Rhs = LinearExpr::fromTerm(Ctx, A.rhs());
-  if (!Lhs || !Rhs)
-    return std::nullopt;
-  LinearExpr Diff = *Lhs - *Rhs; // Diff <= 0 or Diff = 0.
-  std::vector<Rational> Coeffs(Env.Columns.size());
+} // namespace
+
+LinearConstraint PolyDomain::rowOf(const LinearExpr &Diff,
+                                   const ColumnSpace &Space, bool &Outside) {
+  LinearConstraint R{CoeffVec(Space.Columns.size()), -Diff.constant()};
   for (const auto &[T, C] : Diff.terms()) {
-    auto It = Env.Index.find(T);
-    if (It == Env.Index.end())
-      return std::nullopt;
-    Coeffs[It->second] = C;
+    auto It = Space.Index.find(T);
+    if (It == Space.Index.end())
+      Outside = true;
+    else
+      R.Coeffs[It->second] = C;
   }
-  return std::make_tuple(std::move(Coeffs), -Diff.constant(), IsEq);
+  return R;
 }
 
-Polyhedron PolyDomain::toPoly(const Conjunction &E, const Env &Env) const {
-  Polyhedron P(Env.Columns.size());
-  if (E.isBottom()) {
-    // 0 <= -1: canonical empty.
-    P.addLe(std::vector<Rational>(Env.Columns.size()), Rational(-1));
-    return P;
-  }
-  for (const Atom &A : E.atoms()) {
-    if (auto Row = rowOf(A, Env)) {
-      auto &[Coeffs, Rhs, IsEq] = *Row;
-      if (IsEq)
-        P.addEq(Coeffs, Rhs);
-      else
-        P.addLe(std::move(Coeffs), std::move(Rhs));
+SimplexSolver &PolyDomain::Canon::solver() const {
+  if (!Solver)
+    Solver.emplace(Poly.constraints(), Poly.numVars());
+  return *Solver;
+}
+
+const AffineSystem<Rational> &PolyDomain::Canon::equalities() const {
+  if (!Eqs)
+    Eqs.emplace(Poly.equalities(solver()));
+  return *Eqs;
+}
+
+bool PolyDomain::Canon::entails(const LinearConstraint &R, bool IsEq) const {
+  if (!boundedBy(solver().maximize(R.Coeffs), R.Rhs))
+    return false;
+  return !IsEq || boundedBy(solver().maximize(negated(R.Coeffs)), -R.Rhs);
+}
+
+std::shared_ptr<const PolyDomain::Canon>
+PolyDomain::canon(const Conjunction &E) const {
+  assert(!E.isBottom() && "no structured form for bottom");
+  const bool Memo = memoizationEnabled();
+  if (Memo) {
+    if (std::shared_ptr<const Canon> Hit = Recent.lookup(E)) {
+      CAI_METRIC_INC("domain.poly.canon_hits");
+      return Hit;
     }
   }
-  return P;
+  CAI_METRIC_INC("domain.poly.canon_misses");
+  const TermContext &Ctx = context();
+  auto C = std::make_shared<Canon>();
+  // Columns in order of first occurrence, left side before right side.
+  // Atoms that are not linear (in)equalities are dropped (a sound
+  // over-approximation), but a linear left side still contributes its
+  // columns when the right side is not linear.
+  std::vector<std::pair<LinearExpr, bool>> Diffs;
+  for (const Atom &A : E.atoms()) {
+    bool IsEq = A.isEq(Ctx);
+    if (!IsEq && !A.isLe(Ctx))
+      continue;
+    std::optional<LinearExpr> Lhs = LinearExpr::fromTerm(Ctx, A.lhs());
+    if (!Lhs)
+      continue;
+    for (const auto &[T, Coeff] : Lhs->terms())
+      C->Cols.add(T);
+    std::optional<LinearExpr> Rhs = LinearExpr::fromTerm(Ctx, A.rhs());
+    if (!Rhs)
+      continue;
+    for (const auto &[T, Coeff] : Rhs->terms())
+      C->Cols.add(T);
+    Diffs.emplace_back(*Lhs - *Rhs, IsEq);
+  }
+  C->Poly = Polyhedron(C->Cols.Columns.size());
+  for (const auto &[Diff, IsEq] : Diffs) {
+    bool Outside = false;
+    LinearConstraint R = rowOf(Diff, C->Cols, Outside);
+    if (IsEq)
+      C->Poly.addEq(R.Coeffs, R.Rhs);
+    else
+      C->Poly.addLe(std::move(R.Coeffs), std::move(R.Rhs));
+  }
+  if (Memo)
+    Recent.insert(E, C);
+  return C;
 }
 
-Conjunction PolyDomain::fromPoly(const Polyhedron &P, const Env &Env) const {
-  if (P.isEmpty())
+Conjunction PolyDomain::fromPoly(const Polyhedron &P,
+                                 const std::vector<Term> &Columns) const {
+  SimplexSolver Solver(P.constraints(), P.numVars());
+  if (!Solver.feasible())
     return Conjunction::bottom();
+  std::vector<LinearConstraint> HullRows = P.affineHull(Solver);
   TermContext &Ctx = context();
   Conjunction Out;
   // Emit the affine hull as equalities, then the irredundant inequalities
@@ -86,87 +136,28 @@ Conjunction PolyDomain::fromPoly(const Polyhedron &P, const Env &Env) const {
   // pair are tight, so the hull lists each equality twice with opposite
   // signs; keep one representative per direction.
   std::vector<LinearConstraint> Eqs;
-  for (LinearConstraint &C : P.affineHull()) {
-    bool Mirrored = false;
-    for (const LinearConstraint &E : Eqs) {
-      bool Neg = E.Rhs == -C.Rhs;
-      for (size_t I = 0; I < C.Coeffs.size() && Neg; ++I)
-        Neg = E.Coeffs[I] == -C.Coeffs[I];
-      if (Neg) {
-        Mirrored = true;
-        break;
-      }
-    }
-    if (!Mirrored)
+  for (LinearConstraint &C : HullRows)
+    if (std::none_of(Eqs.begin(), Eqs.end(), [&](const LinearConstraint &E) {
+          return E.negates(C);
+        }))
       Eqs.push_back(std::move(C));
-  }
-  auto IsEqRow = [&](const LinearConstraint &C) {
-    for (const LinearConstraint &E : Eqs)
-      if (E.Coeffs == C.Coeffs && E.Rhs == C.Rhs)
-        return true;
-    return false;
-  };
-  auto BuildExpr = [&](const LinearConstraint &C) {
-    LinearExpr L;
-    for (size_t I = 0; I < Env.Columns.size(); ++I)
-      if (!C.Coeffs[I].isZero())
-        L.addTerm(Env.Columns[I], C.Coeffs[I]);
-    return L;
-  };
-  for (const LinearConstraint &C : Eqs) {
-    // Sign-normalize so both tight directions render as the same atom.
-    LinearExpr Lhs = BuildExpr(C);
-    LinearExpr Rhs(C.Rhs);
-    LinearExpr Diff = Lhs - Rhs;
-    Rational Scale = Diff.normalizeIntegral(/*NormalizeSign=*/true);
-    Lhs = Lhs.scaled(Scale);
-    Rhs = Rhs.scaled(Scale);
-    Out.add(Atom::mkEq(Ctx, Lhs.toTerm(Ctx), Rhs.toTerm(Ctx)));
-  }
+  for (const LinearConstraint &C : Eqs)
+    Out.add(eqAtom(Ctx, C, Columns));
+  // A projection or hull comes out minimal and is not minimized again.
   Polyhedron Min = P.minimized();
-  for (const LinearConstraint &C : Min.constraints()) {
-    if (IsEqRow(C))
-      continue;
-    // Skip the mirror half of an equality pair.
-    bool Mirror = false;
-    for (const LinearConstraint &E : Eqs) {
-      bool Neg = true;
-      for (size_t I = 0; I < C.Coeffs.size() && Neg; ++I)
-        Neg = C.Coeffs[I] == -E.Coeffs[I];
-      if (Neg && C.Rhs == -E.Rhs) {
-        Mirror = true;
-        break;
-      }
-    }
-    if (Mirror)
-      continue;
-    LinearExpr L = BuildExpr(C);
-    Out.add(Atom::mkLe(Ctx, L.toTerm(Ctx), Ctx.mkNum(C.Rhs)));
-  }
+  for (const LinearConstraint &C : Min.constraints())
+    if (std::none_of(Eqs.begin(), Eqs.end(), [&](const LinearConstraint &E) {
+          return E == C || E.negates(C);
+        }))
+      Out.add(leAtom(Ctx, C, Columns));
   return Out;
 }
 
-Conjunction PolyDomain::fromRowsVerbatim(const Polyhedron &P,
-                                         const Env &Env) const {
-  if (P.isEmpty())
-    return Conjunction::bottom();
+Conjunction
+PolyDomain::fromRowsVerbatim(const Polyhedron &P,
+                             const std::vector<Term> &Columns) const {
   TermContext &Ctx = context();
   const std::vector<LinearConstraint> &Rows = P.constraints();
-  auto BuildExpr = [&](const LinearConstraint &C) {
-    LinearExpr L;
-    for (size_t I = 0; I < Env.Columns.size(); ++I)
-      if (!C.Coeffs[I].isZero())
-        L.addTerm(Env.Columns[I], C.Coeffs[I]);
-    return L;
-  };
-  auto IsNegation = [](const LinearConstraint &A, const LinearConstraint &B) {
-    if (A.Rhs != -B.Rhs)
-      return false;
-    for (size_t I = 0; I < A.Coeffs.size(); ++I)
-      if (A.Coeffs[I] != -B.Coeffs[I])
-        return false;
-    return true;
-  };
   Conjunction Out;
   std::vector<bool> Consumed(Rows.size(), false);
   for (size_t I = 0; I < Rows.size(); ++I) {
@@ -174,22 +165,14 @@ Conjunction PolyDomain::fromRowsVerbatim(const Polyhedron &P,
       continue;
     size_t Mirror = Rows.size();
     for (size_t J = I + 1; J < Rows.size() && Mirror == Rows.size(); ++J)
-      if (!Consumed[J] && IsNegation(Rows[I], Rows[J]))
+      if (!Consumed[J] && Rows[I].negates(Rows[J]))
         Mirror = J;
     if (Mirror != Rows.size()) {
       Consumed[Mirror] = true;
-      // Sign-normalize like fromPoly so both directions render identically.
-      LinearExpr Lhs = BuildExpr(Rows[I]);
-      LinearExpr Rhs(Rows[I].Rhs);
-      LinearExpr Diff = Lhs - Rhs;
-      Rational Scale = Diff.normalizeIntegral(/*NormalizeSign=*/true);
-      Lhs = Lhs.scaled(Scale);
-      Rhs = Rhs.scaled(Scale);
-      Out.add(Atom::mkEq(Ctx, Lhs.toTerm(Ctx), Rhs.toTerm(Ctx)));
+      Out.add(eqAtom(Ctx, Rows[I], Columns));
       continue;
     }
-    LinearExpr L = BuildExpr(Rows[I]);
-    Out.add(Atom::mkLe(Ctx, L.toTerm(Ctx), Ctx.mkNum(Rows[I].Rhs)));
+    Out.add(leAtom(Ctx, Rows[I], Columns));
   }
   return Out;
 }
@@ -197,32 +180,37 @@ Conjunction PolyDomain::fromRowsVerbatim(const Polyhedron &P,
 Conjunction PolyDomain::join(const Conjunction &A, const Conjunction &B) const {
   CAI_TRACE_SPAN("poly.join", "domain");
   CAI_METRIC_INC("domain.poly.joins");
-  SimplexCache::Scope LPScope = lpScope();
-  if (A.isBottom() || isUnsat(A))
+  if (A.isBottom())
     return B;
-  if (B.isBottom() || isUnsat(B))
+  std::shared_ptr<const Canon> CA = canon(A);
+  if (CA->empty())
+    return B;
+  if (B.isBottom())
     return A;
-  Env Env;
-  Env.addIndeterminates(context(), A);
-  Env.addIndeterminates(context(), B);
-  return fromPoly(Polyhedron::hull(toPoly(A, Env), toPoly(B, Env)), Env);
+  std::shared_ptr<const Canon> CB = canon(B);
+  if (CB->empty())
+    return A;
+  ColumnUnion U = uniteColumns(CA->Cols, CB->Cols);
+  const size_t N = U.Columns.size();
+  return fromPoly(Polyhedron::hullOfNonEmpty(CA->Poly.embed(U.ACol, N),
+                                             CB->Poly.embed(U.BCol, N)),
+                  U.Columns);
 }
 
 Conjunction PolyDomain::existQuant(const Conjunction &E,
                                    const std::vector<Term> &Vars) const {
   if (E.isBottom())
     return E;
-  SimplexCache::Scope LPScope = lpScope();
-  Env Env;
-  Env.addIndeterminates(context(), E);
-  std::vector<bool> Mask(Env.Columns.size(), false);
-  for (size_t C = 0; C < Env.Columns.size(); ++C)
+  std::shared_ptr<const Canon> C = canon(E);
+  const std::vector<Term> &Columns = C->Cols.Columns;
+  std::vector<bool> Mask(Columns.size(), false);
+  for (size_t Col = 0; Col < Columns.size(); ++Col)
     for (Term V : Vars)
-      if (occursIn(V, Env.Columns[C])) {
-        Mask[C] = true;
+      if (occursIn(V, Columns[Col])) {
+        Mask[Col] = true;
         break;
       }
-  return fromPoly(toPoly(E, Env).project(Mask), Env);
+  return fromPoly(C->Poly.project(Mask), Columns);
 }
 
 bool PolyDomain::entails(const Conjunction &E, const Atom &A) const {
@@ -230,25 +218,24 @@ bool PolyDomain::entails(const Conjunction &E, const Atom &A) const {
     return true;
   if (A.isTrivial(context()))
     return true;
-  SimplexCache::Scope LPScope = lpScope();
-  Env Env;
-  Env.addIndeterminates(context(), E);
-  Env.addIndeterminates(context(), A);
-  auto Row = rowOf(A, Env);
-  if (!Row)
+  const TermContext &Ctx = context();
+  bool IsEq = A.isEq(Ctx);
+  if (!IsEq && !A.isLe(Ctx))
     return false;
-  Polyhedron P = toPoly(E, Env);
-  auto &[Coeffs, Rhs, IsEq] = *Row;
-  return IsEq ? P.entailsEq(Coeffs, Rhs) : P.entailsLe(Coeffs, Rhs);
+  std::optional<LinearExpr> Lhs = LinearExpr::fromTerm(Ctx, A.lhs());
+  std::optional<LinearExpr> Rhs = LinearExpr::fromTerm(Ctx, A.rhs());
+  if (!Lhs || !Rhs)
+    return false;
+  std::shared_ptr<const Canon> C = canon(E);
+  bool Outside = false;
+  LinearConstraint R = rowOf(*Lhs - *Rhs, C->Cols, Outside);
+  // A term outside E's columns is unconstrained, so only an empty E
+  // bounds a row that still mentions one.
+  return Outside ? C->empty() : C->entails(R, IsEq);
 }
 
 bool PolyDomain::isUnsat(const Conjunction &E) const {
-  if (E.isBottom())
-    return true;
-  SimplexCache::Scope LPScope = lpScope();
-  Env Env;
-  Env.addIndeterminates(context(), E);
-  return toPoly(E, Env).isEmpty();
+  return E.isBottom() || canon(E)->empty();
 }
 
 std::vector<std::pair<Term, Term>>
@@ -256,28 +243,19 @@ PolyDomain::impliedVarEqualities(const Conjunction &E) const {
   std::vector<std::pair<Term, Term>> Out;
   if (E.isBottom())
     return Out;
-  SimplexCache::Scope LPScope = lpScope();
-  Env Env;
-  Env.addIndeterminates(context(), E);
-  Polyhedron P = toPoly(E, Env);
-  if (P.isEmpty())
+  std::shared_ptr<const Canon> C = canon(E);
+  if (C->empty())
     return Out;
-  // Route the affine hull through the shared AffineSystem machinery to get
-  // canonical variable representatives.
-  AffineSystem<Rational> S(Env.Columns.size());
-  for (const LinearConstraint &C : P.affineHull()) {
-    LinRow<Rational> Row(C.Coeffs.begin(), C.Coeffs.end());
-    Row.push_back(C.Rhs);
-    S.addRow(std::move(Row));
-  }
-  std::vector<LinRow<Rational>> Reps = S.varRepresentatives();
+  // The affine hull's canonical variable representatives.
+  const std::vector<Term> &Columns = C->Cols.Columns;
+  std::vector<LinRow<Rational>> Reps = C->equalities().varRepresentatives();
   std::map<LinRow<Rational>, Term> Leader;
-  for (size_t C = 0; C < Env.Columns.size(); ++C) {
-    if (!Env.Columns[C]->isVariable())
+  for (size_t Col = 0; Col < Columns.size(); ++Col) {
+    if (!Columns[Col]->isVariable())
       continue;
-    auto [It, Inserted] = Leader.emplace(Reps[C], Env.Columns[C]);
+    auto [It, Inserted] = Leader.emplace(Reps[Col], Columns[Col]);
     if (!Inserted)
-      Out.emplace_back(It->second, Env.Columns[C]);
+      Out.emplace_back(It->second, Columns[Col]);
   }
   return Out;
 }
@@ -287,43 +265,30 @@ PolyDomain::alternate(const Conjunction &E, Term Var,
                       const std::vector<Term> &Avoid) const {
   if (E.isBottom())
     return std::nullopt;
-  SimplexCache::Scope LPScope = lpScope();
-  Env Env;
-  Env.addIndeterminates(context(), E);
-  auto VarIt = Env.Index.find(Var);
-  if (VarIt == Env.Index.end())
+  std::shared_ptr<const Canon> C = canon(E);
+  const std::vector<Term> &Columns = C->Cols.Columns;
+  auto VarIt = C->Cols.Index.find(Var);
+  if (VarIt == C->Cols.Index.end() || C->empty())
     return std::nullopt;
-  Polyhedron P = toPoly(E, Env);
-  if (P.isEmpty())
-    return std::nullopt;
-  AffineSystem<Rational> S(Env.Columns.size());
-  for (const LinearConstraint &C : P.affineHull()) {
-    LinRow<Rational> Row(C.Coeffs.begin(), C.Coeffs.end());
-    Row.push_back(C.Rhs);
-    S.addRow(std::move(Row));
-  }
-  std::vector<bool> Mask(Env.Columns.size(), false);
-  for (size_t C = 0; C < Env.Columns.size(); ++C) {
-    if (C == VarIt->second)
+  std::vector<bool> Mask(Columns.size(), false);
+  for (size_t Col = 0; Col < Columns.size(); ++Col) {
+    if (Col == VarIt->second)
       continue;
-    if (occursIn(Var, Env.Columns[C])) {
-      Mask[C] = true;
+    if (occursIn(Var, Columns[Col])) {
+      Mask[Col] = true;
       continue;
     }
     for (Term V : Avoid)
-      if (occursIn(V, Env.Columns[C])) {
-        Mask[C] = true;
+      if (occursIn(V, Columns[Col])) {
+        Mask[Col] = true;
         break;
       }
   }
-  std::optional<LinRow<Rational>> Row = S.solveFor(VarIt->second, Mask);
+  std::optional<LinRow<Rational>> Row =
+      C->equalities().solveFor(VarIt->second, Mask);
   if (!Row)
     return std::nullopt;
-  LinearExpr Expr((*Row)[Env.Columns.size()]);
-  for (size_t C = 0; C < Env.Columns.size(); ++C)
-    if (!(*Row)[C].isZero())
-      Expr.addTerm(Env.Columns[C], (*Row)[C]);
-  return Expr.toTerm(context());
+  return exprOf(*Row, Columns, (*Row)[Columns.size()]).toTerm(context());
 }
 
 std::vector<std::pair<Term, Term>>
@@ -332,37 +297,24 @@ PolyDomain::alternateBatch(const Conjunction &E,
   std::vector<std::pair<Term, Term>> Out;
   if (E.isBottom())
     return Out;
-  SimplexCache::Scope LPScope = lpScope();
-  Env Env;
-  Env.addIndeterminates(context(), E);
-  std::vector<bool> Mask(Env.Columns.size(), false);
+  std::shared_ptr<const Canon> C = canon(E);
+  const std::vector<Term> &Columns = C->Cols.Columns;
+  std::vector<bool> Mask(Columns.size(), false);
   bool AnyTarget = false;
-  for (size_t C = 0; C < Env.Columns.size(); ++C)
+  for (size_t Col = 0; Col < Columns.size(); ++Col)
     for (Term V : Targets)
-      if (occursIn(V, Env.Columns[C])) {
-        Mask[C] = true;
-        AnyTarget |= Env.Columns[C]->isVariable();
+      if (occursIn(V, Columns[Col])) {
+        Mask[Col] = true;
+        AnyTarget |= Columns[Col]->isVariable();
         break;
       }
-  if (!AnyTarget)
+  if (!AnyTarget || C->empty())
     return Out;
-  Polyhedron P = toPoly(E, Env);
-  if (P.isEmpty())
-    return Out;
-  AffineSystem<Rational> S(Env.Columns.size());
-  for (const LinearConstraint &C : P.affineHull()) {
-    LinRow<Rational> Row(C.Coeffs.begin(), C.Coeffs.end());
-    Row.push_back(C.Rhs);
-    S.addRow(std::move(Row));
-  }
-  for (auto &[Col, Row] : S.solveForMany(Mask)) {
-    if (!Env.Columns[Col]->isVariable())
+  for (auto &[Col, Row] : C->equalities().solveForMany(Mask)) {
+    if (!Columns[Col]->isVariable())
       continue;
-    LinearExpr Expr(Row[Env.Columns.size()]);
-    for (size_t C = 0; C < Env.Columns.size(); ++C)
-      if (!Row[C].isZero())
-        Expr.addTerm(Env.Columns[C], Row[C]);
-    Out.emplace_back(Env.Columns[Col], Expr.toTerm(context()));
+    Term Def = exprOf(Row, Columns, Row[Columns.size()]).toTerm(context());
+    Out.emplace_back(Columns[Col], Def);
   }
   return Out;
 }
@@ -371,19 +323,22 @@ Conjunction PolyDomain::widen(const Conjunction &Old,
                               const Conjunction &New) const {
   CAI_TRACE_SPAN("poly.widen", "domain");
   CAI_METRIC_INC("domain.poly.widenings");
-  SimplexCache::Scope LPScope = lpScope();
   if (Old.isBottom())
     return New;
   if (New.isBottom())
     return Old;
-  Env Env;
-  Env.addIndeterminates(context(), Old);
-  Env.addIndeterminates(context(), New);
-  return fromRowsVerbatim(toPoly(Old, Env).widen(toPoly(New, Env)), Env);
-}
-
-void PolyDomain::collectStats(LatticeStats &S) const {
-  LogicalLattice::collectStats(S);
-  S.CacheHits += LPCache.counters().Hits;
-  S.CacheMisses += LPCache.counters().Misses;
+  std::shared_ptr<const Canon> CO = canon(Old), CN = canon(New);
+  ColumnUnion U = uniteColumns(CO->Cols, CN->Cols);
+  const size_t N = U.Columns.size();
+  Polyhedron PO = CO->Poly.embed(U.ACol, N), PN = CN->Poly.embed(U.BCol, N);
+  // The widening contains its old operand, so it is empty only when both
+  // operands are.
+  if (CO->empty())
+    return CN->empty() ? Conjunction::bottom()
+                       : fromRowsVerbatim(PN, U.Columns);
+  if (CN->empty())
+    return fromRowsVerbatim(PO, U.Columns);
+  return fromRowsVerbatim(PO.widen(PN, CO->equalities().embed(U.ACol, N),
+                                   CN->equalities().embed(U.BCol, N)),
+                          U.Columns);
 }

@@ -13,12 +13,13 @@
 #ifndef CAI_DOMAINS_POLY_POLYDOMAIN_H
 #define CAI_DOMAINS_POLY_POLYDOMAIN_H
 
-#include "domains/poly/LPCache.h"
 #include "domains/poly/Polyhedron.h"
+#include "support/CanonList.h"
+#include "term/ColumnSpace.h"
 #include "term/LinearExpr.h"
 #include "theory/LogicalLattice.h"
 
-#include <map>
+#include <optional>
 
 namespace cai {
 
@@ -50,46 +51,52 @@ public:
   Conjunction widen(const Conjunction &Old,
                     const Conjunction &New) const override;
 
-  /// Adds the LP memo cache's counters on top of the lattice-level ones.
-  void collectStats(LatticeStats &S) const override;
-
 private:
-  /// LP memo shared by every simplex query issued under this domain's
-  /// operations (installed per-operation via SimplexCache::Scope, so the
-  /// solver layer stays free of domain back-references).  Mutable for the
-  /// same reason the LogicalLattice caches are: memoization is
-  /// observation-invisible.
-  mutable SimplexCache LPCache;
+  /// A conjunction's structured form: its column space (indeterminates in
+  /// order of first occurrence), its polyhedron over it, and, built on
+  /// first use, one simplex pinned to those rows and the affine hull.
+  struct Canon {
+    Conjunction Key;
+    ColumnSpace Cols;
+    Polyhedron Poly{0};
+    mutable std::optional<SimplexSolver> Solver;
+    mutable std::optional<AffineSystem<Rational>> Eqs;
 
-  /// Installs LPCache for one domain operation, or hard-disables LP
-  /// memoization when the lattice runs with memoization off (the
-  /// cache-equivalence contract: --no-memo must not consult any cache).
-  SimplexCache::Scope lpScope() const {
-    return SimplexCache::Scope(memoizationEnabled() ? &LPCache : nullptr);
-  }
-
-  /// Term <-> column mapping (same opaque-indeterminate discipline as the
-  /// affine domain).
-  struct Env {
-    std::vector<Term> Columns;
-    std::map<Term, size_t, TermStructLess> Index;
-    void add(Term T);
-    void addIndeterminates(const TermContext &Ctx, const Atom &A);
-    void addIndeterminates(const TermContext &Ctx, const Conjunction &E);
+    SimplexSolver &solver() const;
+    bool empty() const { return !solver().feasible(); }
+    /// The affine hull as a canonical system; the polyhedron must be
+    /// nonempty.
+    const AffineSystem<Rational> &equalities() const;
+    /// Does E entail \p R, a row over its columns (an equation when
+    /// \p IsEq)?  One LP, two for an equation.
+    bool entails(const LinearConstraint &R, bool IsEq) const;
   };
 
-  Polyhedron toPoly(const Conjunction &E, const Env &Env) const;
-  Conjunction fromPoly(const Polyhedron &P, const Env &Env) const;
+  /// The structured form of the non-bottom \p E, built once and shared by
+  /// every operator: the product asks unsat, VE, Alternate, entailment, Q
+  /// and J of the same purified sides in turn, so they pay one phase 1
+  /// between them.  Recent keeps the last eight forms (no list with
+  /// memoization off).
+  std::shared_ptr<const Canon> canon(const Conjunction &E) const;
+
+  /// Canonical output: the affine hull as equalities, then the irredundant
+  /// inequalities.
+  Conjunction fromPoly(const Polyhedron &P,
+                       const std::vector<Term> &Columns) const;
   /// Emits \p P's rows verbatim (equality pairs as one equality atom), with
   /// no redundancy elimination.  Widening results go through this: the CH78
   /// operator keeps syntactic rows of the older operand, so canonicalizing
   /// a widened state can discard the very faces (for example 0 <= x made
   /// redundant by a transient equality) that the next widening round needs
-  /// to see to keep them stable.
-  Conjunction fromRowsVerbatim(const Polyhedron &P, const Env &Env) const;
-  /// (Coeffs, Rhs, IsEquality) for a linear atom, or nullopt.
-  std::optional<std::tuple<std::vector<Rational>, Rational, bool>>
-  rowOf(const Atom &A, const Env &Env) const;
+  /// to see to keep them stable.  \p P must be nonempty.
+  Conjunction fromRowsVerbatim(const Polyhedron &P,
+                               const std::vector<Term> &Columns) const;
+  /// Diff <= 0 as a row over \p Space; sets \p Outside if a term of Diff is
+  /// not a column.
+  static LinearConstraint rowOf(const LinearExpr &Diff,
+                                const ColumnSpace &Space, bool &Outside);
+
+  mutable CanonList<Canon> Recent;
 };
 
 } // namespace cai

@@ -2,15 +2,13 @@
 
 #include "domains/poly/Polyhedron.h"
 
-#include "domains/poly/LPCache.h"
-#include "linalg/AffineSystem.h"
 #include "obs/Metrics.h"
 #include "support/Hash.h"
 
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <set>
+#include <optional>
 #include <unordered_map>
 
 using namespace cai;
@@ -21,6 +19,25 @@ static thread_local size_t RowCap = DefaultPolyRowCap;
 
 size_t cai::polyRowCap() { return RowCap; }
 void cai::setPolyRowCap(size_t Cap) { RowCap = Cap; }
+
+/// Strict lexicographic order on rows (coefficients, then rhs): the sort
+/// key of the parallel-row dedupe in Fourier-Motzkin projection.
+static bool rowLexLess(const LinearConstraint &A, const LinearConstraint &B) {
+  if (A.Coeffs != B.Coeffs) {
+    for (size_t I = 0; I < A.Coeffs.size() && I < B.Coeffs.size(); ++I)
+      if (A.Coeffs[I] != B.Coeffs[I])
+        return A.Coeffs[I] < B.Coeffs[I];
+    return A.Coeffs.size() < B.Coeffs.size();
+  }
+  return A.Rhs < B.Rhs;
+}
+
+/// Coeffs . x = Rhs as an equation row of an AffineSystem.
+static LinRow<Rational> equationOf(const LinearConstraint &C) {
+  LinRow<Rational> Row(C.Coeffs.begin(), C.Coeffs.end());
+  Row.push_back(C.Rhs);
+  return Row;
+}
 
 bool Polyhedron::normalizeRow(LinearConstraint &C) const {
   // Scale so coefficients are integral with gcd 1 (positive scale only,
@@ -48,6 +65,7 @@ void Polyhedron::addLe(CoeffVec Coeffs, Rational Rhs) {
   LinearConstraint C{std::move(Coeffs), std::move(Rhs)};
   if (!normalizeRow(C)) {
     Rows.push_back(std::move(C)); // Trivially false row: keeps emptiness.
+    Minimal = false;
     return;
   }
   bool Zero = true;
@@ -60,35 +78,15 @@ void Polyhedron::addLe(CoeffVec Coeffs, Rational Rhs) {
       }) != Rows.end())
     return; // A tighter or equal parallel row already exists.
   Rows.push_back(std::move(C));
+  Minimal = false;
 }
 
 void Polyhedron::addEq(const CoeffVec &Coeffs, const Rational &Rhs) {
   addLe(Coeffs, Rhs);
-  CoeffVec Neg(Coeffs.size());
-  for (size_t I = 0; I < Coeffs.size(); ++I)
-    Neg[I] = -Coeffs[I];
-  addLe(std::move(Neg), -Rhs);
+  addLe(negated(Coeffs), -Rhs);
 }
 
 bool Polyhedron::isEmpty() const { return !isFeasible(Rows, NumVars); }
-
-bool Polyhedron::entailsLe(const CoeffVec &Coeffs,
-                           const Rational &Rhs) const {
-  LPResult R = maximize(Rows, Coeffs, NumVars);
-  if (R.Status == LPStatus::Infeasible)
-    return true;
-  return R.Status == LPStatus::Optimal && R.Value <= Rhs;
-}
-
-bool Polyhedron::entailsEq(const CoeffVec &Coeffs,
-                           const Rational &Rhs) const {
-  if (!entailsLe(Coeffs, Rhs))
-    return false;
-  CoeffVec Neg(Coeffs.size());
-  for (size_t I = 0; I < Coeffs.size(); ++I)
-    Neg[I] = -Coeffs[I];
-  return entailsLe(Neg, -Rhs);
-}
 
 bool Polyhedron::eliminateByEquality(std::vector<TrackedRow> &Work,
                                      size_t Col) const {
@@ -287,11 +285,16 @@ Polyhedron Polyhedron::project(const std::vector<bool> &Eliminate) const {
 }
 
 Polyhedron Polyhedron::hull(const Polyhedron &A, const Polyhedron &B) {
-  assert(A.NumVars == B.NumVars && "hull of different spaces");
   if (A.isEmpty())
     return B;
   if (B.isEmpty())
     return A;
+  return hullOfNonEmpty(A, B);
+}
+
+Polyhedron Polyhedron::hullOfNonEmpty(const Polyhedron &A,
+                                      const Polyhedron &B) {
+  assert(A.NumVars == B.NumVars && "hull of different spaces");
   size_t N = A.NumVars;
   // Lifted space: x (result), y (the A-scaled point), lambda.
   size_t Lifted = 2 * N + 1;
@@ -326,67 +329,134 @@ Polyhedron Polyhedron::hull(const Polyhedron &A, const Polyhedron &B) {
   for (size_t I = N; I < Lifted; ++I)
     Mask[I] = true;
   Polyhedron Projected = L.project(Mask);
-  // Re-home into the N-column space.
+  // Re-home into the N-column space.  The projection is minimal, and stays
+  // so as long as re-homing drops none of its rows.
   Polyhedron Out(N);
   for (const LinearConstraint &C : Projected.Rows) {
     CoeffVec Coeffs(C.Coeffs.begin(), C.Coeffs.begin() + N);
     Out.addLe(std::move(Coeffs), C.Rhs);
   }
+  Out.Minimal = Out.Rows.size() == Projected.Rows.size();
   return Out;
 }
 
-std::vector<LinearConstraint> Polyhedron::affineHull() const {
-  // One LP per row against the same system: the pinned solver pays phase 1
-  // once and warm-starts every objective after the first.
-  std::vector<LinearConstraint> Eqs;
-  SimplexSolver Solver(Rows, NumVars);
+Polyhedron Polyhedron::embed(const std::vector<size_t> &NewCol,
+                             size_t NewNumVars) const {
+  assert(NewCol.size() == NumVars && "column map size mismatch");
+  Polyhedron Out(NewNumVars);
+  Out.Minimal = Minimal;
+  Out.Rows.reserve(Rows.size());
   for (const LinearConstraint &C : Rows) {
-    CoeffVec Neg(C.Coeffs.size());
-    for (size_t I = 0; I < C.Coeffs.size(); ++I)
-      Neg[I] = -C.Coeffs[I];
-    LPResult R = Solver.maximize(Neg);
-    if (R.Status == LPStatus::Optimal && R.Value == -C.Rhs)
+    LinearConstraint R{CoeffVec(NewNumVars), C.Rhs};
+    for (size_t I = 0; I < NumVars; ++I)
+      R.Coeffs[NewCol[I]] = C.Coeffs[I];
+    Out.Rows.push_back(std::move(R));
+  }
+  return Out;
+}
+
+std::vector<LinearConstraint>
+Polyhedron::affineHull(SimplexSolver &Solver) const {
+  // Row I is an implicit equality iff min C_I . x reaches Rhs_I.  Rows are
+  // decided for free where possible: both halves of an equality pair are
+  // equalities, and a row some point of the polyhedron satisfies strictly
+  // is not.  The remaining rows each take one warm-started LP, whose
+  // optimum is such a point for the rows after it.
+  enum Verdict : uint8_t { Open, Equality, Strict };
+  std::vector<Verdict> Is(Rows.size(), Open);
+  for (size_t I = 0; I < Rows.size(); ++I)
+    for (size_t J = I + 1; J < Rows.size() && Is[I] == Open; ++J)
+      if (Rows[I].negates(Rows[J]))
+        Is[I] = Is[J] = Equality;
+  std::vector<LinearConstraint> Eqs;
+  for (size_t I = 0; I < Rows.size(); ++I) {
+    const LinearConstraint &C = Rows[I];
+    if (Is[I] == Open) {
+      LPResult R = Solver.maximize(negated(C.Coeffs));
+      Is[I] = R.Status == LPStatus::Optimal && R.Value == -C.Rhs ? Equality
+                                                                   : Strict;
+      if (R.Status == LPStatus::Optimal)
+        for (size_t J = I + 1; J < Rows.size(); ++J) {
+          if (Is[J] != Open)
+            continue;
+          Rational Lhs;
+          for (size_t K = 0; K < NumVars; ++K)
+            if (!Rows[J].Coeffs[K].isZero())
+              Lhs += Rows[J].Coeffs[K] * R.Point[K];
+          if (Lhs < Rows[J].Rhs)
+            Is[J] = Strict;
+        }
+    }
+    if (Is[I] == Equality)
       Eqs.push_back(C);
   }
   return Eqs;
 }
 
+AffineSystem<Rational> Polyhedron::equalities(SimplexSolver &Solver) const {
+  AffineSystem<Rational> S(NumVars);
+  for (const LinearConstraint &C : affineHull(Solver))
+    S.addRow(equationOf(C));
+  return S;
+}
+
 Polyhedron Polyhedron::minimized() const {
-  Polyhedron Out(NumVars);
+  // Minimization is idempotent: a row irredundant against some rows stays
+  // irredundant when others leave.
+  if (Minimal)
+    return *this;
+  // Row I is redundant iff max C_I . x over the other rows is at most its
+  // rhs: one LP each.  A row that alone bounds some column in its own
+  // direction needs none when the polyhedron is nonempty: moving along
+  // that column keeps every other row and raises C_I . x without bound.
   std::vector<LinearConstraint> Kept = Rows;
+  auto AloneBounds = [&](size_t I) {
+    for (size_t V = 0; V < NumVars; ++V) {
+      int Sign = Kept[I].Coeffs[V].sign();
+      bool Alone = Sign != 0;
+      for (size_t J = 0; J < Kept.size() && Alone; ++J)
+        Alone = J == I || Kept[J].Coeffs[V].sign() != Sign;
+      if (Alone)
+        return true;
+    }
+    return false;
+  };
+  std::optional<bool> NonEmpty;
   for (size_t I = 0; I < Kept.size();) {
+    if (AloneBounds(I)) {
+      if (!NonEmpty)
+        NonEmpty = isFeasible(Rows, NumVars);
+      if (*NonEmpty) {
+        ++I;
+        continue;
+      }
+    }
     std::vector<LinearConstraint> Others;
     Others.reserve(Kept.size() - 1);
     for (size_t J = 0; J < Kept.size(); ++J)
       if (J != I)
         Others.push_back(Kept[J]);
-    LPResult R = maximize(Others, Kept[I].Coeffs, NumVars);
-    bool Redundant = R.Status == LPStatus::Infeasible ||
-                     (R.Status == LPStatus::Optimal && R.Value <= Kept[I].Rhs);
-    if (Redundant)
+    if (boundedBy(maximize(Others, Kept[I].Coeffs, NumVars), Kept[I].Rhs))
       Kept.erase(Kept.begin() + I);
     else
       ++I;
   }
+  Polyhedron Out(NumVars);
   Out.Rows = std::move(Kept);
+  Out.Minimal = true;
   return Out;
 }
 
-Polyhedron Polyhedron::widen(const Polyhedron &Newer) const {
-  if (isEmpty())
-    return Newer;
-  if (Newer.isEmpty())
-    return *this;
-  Polyhedron Out(NumVars);
+Polyhedron Polyhedron::widen(const Polyhedron &Newer,
+                             const AffineSystem<Rational> &OwnHull,
+                             const AffineSystem<Rational> &NewerHull) const {
   // Every kept row is one entailment LP over the same Newer system:
   // warm-start them all off a single phase 1.
   SimplexSolver Entails(Newer.Rows, NumVars);
-  for (const LinearConstraint &C : Rows) {
-    LPResult R = Entails.maximize(C.Coeffs);
-    if (R.Status == LPStatus::Infeasible ||
-        (R.Status == LPStatus::Optimal && R.Value <= C.Rhs))
+  Polyhedron Out(NumVars);
+  for (const LinearConstraint &C : Rows)
+    if (boundedBy(Entails.maximize(C.Coeffs), C.Rhs))
       Out.Rows.push_back(C);
-  }
   // Equality-aware refinement.  CH78 keeps only syntactic rows of the old
   // polyhedron, so an equality implied by its rows without being written
   // as one -- p = x + 1 from {u = p, u = x + 1} -- is lost even when the
@@ -396,18 +466,8 @@ Polyhedron Polyhedron::widen(const Polyhedron &Newer) const {
   // equality rank can only decrease along a widening sequence (at most
   // NumVars + 1 times), and once it is stable these canonical rows are
   // already rows of the old operand that CH78 itself keeps.
-  AffineSystem<Rational> EqOld(NumVars), EqNew(NumVars);
-  for (const LinearConstraint &C : affineHull()) {
-    LinRow<Rational> Row(C.Coeffs.begin(), C.Coeffs.end());
-    Row.push_back(C.Rhs);
-    EqOld.addRow(std::move(Row));
-  }
-  for (const LinearConstraint &C : Newer.affineHull()) {
-    LinRow<Rational> Row(C.Coeffs.begin(), C.Coeffs.end());
-    Row.push_back(C.Rhs);
-    EqNew.addRow(std::move(Row));
-  }
-  AffineSystem<Rational> Common = AffineSystem<Rational>::join(EqOld, EqNew);
+  AffineSystem<Rational> Common =
+      AffineSystem<Rational>::join(OwnHull, NewerHull);
   for (const LinRow<Rational> &Row : Common.rows()) {
     CoeffVec Coeffs(Row.begin(), Row.begin() + NumVars);
     Out.addEq(Coeffs, Row[NumVars]);

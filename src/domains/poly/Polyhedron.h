@@ -14,8 +14,7 @@
 #define CAI_DOMAINS_POLY_POLYHEDRON_H
 
 #include "domains/poly/Simplex.h"
-
-#include <optional>
+#include "linalg/AffineSystem.h"
 
 namespace cai {
 
@@ -40,16 +39,17 @@ public:
   size_t numVars() const { return NumVars; }
   const std::vector<LinearConstraint> &constraints() const { return Rows; }
 
+  /// True when this polyhedron is known to have no row entailed by the
+  /// others: it came out of minimized(), or of project() or hull(), which
+  /// end with it.  Adding a row clears the mark.
+  bool isMinimal() const { return Minimal; }
+
   /// Adds Coeffs . x <= Rhs.
   void addLe(CoeffVec Coeffs, Rational Rhs);
   /// Adds Coeffs . x = Rhs (two inequalities).
   void addEq(const CoeffVec &Coeffs, const Rational &Rhs);
 
   bool isEmpty() const;
-
-  /// Does every point satisfy Coeffs . x <= Rhs?
-  bool entailsLe(const CoeffVec &Coeffs, const Rational &Rhs) const;
-  bool entailsEq(const CoeffVec &Coeffs, const Rational &Rhs) const;
 
   /// Existentially quantifies the columns marked true (Fourier-Motzkin,
   /// equality substitution first, light redundancy pruning).
@@ -58,19 +58,36 @@ public:
   /// Convex hull (topological closure) of the union.  Either operand may
   /// be empty, in which case the other is returned.
   static Polyhedron hull(const Polyhedron &A, const Polyhedron &B);
+  /// hull() for operands the caller knows to be nonempty: no LP checks
+  /// them again.
+  static Polyhedron hullOfNonEmpty(const Polyhedron &A, const Polyhedron &B);
+
+  /// The same rows over \p NewNumVars columns, column C becoming column
+  /// \p NewCol[C]; the other columns are unconstrained.
+  Polyhedron embed(const std::vector<size_t> &NewCol, size_t NewNumVars) const;
 
   /// All implied equalities as rows (Coeffs, Rhs): the explicit ones plus
-  /// every inequality that holds with equality on the whole polyhedron.
-  /// Undefined on empty polyhedra (callers check isEmpty first).
-  std::vector<LinearConstraint> affineHull() const;
+  /// every inequality that holds with equality on the whole polyhedron, in
+  /// row order.  \p Solver must be pinned to this polyhedron's rows.  A
+  /// row whose exact negation is also a row needs no LP, and every optimum
+  /// an LP returns is a point of the polyhedron, which rules out each row
+  /// it satisfies strictly.  Undefined on empty polyhedra (callers check
+  /// emptiness first).
+  std::vector<LinearConstraint> affineHull(SimplexSolver &Solver) const;
+  /// The affine hull as a canonical system of equations.
+  AffineSystem<Rational> equalities(SimplexSolver &Solver) const;
 
-  /// Removes constraints entailed by the remaining ones (quadratic number
-  /// of LP calls; used to keep canonical output small).
+  /// Removes constraints entailed by the remaining ones (up to one LP per
+  /// row; used to keep canonical output small).  A polyhedron marked
+  /// minimal comes back as it is.
   Polyhedron minimized() const;
 
-  /// The CH78 widening: constraints of this polyhedron that \p Newer still
-  /// entails.
-  Polyhedron widen(const Polyhedron &Newer) const;
+  /// The CH78 widening of two nonempty polyhedra: the constraints of this
+  /// one that \p Newer still entails, and the equalities valid on both.
+  /// \p OwnHull and \p NewerHull are the operands' affine hulls.
+  Polyhedron widen(const Polyhedron &Newer,
+                   const AffineSystem<Rational> &OwnHull,
+                   const AffineSystem<Rational> &NewerHull) const;
 
 private:
   /// Divides each row by the gcd of its coefficients (keeps FM growth in
@@ -97,6 +114,7 @@ private:
 
   size_t NumVars;
   std::vector<LinearConstraint> Rows;
+  bool Minimal = false;
 };
 
 } // namespace cai

@@ -12,7 +12,6 @@
 
 #include "domains/poly/Simplex.h"
 
-#include "domains/poly/LPCache.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 
@@ -252,17 +251,9 @@ LPResult unconstrainedResult(const CoeffVec &Objective,
   return {LPStatus::Unbounded, Rational(), {}};
 }
 
-/// One full two-phase solve, no cache.
-LPResult solveFresh(const std::vector<LinearConstraint> &Constraints,
-                    const CoeffVec &Objective, size_t NumVars) {
-  CAI_METRIC_INC("simplex.solves");
-  CAI_METRIC_TIME("simplex.solve_us");
-
-  if (Constraints.empty())
-    return unconstrainedResult(Objective, NumVars);
-
-  Tableau Tab(Constraints, NumVars, /*WithArtificial=*/true);
-
+/// Phase 1 on a fresh tableau.  False if the system is infeasible;
+/// otherwise the basis is feasible and the artificial column is frozen.
+bool makeFeasible(Tableau &Tab) {
   if (Tab.anyNegativeRhs()) {
     Tab.setPhase1Objective();
     Tab.enterArtificial();
@@ -270,11 +261,16 @@ LPResult solveFresh(const std::vector<LinearConstraint> &Constraints,
     assert(Bounded && "phase-1 objective is bounded by construction");
     (void)Bounded;
     if (!Tab.objectiveValue().isZero())
-      return {LPStatus::Infeasible, Rational(), {}};
+      return false;
     Tab.evictArtificial();
   }
   Tab.freezeArtificial();
+  return true;
+}
 
+/// Phase 2 from a feasible basis.
+LPResult optimizeFrom(Tableau &Tab, const CoeffVec &Objective,
+                      size_t NumVars) {
   Tab.setObjective(Objective);
   if (!Tab.optimize())
     return {LPStatus::Unbounded, Rational(), {}};
@@ -288,26 +284,25 @@ LPResult cai::maximize(const std::vector<LinearConstraint> &Constraints,
                        size_t NumVars) {
   assert(Objective.size() == NumVars && "objective dimension mismatch");
   CAI_TRACE_SPAN("simplex.maximize", "simplex");
-
-  SimplexCache *Cache = SimplexCache::active();
-  if (!Cache)
-    return solveFresh(Constraints, Objective, NumVars);
-
-  LPKey Key{canonicalRows(Constraints), Objective};
-  if (const LPResult *Hit = Cache->lookup(Key)) {
-    CAI_METRIC_INC("simplex.cache.hits");
-    return *Hit;
-  }
-  CAI_METRIC_INC("simplex.cache.misses");
-  LPResult R = solveFresh(Constraints, Objective, NumVars);
-  Cache->insert(Key, R);
-  return R;
+  CAI_METRIC_INC("simplex.solves");
+  CAI_METRIC_TIME("simplex.solve_us");
+  if (Constraints.empty())
+    return unconstrainedResult(Objective, NumVars);
+  Tableau Tab(Constraints, NumVars, /*WithArtificial=*/true);
+  if (!makeFeasible(Tab))
+    return {LPStatus::Infeasible, Rational(), {}};
+  return optimizeFrom(Tab, Objective, NumVars);
 }
 
 bool cai::isFeasible(const std::vector<LinearConstraint> &Constraints,
                      size_t NumVars) {
-  CoeffVec Zero(NumVars);
-  return maximize(Constraints, Zero, NumVars).Status != LPStatus::Infeasible;
+  CAI_TRACE_SPAN("simplex.maximize", "simplex");
+  CAI_METRIC_INC("simplex.solves");
+  CAI_METRIC_TIME("simplex.solve_us");
+  if (Constraints.empty())
+    return true;
+  Tableau Tab(Constraints, NumVars, /*WithArtificial=*/true);
+  return makeFeasible(Tab);
 }
 
 //===----------------------------------------------------------------------===//
@@ -315,16 +310,13 @@ bool cai::isFeasible(const std::vector<LinearConstraint> &Constraints,
 //===----------------------------------------------------------------------===//
 
 struct SimplexSolver::Impl {
+  /// The system until phase 1 builds the tableau from it.
   std::vector<LinearConstraint> Constraints;
   size_t NumVars;
-  /// Canonical rows for cache keys, built on first cached query.
-  std::optional<std::vector<LinearConstraint>> KeyRows;
-  /// The pinned tableau; engaged after the first actual solve of a
-  /// non-empty feasible system.
+  /// The pinned tableau; engaged by phase 1 on a non-empty system.
   std::optional<Tableau> Tab;
   bool Prepared = false;   ///< Phase 1 has run (or was not needed).
   bool Infeasible = false; ///< Phase 1 proved the system empty.
-  bool SolvedOnce = false; ///< A phase-2 basis exists to warm-start from.
 
   Impl(std::vector<LinearConstraint> Constraints, size_t NumVars)
       : Constraints(std::move(Constraints)), NumVars(NumVars) {}
@@ -335,40 +327,8 @@ struct SimplexSolver::Impl {
     if (Constraints.empty())
       return;
     Tab.emplace(Constraints, NumVars, /*WithArtificial=*/true);
-    if (Tab->anyNegativeRhs()) {
-      Tab->setPhase1Objective();
-      Tab->enterArtificial();
-      bool Bounded = Tab->optimize();
-      assert(Bounded && "phase-1 objective is bounded by construction");
-      (void)Bounded;
-      if (!Tab->objectiveValue().isZero()) {
-        Infeasible = true;
-        return;
-      }
-      Tab->evictArtificial();
-    }
-    Tab->freezeArtificial();
-  }
-
-  LPResult solve(const CoeffVec &Objective) {
-    CAI_METRIC_INC("simplex.solves");
-    CAI_METRIC_TIME("simplex.solve_us");
-    if (!Prepared)
-      prepare();
-    if (Constraints.empty())
-      return unconstrainedResult(Objective, NumVars);
-    if (Infeasible)
-      return {LPStatus::Infeasible, Rational(), {}};
-    if (SolvedOnce) {
-      // Re-enter phase 2 from the previous optimal basis: the basis stays
-      // primal feasible under any objective change, so no phase 1 rerun.
-      CAI_METRIC_INC("simplex.warmstart");
-    }
-    SolvedOnce = true;
-    Tab->setObjective(Objective);
-    if (!Tab->optimize())
-      return {LPStatus::Unbounded, Rational(), {}};
-    return {LPStatus::Optimal, Tab->objectiveValue(), Tab->point(NumVars)};
+    Constraints = {};
+    Infeasible = !makeFeasible(*Tab);
   }
 };
 
@@ -380,23 +340,32 @@ SimplexSolver::~SimplexSolver() = default;
 SimplexSolver::SimplexSolver(SimplexSolver &&) noexcept = default;
 SimplexSolver &SimplexSolver::operator=(SimplexSolver &&) noexcept = default;
 
+bool SimplexSolver::feasible() {
+  if (!I->Prepared) {
+    CAI_TRACE_SPAN("simplex.maximize", "simplex");
+    CAI_METRIC_INC("simplex.solves");
+    CAI_METRIC_TIME("simplex.solve_us");
+    I->prepare();
+  }
+  return !I->Infeasible;
+}
+
 LPResult SimplexSolver::maximize(const CoeffVec &Objective) {
   assert(Objective.size() == I->NumVars && "objective dimension mismatch");
   CAI_TRACE_SPAN("simplex.maximize", "simplex");
-
-  SimplexCache *Cache = SimplexCache::active();
-  if (!Cache)
-    return I->solve(Objective);
-
-  if (!I->KeyRows)
-    I->KeyRows = canonicalRows(I->Constraints);
-  LPKey Key{*I->KeyRows, Objective};
-  if (const LPResult *Hit = Cache->lookup(Key)) {
-    CAI_METRIC_INC("simplex.cache.hits");
-    return *Hit;
+  CAI_METRIC_INC("simplex.solves");
+  CAI_METRIC_TIME("simplex.solve_us");
+  const bool Warm = I->Prepared;
+  if (!Warm)
+    I->prepare();
+  if (!I->Tab)
+    return unconstrainedResult(Objective, I->NumVars);
+  if (I->Infeasible)
+    return {LPStatus::Infeasible, Rational(), {}};
+  // Re-enter phase 2 from the previous basis: it stays primal feasible
+  // under any objective change, so phase 1 does not run again.
+  if (Warm) {
+    CAI_METRIC_INC("simplex.warmstart");
   }
-  CAI_METRIC_INC("simplex.cache.misses");
-  LPResult R = I->solve(Objective);
-  Cache->insert(Key, R);
-  return R;
+  return optimizeFrom(*I->Tab, Objective, I->NumVars);
 }

@@ -52,27 +52,52 @@ struct LinearConstraint {
   bool operator!=(const LinearConstraint &RHS) const {
     return !(*this == RHS);
   }
+  /// True if \p RHS is this row's exact negation: the two halves of the
+  /// equality Coeffs . x = Rhs.
+  bool negates(const LinearConstraint &RHS) const {
+    if (Rhs != -RHS.Rhs)
+      return false;
+    for (size_t I = 0; I < Coeffs.size(); ++I)
+      if (Coeffs[I] != -RHS.Coeffs[I])
+        return false;
+    return true;
+  }
 };
+
+/// -Coeffs.
+inline CoeffVec negated(const CoeffVec &Coeffs) {
+  CoeffVec Neg(Coeffs.size());
+  for (size_t I = 0; I < Coeffs.size(); ++I)
+    Neg[I] = -Coeffs[I];
+  return Neg;
+}
 
 /// Maximizes Objective . x subject to the constraints (all variables free).
 /// \p NumVars fixes the dimension; every constraint and the objective must
-/// have exactly that many coefficients.  Consults the installed
-/// SimplexCache (see LPCache.h) before solving.
+/// have exactly that many coefficients.
 LPResult maximize(const std::vector<LinearConstraint> &Constraints,
                   const CoeffVec &Objective, size_t NumVars);
 
-/// Convenience: is the constraint system satisfiable?
+/// Is the constraint system satisfiable?  Phase 1 only.
 bool isFeasible(const std::vector<LinearConstraint> &Constraints,
                 size_t NumVars);
 
+/// Does \p R, the maximum of some objective, show that the objective never
+/// exceeds \p Bound?  An infeasible system bounds every objective.
+inline bool boundedBy(const LPResult &R, const Rational &Bound) {
+  return R.Status == LPStatus::Infeasible ||
+         (R.Status == LPStatus::Optimal && R.Value <= Bound);
+}
+
 /// A simplex instance pinned to one constraint system, for call sites that
-/// query many objectives against it (the affine hull asks one LP per row;
-/// the CH78 widening one entailment per kept constraint).  Phase 1 runs
-/// once; every subsequent maximize re-enters phase 2 from the previous
-/// optimal basis (objective changes never disturb primal feasibility), so
-/// the N-objective loop pays N phase-2 re-optimizations instead of N full
-/// two-phase solves.  Results are identical to cai::maximize on the same
-/// system -- the poly fuzzer's warm-start oracle asserts this.
+/// ask it several questions (the affine hull asks one LP per row, the CH78
+/// widening one entailment per kept constraint, and the polyhedra domain
+/// every question about one conjunction).  Phase 1 runs once, on the first
+/// question; every later maximize re-enters phase 2 from the previous basis
+/// (objective changes never disturb primal feasibility), so N objectives
+/// pay N phase-2 re-optimizations instead of N full two-phase solves.
+/// Results are identical to cai::maximize on the same system -- the poly
+/// fuzzer's warm-start oracle asserts this.
 class SimplexSolver {
 public:
   SimplexSolver(std::vector<LinearConstraint> Constraints, size_t NumVars);
@@ -80,8 +105,11 @@ public:
   SimplexSolver(SimplexSolver &&) noexcept;
   SimplexSolver &operator=(SimplexSolver &&) noexcept;
 
+  /// Is the pinned system satisfiable?
+  bool feasible();
+
   /// Maximizes \p Objective over the pinned system, warm-starting from the
-  /// previous solve's basis.  Consults the installed SimplexCache first.
+  /// previous solve's basis.
   LPResult maximize(const CoeffVec &Objective);
 
 private:

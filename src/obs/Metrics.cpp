@@ -177,13 +177,15 @@ void MetricsRegistry::writeText(std::ostream &OS,
   for (const auto &[Name, G] : Gauges)
     if (Name.rfind(Prefix, 0) == 0)
       OS << Name << " = " << renderDouble(G.value()) << "\n";
+  // A histogram without samples (time histograms are off unless
+  // --metrics-out asks for them) has nothing to say here.
   for (const auto &[Name, H] : Histograms)
-    if (Name.rfind(Prefix, 0) == 0)
+    if (Name.rfind(Prefix, 0) == 0 && H.count() != 0)
       OS << Name << " = {count " << H.count() << ", mean "
          << renderDouble(H.mean()) << "us, max " << renderDouble(H.max())
          << "us}\n";
   for (const auto &[Name, L] : Latencies)
-    if (Name.rfind(Prefix, 0) == 0)
+    if (Name.rfind(Prefix, 0) == 0 && L.count() != 0)
       OS << Name << " = {count " << L.count() << ", p50 "
          << L.percentile(0.50) << "us, p90 " << L.percentile(0.90)
          << "us, p99 " << L.percentile(0.99) << "us, max " << L.max()

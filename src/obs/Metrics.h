@@ -295,7 +295,8 @@ public:
   /// Hierarchical JSON: dotted names become nested objects, sorted keys.
   void writeJson(std::ostream &OS) const;
 
-  /// One sorted "name = value" line per metric (the --stats backend).
+  /// One sorted "name = value" line per metric (the --stats backend);
+  /// histograms with no samples are left out.
   void writeText(std::ostream &OS, const std::string &Prefix = "") const;
 
   /// Prometheus text exposition (version 0.0.4): every metric mangled to

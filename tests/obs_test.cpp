@@ -324,6 +324,24 @@ TEST_F(ObsTest, TextExportIsSortedAndRepeatable) {
   EXPECT_NE(A.str().find("analyzer.joins = "), std::string::npos);
 }
 
+TEST_F(ObsTest, TextExportListsOnlyRecordedHistograms) {
+  obs::MetricsRegistry &R = obs::MetricsRegistry::global();
+  R.histogram("obs_test.text_hist");
+  R.latency("obs_test.text_latency");
+  std::ostringstream Before;
+  R.writeText(Before);
+  EXPECT_EQ(Before.str().find("obs_test.text_hist"), std::string::npos);
+  EXPECT_EQ(Before.str().find("obs_test.text_latency"), std::string::npos);
+  R.histogram("obs_test.text_hist").record(2.0);
+  R.latency("obs_test.text_latency").record(7);
+  std::ostringstream After;
+  R.writeText(After);
+  EXPECT_NE(After.str().find("obs_test.text_hist = {count 1"),
+            std::string::npos);
+  EXPECT_NE(After.str().find("obs_test.text_latency = {count 1"),
+            std::string::npos);
+}
+
 //===----------------------------------------------------------------------===//
 // Tracing does not perturb results
 //===----------------------------------------------------------------------===//

@@ -9,11 +9,14 @@
 ///    entailment, and the upper-bound law;
 ///  * widening termination along randomized ascending chains, with the
 ///    widened element always containing both operands;
-///  * the LP cache oracle: a memoized solve must be bit-identical to the
-///    uncached solve of the same query, and a repeat must hit;
 ///  * the warm-start oracle: SimplexSolver's phase-2 re-entry must agree
 ///    with a fresh two-phase cai::maximize on status and optimal value,
-///    and its witness point must be feasible and achieve that value.
+///    and its witness point must be feasible and achieve that value;
+///  * the affine hull, which decides some rows without an LP, must return
+///    exactly the rows whose own fresh LP shows them tight;
+///  * minimization keeps exactly the rows the plain one-LP-per-row loop
+///    keeps, and is idempotent: a minimized polyhedron keeps every row
+///    when minimized again.
 ///
 /// Every iteration reseeds a private RNG from a deterministic base seed
 /// and logs that seed via SCOPED_TRACE, so any failure names the exact
@@ -22,7 +25,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "domains/poly/LPCache.h"
 #include "domains/poly/Polyhedron.h"
 
 #include <gtest/gtest.h>
@@ -73,9 +75,23 @@ bool contains(const Polyhedron &B, const Polyhedron &A) {
   if (A.isEmpty())
     return true;
   for (const LinearConstraint &C : B.constraints())
-    if (!A.entailsLe(C.Coeffs, C.Rhs))
+    if (!boundedBy(maximize(A.constraints(), C.Coeffs, A.numVars()), C.Rhs))
       return false;
   return true;
+}
+
+/// The rows \p P's affine hull LPs pick.
+std::vector<LinearConstraint> hullRows(const Polyhedron &P) {
+  SimplexSolver S(P.constraints(), P.numVars());
+  return P.affineHull(S);
+}
+
+/// The CH78 widening of two nonempty polyhedra, with each operand's affine
+/// hull from its own pinned solver.
+Polyhedron widened(const Polyhedron &Old, const Polyhedron &New) {
+  SimplexSolver OldSolver(Old.constraints(), Old.numVars());
+  SimplexSolver NewSolver(New.constraints(), New.numVars());
+  return Old.widen(New, Old.equalities(OldSolver), New.equalities(NewSolver));
 }
 
 /// Mutual entailment: the law-level notion of equality (the hull is only
@@ -159,7 +175,7 @@ TEST_F(PolyFuzzTest, WideningTerminatesAndCovers) {
     bool Stable = false;
     for (size_t Round = 0; Round < Bound && !Stable; ++Round) {
       Polyhedron Next = Polyhedron::hull(W, randomPoly(Rng, NumVars, MaxRows));
-      Polyhedron Widened = W.isEmpty() ? Next : W.widen(Next);
+      Polyhedron Widened = W.isEmpty() ? Next : widened(W, Next);
       // Soundness: the widened element contains both operands.
       EXPECT_TRUE(contains(Widened, W)) << describe(Widened);
       EXPECT_TRUE(contains(Widened, Next)) << describe(Widened);
@@ -168,45 +184,8 @@ TEST_F(PolyFuzzTest, WideningTerminatesAndCovers) {
     }
     // The chain must stabilize against a *repeated* contribution within
     // the bound: once no new rows arrive, widening is reductive on W.
-    EXPECT_TRUE(Stable || equivalent(W.widen(Polyhedron::hull(W, W)), W))
+    EXPECT_TRUE(Stable || equivalent(widened(W, Polyhedron::hull(W, W)), W))
         << "chain not stable after " << Bound << " rounds: " << describe(W);
-  }
-}
-
-TEST_F(PolyFuzzTest, CacheOracleMatchesUncachedSolve) {
-  for (size_t It = 0, N = iterationBudget(); It < N; ++It) {
-    unsigned Seed = BaseSeed + 0x30000 + static_cast<unsigned>(It);
-    SCOPED_TRACE("seed " + std::to_string(Seed));
-    std::mt19937 Rng(Seed);
-    Polyhedron P = randomPoly(Rng, NumVars, MaxRows);
-    std::uniform_int_distribution<int> Coeff(-3, 3);
-    std::vector<Rational> Objective(NumVars);
-    for (size_t V = 0; V < NumVars; ++V)
-      Objective[V] = Rational(Coeff(Rng));
-
-    SimplexCache Cache;
-    LPResult Cold, Warm, Bare;
-    {
-      SimplexCache::Scope Installed(&Cache);
-      Cold = maximize(P.constraints(), Objective, NumVars);
-      Warm = maximize(P.constraints(), Objective, NumVars);
-    }
-    {
-      SimplexCache::Scope Disabled(nullptr);
-      Bare = maximize(P.constraints(), Objective, NumVars);
-    }
-    // The cached repeat actually hit, and all three answers are
-    // bit-identical (the solver is deterministic, so even the witness
-    // points must agree).
-    EXPECT_EQ(Cache.counters().Hits, 1u);
-    EXPECT_EQ(Cache.counters().Misses, 1u);
-    for (const LPResult *R : {&Warm, &Bare}) {
-      EXPECT_EQ(Cold.Status, R->Status);
-      if (Cold.Status == LPStatus::Optimal) {
-        EXPECT_EQ(Cold.Value, R->Value);
-        EXPECT_EQ(Cold.Point, R->Point);
-      }
-    }
   }
 }
 
@@ -215,7 +194,6 @@ TEST_F(PolyFuzzTest, WarmStartOracleMatchesFreshSolve) {
   // fresh two-phase solve on status and optimal value.  The witness point
   // may legitimately differ (multiple optima), so it is checked for
   // feasibility and for achieving the optimum instead.
-  SimplexCache::Scope Disabled(nullptr); // force real solves on both paths
   for (size_t It = 0, N = iterationBudget(); It < N; ++It) {
     unsigned Seed = BaseSeed + 0x40000 + static_cast<unsigned>(It);
     SCOPED_TRACE("seed " + std::to_string(Seed));
@@ -246,6 +224,87 @@ TEST_F(PolyFuzzTest, WarmStartOracleMatchesFreshSolve) {
           Lhs += C.Coeffs[V] * Warm.Point[V];
         EXPECT_TRUE(Lhs <= C.Rhs) << "witness infeasible";
       }
+    }
+  }
+}
+
+TEST_F(PolyFuzzTest, AffineHullMatchesPerRowLPs) {
+  // affineHull() takes equality pairs without an LP and skips every row an
+  // earlier optimum satisfies strictly.  The reference asks each row its
+  // own fresh LP: row C . x <= d is tight everywhere iff max -C . x = -d.
+  size_t Checked = 0, WithPairs = 0;
+  for (size_t It = 0, N = iterationBudget(); It < N; ++It) {
+    unsigned Seed = BaseSeed + 0x50000 + static_cast<unsigned>(It);
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    std::mt19937 Rng(Seed);
+    Polyhedron P = randomPoly(Rng, NumVars, MaxRows + 2);
+    if (P.isEmpty())
+      continue;
+    std::vector<LinearConstraint> Expected;
+    for (const LinearConstraint &C : P.constraints()) {
+      CoeffVec Neg(NumVars);
+      for (size_t V = 0; V < NumVars; ++V)
+        Neg[V] = -C.Coeffs[V];
+      LPResult R = maximize(P.constraints(), Neg, NumVars);
+      if (R.Status == LPStatus::Optimal && R.Value == -C.Rhs)
+        Expected.push_back(C);
+    }
+    EXPECT_TRUE(hullRows(P) == Expected) << describe(P);
+    ++Checked;
+    WithPairs += Expected.size() >= 2;
+  }
+  // The draws exercise both the pair rule and the LP path.
+  EXPECT_GT(Checked, iterationBudget() / 4);
+  EXPECT_GT(WithPairs, 0u);
+}
+
+TEST_F(PolyFuzzTest, MinimizedMatchesPerRowLPs) {
+  // Rows that alone bound a column skip their LP; the reference runs the
+  // plain loop: drop row I iff the other remaining rows bound C_I . x by
+  // its rhs.
+  for (size_t It = 0, N = iterationBudget(); It < N; ++It) {
+    unsigned Seed = BaseSeed + 0x80000 + static_cast<unsigned>(It);
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    std::mt19937 Rng(Seed);
+    Polyhedron P = randomPoly(Rng, NumVars, MaxRows + 3);
+    std::vector<LinearConstraint> Kept = P.constraints();
+    for (size_t I = 0; I < Kept.size();) {
+      std::vector<LinearConstraint> Others = Kept;
+      Others.erase(Others.begin() + I);
+      if (boundedBy(maximize(Others, Kept[I].Coeffs, NumVars), Kept[I].Rhs))
+        Kept.erase(Kept.begin() + I);
+      else
+        ++I;
+    }
+    EXPECT_TRUE(P.minimized().constraints() == Kept) << describe(P);
+  }
+}
+
+TEST_F(PolyFuzzTest, MinimizedIsIdempotent) {
+  // A row irredundant against some rows stays irredundant once others
+  // leave, so minimizing twice drops nothing more.  The rebuilt copy is
+  // not marked minimal, so the second pass really runs its LPs.
+  for (size_t It = 0, N = iterationBudget(); It < N; ++It) {
+    unsigned Seed = BaseSeed + 0x60000 + static_cast<unsigned>(It);
+    SCOPED_TRACE("seed " + std::to_string(Seed));
+    std::mt19937 Rng(Seed);
+    Polyhedron P = randomPoly(Rng, NumVars, MaxRows + 3);
+    Polyhedron Min = P.minimized();
+    EXPECT_TRUE(Min.isMinimal());
+    EXPECT_TRUE(equivalent(Min, P)) << describe(P) << " vs " << describe(Min);
+    Polyhedron Copy(NumVars);
+    for (const LinearConstraint &C : Min.constraints())
+      Copy.addLe(C.Coeffs, C.Rhs);
+    ASSERT_TRUE(Copy.constraints() == Min.constraints()) << describe(Min);
+    EXPECT_FALSE(Copy.isMinimal());
+    EXPECT_TRUE(Copy.minimized().constraints() == Min.constraints())
+        << describe(Min);
+    // A row added to a minimal polyhedron takes the mark away.
+    std::vector<Rational> Sum(NumVars, Rational(1));
+    size_t Before = Min.constraints().size();
+    Min.addLe(Sum, Rational(100));
+    if (Min.constraints().size() > Before) {
+      EXPECT_FALSE(Min.isMinimal());
     }
   }
 }

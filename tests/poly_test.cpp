@@ -2,9 +2,11 @@
 
 #include "domains/poly/PolyDomain.h"
 #include "domains/poly/Simplex.h"
+#include "obs/Metrics.h"
 
 #include "TestUtil.h"
 
+#include <algorithm>
 #include <random>
 
 using namespace cai;
@@ -65,6 +67,30 @@ TEST(SimplexTest, PhaseOneNeededAndSolved) {
   LPResult R2 = maximize(Cons, {Rational(-1)}, 1);
   ASSERT_EQ(R2.Status, LPStatus::Optimal);
   EXPECT_EQ(R2.Value, Rational(-2));
+}
+
+TEST(SimplexTest, WarmStartCountsOnlyPhaseTwoReentries) {
+  // A pinned solver counts a warm start when a question re-enters phase 2
+  // on a basis an earlier phase 1 made; an empty or unconstrained system
+  // has no phase 2 to re-enter.
+  auto WarmStarts = [] {
+    auto Values = obs::MetricsRegistry::global().counterValues();
+    auto It = Values.find("simplex.warmstart");
+    return It == Values.end() ? uint64_t(0) : It->second;
+  };
+  [[maybe_unused]] uint64_t Before = WarmStarts();
+  SimplexSolver Empty({con({1}, 0), con({-1}, -1)}, 1);
+  EXPECT_FALSE(Empty.feasible());
+  EXPECT_EQ(Empty.maximize({Rational(1)}).Status, LPStatus::Infeasible);
+  SimplexSolver Free({}, 1);
+  EXPECT_TRUE(Free.feasible());
+  EXPECT_EQ(Free.maximize({Rational(1)}).Status, LPStatus::Unbounded);
+  SimplexSolver Box({con({-1}, -2), con({1}, 5)}, 1);
+  EXPECT_EQ(Box.maximize({Rational(1)}).Value, Rational(5)); // Phase 1.
+  EXPECT_EQ(Box.maximize({Rational(-1)}).Value, Rational(-2));
+#ifndef CAI_DISABLE_OBS
+  EXPECT_EQ(WarmStarts() - Before, 1u);
+#endif
 }
 
 TEST(SimplexTest, ExactRationalOptimum) {
@@ -211,6 +237,15 @@ TEST_F(PolyDomainTest, ExistQuantKeepsUnrelated) {
   EXPECT_FALSE(D.entails(Q, A(Ctx, "y <= 4")));
 }
 
+TEST_F(PolyDomainTest, ExistQuantDropsRedundantRows) {
+  // x <= z follows from the other two rows; the canonical output, here of
+  // a projection that eliminates nothing, leaves it out.
+  Conjunction E = C(Ctx, "x <= y && y <= z && x <= z");
+  Conjunction Q = D.existQuant(E, {T(Ctx, "w")});
+  EXPECT_EQ(Q.atoms().size(), 2u);
+  EXPECT_TRUE(D.equivalent(Q, E));
+}
+
 TEST_F(PolyDomainTest, AlternateViaAffineHull) {
   Conjunction E = C(Ctx, "x <= y + 1 && y + 1 <= x && y <= z && z <= y");
   // x = y + 1 (implicit) and y = z: alternate for x avoiding y gives z + 1.
@@ -245,6 +280,97 @@ TEST_F(PolyDomainTest, OpaqueTermsAreTracked) {
   Conjunction Q = D.existQuant(E, {T(Ctx, "y")});
   EXPECT_TRUE(D.entails(Q, A(Ctx, "x <= z")));
   EXPECT_FALSE(D.entails(Q, A(Ctx, "x <= F(y)")));
+}
+
+TEST_F(PolyDomainTest, CanonListAgreesWithMemoOff) {
+  PolyDomain Cold(Ctx);
+  Cold.setMemoization(false);
+  const char *Texts[] = {
+      "x <= y && y <= z",           "x = 2*y && 1 <= y && y <= 3",
+      "x <= 0 && 1 <= x",           "x + y <= 4 && 0 <= x && 0 <= y",
+      "x <= F(y) && F(y) <= z",     "x <= y && y <= x && z <= 5",
+      "w = 1 && x + w <= 3",        "x + y <= 1 && 2 <= x && 0 <= y",
+      "x = y + 1 && y = z",         "0 <= x && x <= w && w <= 10",
+      "x - z <= 2 && z - x <= -2",  "y <= 7 && z = y + 1 && x <= z"};
+  std::vector<Conjunction> Es;
+  for (const char *Text : Texts)
+    Es.push_back(C(Ctx, Text));
+  // "x <= q + 1" mentions a column no E has; in "x + q <= q + 6" it
+  // cancels.
+  std::vector<Atom> Queries = {A(Ctx, "x <= z"), A(Ctx, "x = z + 1"),
+                               A(Ctx, "w <= 1"), A(Ctx, "x <= q + 1"),
+                               A(Ctx, "x = q"), A(Ctx, "x + q <= q + 6")};
+  Term X = T(Ctx, "x"), Y = T(Ctx, "y"), Z = T(Ctx, "z"), W = T(Ctx, "w");
+
+  struct Answers {
+    std::vector<bool> Bools;
+    std::vector<Conjunction> Conjs;
+    std::vector<std::vector<std::pair<Term, Term>>> Pairs;
+    std::vector<std::optional<Term>> Terms;
+  };
+  // Four shuffled rounds over all twelve, every operator on each.
+  auto Run = [&](const PolyDomain &Dom) {
+    Answers Out;
+    std::mt19937 Rng(5);
+    std::vector<size_t> Order(Es.size());
+    for (size_t I = 0; I < Order.size(); ++I)
+      Order[I] = I;
+    for (int Round = 0; Round < 4; ++Round) {
+      std::shuffle(Order.begin(), Order.end(), Rng);
+      for (size_t K = 0; K < Order.size(); ++K) {
+        const Conjunction &E = Es[Order[K]];
+        const Conjunction &Next = Es[Order[(K + 1) % Order.size()]];
+        Out.Bools.push_back(Dom.isUnsat(E));
+        Out.Pairs.push_back(Dom.impliedVarEqualities(E));
+        for (const Atom &Q : Queries)
+          Out.Bools.push_back(Dom.entails(E, Q));
+        Out.Conjs.push_back(Dom.existQuant(E, {X}));
+        Out.Conjs.push_back(Dom.existQuant(E, {Y, Z}));
+        Out.Terms.push_back(Dom.alternate(E, X, {Y}));
+        Out.Terms.push_back(Dom.alternate(E, W, {}));
+        Out.Pairs.push_back(Dom.alternateBatch(E, {X, Y}));
+        Out.Conjs.push_back(Dom.join(E, Next));
+        Out.Conjs.push_back(Dom.join(Next, E));
+        Out.Conjs.push_back(Dom.widen(E, Next));
+      }
+    }
+    return Out;
+  };
+  auto Counter = [](const char *Name) -> uint64_t {
+    auto Values = obs::MetricsRegistry::global().counterValues();
+    auto It = Values.find(Name);
+    return It == Values.end() ? 0 : It->second;
+  };
+
+  uint64_t Hits0 = Counter("domain.poly.canon_hits");
+  uint64_t Misses0 = Counter("domain.poly.canon_misses");
+  Answers Warm = Run(D);
+  [[maybe_unused]] uint64_t Hits = Counter("domain.poly.canon_hits") - Hits0;
+  uint64_t Misses = Counter("domain.poly.canon_misses") - Misses0;
+  Answers Reference = Run(Cold);
+  [[maybe_unused]] uint64_t ColdBuilds =
+      Counter("domain.poly.canon_misses") - Misses0 - Misses;
+
+  EXPECT_EQ(Warm.Bools, Reference.Bools);
+  EXPECT_EQ(Warm.Conjs, Reference.Conjs);
+  EXPECT_EQ(Warm.Pairs, Reference.Pairs);
+  EXPECT_EQ(Warm.Terms, Reference.Terms);
+  // Both kinds of E are in the mix, and the foreign column decides by
+  // emptiness: entailed by the empty E only.
+  EXPECT_TRUE(D.isUnsat(Es[2]));
+  EXPECT_TRUE(D.entails(Es[2], Queries[3]));
+  EXPECT_FALSE(D.isUnsat(Es[0]));
+  EXPECT_FALSE(D.entails(Es[0], Queries[3]));
+  EXPECT_TRUE(D.entails(Es[1], Queries[5]));
+
+#ifndef CAI_DISABLE_OBS
+  // Both runs ask for the same structured forms; with memoization off each
+  // is built anew.  The list answers some, and the shuffled rounds bring
+  // back conjunctions it has evicted, which are built a second time.
+  EXPECT_EQ(Hits + Misses, ColdBuilds);
+  EXPECT_GT(Hits, 0u);
+  EXPECT_GT(Misses, Es.size());
+#endif
 }
 
 // Property sweep: the hull is an upper bound and is commutative.

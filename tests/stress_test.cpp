@@ -28,8 +28,8 @@ TEST(StressTest, AffineCoefficientsBeyond64Bits) {
   AffineDomain D(Ctx);
   Conjunction E;
   for (int I = 0; I < 50; ++I) {
-    Term Cur = Ctx.mkVar("x" + std::to_string(I));
-    Term Next = Ctx.mkVar("x" + std::to_string(I + 1));
+    Term Cur = Ctx.mkVar(std::string("x").append(std::to_string(I)));
+    Term Next = Ctx.mkVar(std::string("x").append(std::to_string(I + 1)));
     E.add(Atom::mkEq(Ctx, Next,
                      Ctx.mkAdd(Ctx.mkMul(Rational(3), Cur), Ctx.mkNum(1))));
   }

@@ -5,8 +5,10 @@
 
 Compares per-benchmark real_time of `current` against `baseline` and fails
 (exit 1) if any benchmark regressed by more than the threshold (default
-20%).  Benchmarks present in only one file are reported but never fail the
-gate (they are new or retired, not regressed).
+20%).  A file run with --benchmark_repetitions=N holds N runs of each
+benchmark; their median is its time.  Benchmarks present in only one file
+are reported but never fail the gate (they are new or retired, not
+regressed).
 
 Cross-machine noise: the checked-in baseline (BENCH_fixpoint.json) was
 recorded on a different machine than CI runs on.  `--calibrate` rescales
@@ -25,8 +27,9 @@ the `perf-regression-ok` label, which skips this gate (see
     bench_diff.py --self-test
 
 runs the built-in unit test: a synthetic 25% single-benchmark regression
-must fail the gate (with and without --calibrate) and a uniform 2x
-machine slowdown must pass under --calibrate.  Exits 0 when the self-test
+must fail the gate (with and without --calibrate), a uniform 2x machine
+slowdown must pass under --calibrate, and one outlier among three
+repetitions must not move a benchmark's time.  Exits 0 when the self-test
 passes.
 """
 
@@ -40,16 +43,20 @@ class CalibrationError(Exception):
     """--calibrate had no usable (positive-time) shared benchmarks."""
 
 
-def load_times(path):
-    """name -> real_time, aggregate entries (mean/median/stddev) skipped."""
-    with open(path) as f:
-        data = json.load(f)
-    times = {}
+def times_of(data):
+    """name -> median real_time over the runs of that name, aggregate
+    entries (mean/median/stddev) skipped."""
+    runs = {}
     for bench in data.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
             continue
-        times[bench["name"]] = float(bench["real_time"])
-    return times
+        runs.setdefault(bench["name"], []).append(float(bench["real_time"]))
+    return {name: statistics.median(ts) for name, ts in runs.items()}
+
+
+def load_times(path):
+    with open(path) as f:
+        return times_of(json.load(f))
 
 
 def compare(baseline, current, threshold, calibrate, out=sys.stdout):
@@ -147,6 +154,20 @@ def self_test():
         pass
     else:
         raise AssertionError("all-zero baseline must fail calibration")
+
+    # (f) Repetitions: the median of three runs is the time, so one
+    # outlier neither trips the gate nor hides among the aggregates.
+    def run(name, t, kind="iteration"):
+        return {"name": name, "run_type": kind, "real_time": t}
+    reps = {"benchmarks": [run("BM_Rep/1", 100.0), run("BM_Rep/1", 104.0),
+                           run("BM_Rep/1", 400.0),
+                           run("BM_Rep/1_mean", 201.3, "aggregate"),
+                           run("BM_Rep/1_median", 104.0, "aggregate"),
+                           run("BM_Once/1", 50.0)]}
+    times = times_of(reps)
+    assert times == {"BM_Rep/1": 104.0, "BM_Once/1": 50.0}, times
+    assert compare({"BM_Rep/1": 100.0, "BM_Once/1": 50.0}, times, 0.20,
+                   False, out=io.StringIO()) == []
 
     print("bench_diff: self-test passed")
     return 0
