@@ -33,6 +33,20 @@ struct EdgeStateHash {
   }
 };
 
+/// Memoization key for one join: both operands, in order.
+struct JoinKey {
+  Conjunction A, B;
+  bool operator==(const JoinKey &RHS) const {
+    return A == RHS.A && B == RHS.B;
+  }
+};
+struct JoinHash {
+  size_t operator()(const JoinKey &K) const {
+    return static_cast<size_t>(K.A.fingerprint() * 0x9e3779b97f4a7c15ull ^
+                               K.B.fingerprint());
+  }
+};
+
 } // namespace
 
 bool Analyzer::expressible(Term T) const {
@@ -192,6 +206,21 @@ AnalysisResult Analyzer::run(const Program &P) const {
     return Out;
   };
 
+  // Per-run join memo: (target, incoming) -> join.  The same pair recurs
+  // when a node is re-joined with an unchanged contribution, in the
+  // ascending phase and in every narrowing pass.
+  QueryCache<JoinKey, Conjunction, JoinHash> JoinCache;
+  auto JoinCached = [&](const Conjunction &A, const Conjunction &B) {
+    if (!Opts.Memoize)
+      return Lattice.join(A, B);
+    JoinKey K{A, B};
+    if (const Conjunction *Hit = JoinCache.lookup(K))
+      return *Hit;
+    Conjunction R = Lattice.join(A, B);
+    JoinCache.insert(std::move(K), R);
+    return R;
+  };
+
   // Cooperative cancellation: checked at step boundaries only, so every
   // lattice operation completes and the partial state stays well-formed.
   // The clock read costs ~20ns against step costs in the microseconds.
@@ -222,7 +251,7 @@ AnalysisResult Analyzer::run(const Program &P) const {
     } else if (Out.isBottom()) {
       return false; // Nothing new flows in.
     } else if (Opts.SemanticConvergence &&
-               Lattice.entailsAllCached(Out, Target)) {
+               Lattice.entailsAll(Out, Target)) {
       // Fast path: the incoming state is already subsumed -- entailment
       // checks are far cheaper than the join they avoid.
       ++Result.Stats.EntailmentChecks;
@@ -239,7 +268,7 @@ AnalysisResult Analyzer::run(const Program &P) const {
       CAI_TRACE_SPAN("lattice.join", "lattice");
       obs::ProvenanceScope PS(E.To, Updates[E.To] + 1,
                               obs::ProvenanceRecorder::Step::Join);
-      Next = Lattice.joinCached(Target, Out);
+      Next = JoinCached(Target, Out);
       obs::diffStep(Lattice, Target, &Out, Next);
     }
 
@@ -248,8 +277,7 @@ AnalysisResult Analyzer::run(const Program &P) const {
     bool Same = Next == Target;
     if (!Same && Opts.SemanticConvergence && !Target.isBottom()) {
       ++Result.Stats.EntailmentChecks;
-      Same = Lattice.entailsAllCached(Target, Next) &&
-             Lattice.entailsAllCached(Next, Target);
+      Same = Lattice.equivalent(Target, Next);
     }
     if (Same)
       return false;
@@ -487,7 +515,7 @@ AnalysisResult Analyzer::run(const Program &P) const {
         Inputs[E.To] = std::move(Out);
       } else {
         ++Result.Stats.Joins;
-        Inputs[E.To] = Lattice.joinCached(Inputs[E.To], Out);
+        Inputs[E.To] = JoinCached(Inputs[E.To], Out);
       }
     }
     // A partially accumulated Inputs vector is missing edge
@@ -520,15 +548,16 @@ AnalysisResult Analyzer::run(const Program &P) const {
       AssertionVerdict V;
       V.Label = A.Label;
       const Conjunction &Inv = Result.Invariants[A.Node];
-      V.Verified = Inv.isBottom() || Lattice.entailsCached(Inv, A.Fact);
+      V.Verified = Inv.isBottom() || Lattice.entails(Inv, A.Fact);
       ++Result.Stats.EntailmentChecks;
       Result.Assertions.push_back(std::move(V));
     }
   }
 
   LatticeStats Delta = Lattice.statsSnapshot() - StatsBefore;
-  Result.Stats.CacheHits = Delta.CacheHits;
-  Result.Stats.CacheMisses = Delta.CacheMisses;
+  const QueryCacheCounters &Joins = JoinCache.counters();
+  Result.Stats.CacheHits = Delta.CacheHits + Joins.Hits;
+  Result.Stats.CacheMisses = Delta.CacheMisses + Joins.Misses;
   Result.Stats.SaturationRounds = Delta.SaturationRounds;
   Result.Stats.TransferCacheHits = TransferCache.counters().Hits;
 
@@ -544,8 +573,10 @@ AnalysisResult Analyzer::run(const Program &P) const {
   CAI_METRIC_ADD("analyzer.node_updates", Result.Stats.TotalNodeUpdates);
   CAI_METRIC_ADD("analyzer.transfer_cache.hits",
                  Result.Stats.TransferCacheHits);
-  CAI_METRIC_ADD("lattice.cache.hits", Delta.CacheHits);
-  CAI_METRIC_ADD("lattice.cache.misses", Delta.CacheMisses);
+  CAI_METRIC_ADD("analyzer.join_cache.hits", Joins.Hits);
+  CAI_METRIC_ADD("analyzer.join_cache.misses", Joins.Misses);
+  CAI_METRIC_ADD("lattice.cache.hits", Result.Stats.CacheHits);
+  CAI_METRIC_ADD("lattice.cache.misses", Result.Stats.CacheMisses);
   CAI_METRIC_ADD("lattice.saturation_rounds", Delta.SaturationRounds);
 #ifndef CAI_DISABLE_OBS
   obs::MetricsRegistry::current().gauge("analyzer.wto_components")

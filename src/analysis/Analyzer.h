@@ -19,8 +19,8 @@
 /// inner loops before their enclosing ones, and delayed widening is
 /// applied only at WTO component heads (every CFG cycle contains one, so
 /// termination is preserved while widening at strictly fewer points than
-/// the historical any-join-point rule).  Lattice operations and edge
-/// transfers are memoized across iterations -- see AnalyzerOptions::Memoize.
+/// the historical any-join-point rule).  Joins and edge transfers are
+/// memoized across iterations -- see AnalyzerOptions::Memoize.
 ///
 /// Staging is what makes the warm edit path possible: an element's final
 /// states are a pure function of its structure and its upstream elements'
@@ -62,13 +62,14 @@ struct AnalyzerOptions {
   /// count; refinements need one pass per node on the chain from the
   /// refined loop head, and the loop stops early once stable.
   unsigned NarrowingPasses = 3;
-  /// Memoize lattice operations (join, entailment, unsat and implied
-  /// variable equalities, keyed on canonical conjunction fingerprints, plus
-  /// each product's purification and the polyhedra LP solves) and edge
-  /// transfers across fixpoint iterations.  Analysis results are bit-for-bit
-  /// identical with memoization on or off (the cache-equivalence test
-  /// enforces this); off exists for that test and for measuring the
-  /// speedup.
+  /// Memoize where queries repeat: the run's joins and edge transfers
+  /// (per-run tables keyed on the full operands, shared by the ascending
+  /// phase and the narrowing passes), each lattice's implied variable
+  /// equalities, each product's purification + saturation, and the affine
+  /// and polyhedra domains' canonical forms.  Analysis results are
+  /// bit-for-bit identical with memoization on or off (the
+  /// cache-equivalence test enforces this); off exists for that test and
+  /// for measuring the speedup.
   bool Memoize = true;
   /// Cooperative cancellation: when non-null and set, the fixpoint loop
   /// stops at its next step boundary and the run returns with
@@ -104,8 +105,9 @@ struct AnalyzerStats {
   unsigned long EdgeEvals = 0;
   /// Edge transfers answered by the per-run transfer cache.
   unsigned long TransferCacheHits = 0;
-  /// Lattice-operation memo-cache hits/misses over the whole lattice tree
-  /// (products include their components), delta over this run.
+  /// Lattice-operation memo hits/misses: the run's join memo plus the
+  /// lattice tree's tables (products include their components), delta
+  /// over this run.  The transfer memo is counted apart.
   unsigned long CacheHits = 0;
   unsigned long CacheMisses = 0;
   /// Nelson-Oppen equality-propagation rounds performed by product

@@ -33,14 +33,7 @@ const char *CheckedLattice::contractName(CheckViolation::Contract C) {
 bool CheckedLattice::innerEntailsAll(const Conjunction &E,
                                      const Conjunction &C) const {
   ++Checks;
-  if (E.isBottom())
-    return true;
-  if (C.isBottom())
-    return Inner.isUnsat(E);
-  for (const Atom &A : C.atoms())
-    if (!Inner.entails(E, A))
-      return false;
-  return true;
+  return Inner.entailsAll(E, C);
 }
 
 void CheckedLattice::report(CheckViolation::Contract Kind,
@@ -82,7 +75,7 @@ std::string CheckedLattice::describe(const CheckViolation &V) const {
 
 Conjunction CheckedLattice::join(const Conjunction &A,
                                  const Conjunction &B) const {
-  Conjunction R = Inner.joinCached(A, B);
+  Conjunction R = Inner.join(A, B);
   if (!Enabled)
     return R;
   CAI_METRIC_INC("check.contracts.join");
@@ -150,11 +143,11 @@ Conjunction CheckedLattice::existQuant(const Conjunction &E,
 bool CheckedLattice::entails(const Conjunction &E, const Atom &A) const {
   // Nothing checkable without a second procedure to compare against; the
   // oracle (interp/Oracle.h) covers entailment soundness end to end.
-  return Inner.entailsCached(E, A);
+  return Inner.entails(E, A);
 }
 
 bool CheckedLattice::isUnsat(const Conjunction &E) const {
-  return Inner.isUnsatCached(E);
+  return Inner.isUnsat(E);
 }
 
 std::vector<std::pair<Term, Term>>

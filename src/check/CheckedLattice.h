@@ -18,12 +18,12 @@
 ///
 /// Each check replays the result through the inner lattice's own
 /// entailment, so a violation means the domain disagrees with itself --
-/// strong evidence of a bug regardless of which side is wrong.  join,
-/// entails, isUnsat and impliedVarEqualities are routed through the inner
-/// lattice's *cached* entry points on purpose: a stale memo entry (the
-/// cache returning a value the recomputed operation would not) surfaces
-/// as a contract violation too.  meet, widen and existQuant have no memo
-/// table and call the inner operation directly.
+/// strong evidence of a bug regardless of which side is wrong.
+/// impliedVarEqualities is routed through the inner lattice's memoized
+/// entry point on purpose: a stale memo entry (the table returning a value
+/// the recomputed operation would not) surfaces as a contract violation
+/// too.  Every other operation has no lattice memo and is called
+/// directly.
 ///
 /// Violations are recorded with the active obs::ProvenanceRecorder context
 /// stamped by the fixpoint engine, so a report names the exact CFG node,
@@ -121,10 +121,7 @@ public:
   static const char *contractName(CheckViolation::Contract C);
 
 private:
-  /// True if \p E entails every atom of \p C under the inner lattice
-  /// (bottom handling as LogicalLattice::entailsAll).  Uncached on
-  /// purpose: the verdict that convicts an operation must not come from
-  /// the same memo tables the operation may have corrupted.
+  /// Inner.entailsAll(E, C), counted as one check.
   bool innerEntailsAll(const Conjunction &E, const Conjunction &C) const;
 
   void report(CheckViolation::Contract Kind, const char *Operation,

@@ -42,7 +42,7 @@ public:
   Conjunction join(const Conjunction &A, const Conjunction &B) const override {
     if (Calls++ >= BreakFrom)
       return A; // Unsound: forgets everything only B knew.
-    return Inner.joinCached(A, B);
+    return Inner.join(A, B);
   }
 
   Conjunction widen(const Conjunction &Old,
@@ -57,10 +57,10 @@ public:
     return Inner.existQuant(E, Vars);
   }
   bool entails(const Conjunction &E, const Atom &A) const override {
-    return Inner.entailsCached(E, A);
+    return Inner.entails(E, A);
   }
   bool isUnsat(const Conjunction &E) const override {
-    return Inner.isUnsatCached(E);
+    return Inner.isUnsat(E);
   }
   std::vector<std::pair<Term, Term>>
   impliedVarEqualities(const Conjunction &E) const override {

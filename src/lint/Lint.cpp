@@ -103,7 +103,7 @@ private:
   bool provesAny(NodeId N, const std::vector<Atom> &Safety,
                  std::string *Provenance) {
     for (const Atom &A : Safety)
-      if (Lattice.entailsCached(Result.Invariants[N], A)) {
+      if (Lattice.entails(Result.Invariants[N], A)) {
         if (Provenance)
           *Provenance = attributeAtoms(Lattice, {A});
         return true;
@@ -144,8 +144,8 @@ private:
     // division is definite, not merely possible.
     Atom AtMostZero = Atom::mkLe(Ctx, D, Ctx.mkNum(0));
     Atom AtLeastZero = Atom::mkLe(Ctx, Ctx.mkNum(0), D);
-    if (Lattice.entailsCached(Result.Invariants[N], AtMostZero) &&
-        Lattice.entailsCached(Result.Invariants[N], AtLeastZero)) {
+    if (Lattice.entails(Result.Invariants[N], AtMostZero) &&
+        Lattice.entails(Result.Invariants[N], AtLeastZero)) {
       emit(N, "possible-division-by-zero",
            "division by zero: divisor '" + toString(Ctx, D) + "' is always 0",
            attributeAtoms(Lattice, {AtMostZero, AtLeastZero}));
@@ -270,7 +270,7 @@ std::vector<LintFinding> lint::runLint(TermContext &Ctx, const Program &P,
         std::vector<Atom> Atoms(E.Act.Cond.begin(), E.Act.Cond.end());
         bool AllEntailed = true;
         for (const Atom &A : Atoms)
-          AllEntailed &= Lattice.entailsCached(Result.Invariants[N], A);
+          AllEntailed &= Lattice.entails(Result.Invariants[N], A);
         SourceLoc Loc = P.nodeLoc(N);
         std::string CondText = toString(Ctx, E.Act.Cond);
         if (AllEntailed) {
@@ -281,7 +281,7 @@ std::vector<LintFinding> lint::runLint(TermContext &Ctx, const Program &P,
           continue;
         }
         Conjunction Taken = Interp.transfer(E.Act, Result.Invariants[N]);
-        if (Taken.isBottom() || Lattice.isUnsatCached(Taken))
+        if (Taken.isBottom() || Lattice.isUnsat(Taken))
           Out.push_back(LintFinding{
               "branch-always-false", "warning", Loc.Line, Loc.Col, N,
               "branch condition '" + CondText + "' never holds",

@@ -103,7 +103,7 @@ void cai::obs::diffStep(const LogicalLattice &L, const Conjunction &Before,
     for (const Atom &A : Input.atoms()) {
       if (!Seen.insert(A).second || R->recorded(A))
         continue;
-      if (!After.isBottom() && L.entailsCached(After, A))
+      if (!After.isBottom() && L.entails(After, A))
         continue;
       ProvenanceRecorder::LossEvent E;
       E.Kind = Cur.Kind;

@@ -18,7 +18,7 @@ Conjunction DirectProduct::join(const Conjunction &A,
     return B;
   if (B.isBottom())
     return A;
-  return L1.joinCached(A, B).meet(L2.joinCached(A, B));
+  return L1.join(A, B).meet(L2.join(A, B));
 }
 
 Conjunction DirectProduct::existQuant(const Conjunction &E,
@@ -29,11 +29,11 @@ Conjunction DirectProduct::existQuant(const Conjunction &E,
 }
 
 bool DirectProduct::entails(const Conjunction &E, const Atom &A) const {
-  return L1.entailsCached(E, A) || L2.entailsCached(E, A);
+  return L1.entails(E, A) || L2.entails(E, A);
 }
 
 bool DirectProduct::isUnsat(const Conjunction &E) const {
-  return L1.isUnsatCached(E) || L2.isUnsatCached(E);
+  return L1.isUnsat(E) || L2.isUnsat(E);
 }
 
 std::vector<std::pair<Term, Term>>

@@ -86,9 +86,9 @@ Conjunction LogicalProduct::combine(const Conjunction &A, const Conjunction &B,
                                     bool UseWiden) const {
   CAI_TRACE_SPAN(UseWiden ? "product.widen" : "product.join", "product");
   TermContext &Ctx = context();
-  if (A.isBottom() || isUnsatCached(A))
+  if (A.isBottom() || isUnsat(A))
     return B;
-  if (B.isBottom() || isUnsatCached(B))
+  if (B.isBottom() || isUnsat(B))
     return A;
 
   // Lines 1-4 of Figure 6: purify and NO-saturate both inputs (memoized --
@@ -149,10 +149,10 @@ Conjunction LogicalProduct::combine(const Conjunction &A, const Conjunction &B,
     }
   }
 
-  // Lines 8-9: component-wise join (through the components' memoized
-  // entry point) or widening (Section 4.3), the second component first.
-  Conjunction E2 = UseWiden ? L2.widen(Left2, Right2)
-                            : L2.joinCached(Left2, Right2);
+  // Lines 8-9: component-wise join or widening (Section 4.3), the second
+  // component first.
+  Conjunction E2 =
+      UseWiden ? L2.widen(Left2, Right2) : L2.join(Left2, Right2);
 
   // A dummy the second component's result does not mention cannot occur in
   // the existential quantification of line 10, so when the first
@@ -181,8 +181,8 @@ Conjunction LogicalProduct::combine(const Conjunction &A, const Conjunction &B,
     Left1.add(LeftDef);
     Right1.add(RightDef);
   }
-  Conjunction E1 = UseWiden ? L1.widen(Left1, Right1)
-                            : L1.joinCached(Left1, Right1);
+  Conjunction E1 =
+      UseWiden ? L1.widen(Left1, Right1) : L1.join(Left1, Right1);
   Conjunction E = E1.meet(E2);
 
   // Line 10: eliminate the dummies with the product's own Q, which is what
@@ -218,7 +218,7 @@ void LogicalProduct::recordCombineLosses(const Conjunction &A,
   auto CheckSide = [&](const Conjunction &Input, const SatEntry &Entry) {
     for (const Atom &At : Input.atoms()) {
       if (At.isTrivial(context()) || R->recorded(At) ||
-          (!Result.isBottom() && entailsCached(Result, At)))
+          (!Result.isBottom() && entails(Result, At)))
         continue;
       // Re-purify the lost atom with the same alien naming as this side's
       // saturated conjunctions, so the component results can be queried.
@@ -232,10 +232,10 @@ void LogicalProduct::recordCombineLosses(const Conjunction &A,
       Ev.SaturationRounds = Rounds;
       bool Lost1 = (Side == Purifier::Side::One ||
                     Side == Purifier::Side::Both) &&
-                   !L1.entailsCached(E1, Pure);
+                   !L1.entails(E1, Pure);
       bool Lost2 = (Side == Purifier::Side::Two ||
                     Side == Purifier::Side::Both) &&
-                   !L2.entailsCached(E2, Pure);
+                   !L2.entails(E2, Pure);
       if (Lost1 && !Lost2)
         Ev.Domain = L1.attributeAtom(Pure);
       else if (Lost2 && !Lost1)
@@ -353,12 +353,13 @@ bool LogicalProduct::entails(const Conjunction &E, const Atom &A) const {
   if (A.isTrivial(Ctx))
     return true;
 
-  // Reuse E's memoized purification + saturation, then purify the queried
-  // fact with the *same* alien-term naming (the kept Purifier's tables) on
-  // top of the saturated sides.  Re-saturating from the saturated state
-  // converges in at most one extra exchange round, so the closure -- and
-  // hence the verdict -- is identical to the joint saturation
-  // combinedEntails performs, at a fraction of the repeated cost.
+  // Property 1: purify E and the queried fact with one alien-term naming,
+  // NO-saturate, and ask the component that owns the fact.  E's
+  // purification + saturation is memoized, so the fact is purified with
+  // the kept Purifier's tables on top of E's saturated sides; saturating
+  // again from there converges in at most one extra exchange round and
+  // reaches the same closure as saturating E and the fact's definitions
+  // together.
   std::shared_ptr<const SatEntry> Entry = purifySaturate(E);
   if (Entry->Sat.Bottom)
     return true;
@@ -375,12 +376,11 @@ bool LogicalProduct::entails(const Conjunction &E, const Atom &A) const {
     return true;
   switch (FSide) {
   case Purifier::Side::One:
-    return L1.entailsCached(Sat.Side1, FPure);
+    return L1.entails(Sat.Side1, FPure);
   case Purifier::Side::Two:
-    return L2.entailsCached(Sat.Side2, FPure);
+    return L2.entails(Sat.Side2, FPure);
   case Purifier::Side::Both:
-    return L1.entailsCached(Sat.Side1, FPure) ||
-           L2.entailsCached(Sat.Side2, FPure);
+    return L1.entails(Sat.Side1, FPure) || L2.entails(Sat.Side2, FPure);
   case Purifier::Side::Dropped:
     break;
   }

@@ -3,9 +3,8 @@
 /// \file
 /// A bounded map from query keys to previously computed results, used to
 /// memoize the operations one analysis repeats across fixpoint iterations:
-/// join, entailment, unsat and implied variable equalities in every
-/// lattice, a product's purification + Nelson-Oppen saturation and the
-/// analyzer's edge transfers.
+/// the analyzer's joins and edge transfers, a product's purification +
+/// Nelson-Oppen saturation and each lattice's implied variable equalities.
 /// Keys are stored in full and compared with operator== on lookup, so hash
 /// collisions can never produce a wrong answer -- the fingerprint only
 /// buys O(1) bucketing.

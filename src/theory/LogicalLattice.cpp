@@ -2,6 +2,8 @@
 
 #include "theory/LogicalLattice.h"
 
+#include "obs/Metrics.h"
+
 using namespace cai;
 
 LogicalLattice::~LogicalLattice() = default;
@@ -33,74 +35,28 @@ LogicalLattice::alternateBatch(const Conjunction &E,
 Conjunction LogicalLattice::meet(const Conjunction &A,
                                  const Conjunction &B) const {
   Conjunction Result = A.meet(B);
-  if (!Result.isBottom() && isUnsatCached(Result))
+  if (!Result.isBottom() && isUnsat(Result))
     return Conjunction::bottom();
   return Result;
-}
-
-Conjunction LogicalLattice::joinCached(const Conjunction &A,
-                                       const Conjunction &B) const {
-  if (!MemoEnabled)
-    return join(A, B);
-  detail::ConjPairKey K{A, B};
-  if (const Conjunction *Hit = JoinCache.lookup(K))
-    return *Hit;
-  Conjunction R = join(A, B);
-  JoinCache.insert(std::move(K), R);
-  return R;
-}
-
-bool LogicalLattice::entailsCached(const Conjunction &E, const Atom &A) const {
-  if (!MemoEnabled)
-    return entails(E, A);
-  detail::ConjAtomKey K{E, A};
-  if (const bool *Hit = EntailCache.lookup(K))
-    return *Hit;
-  bool R = entails(E, A);
-  EntailCache.insert(std::move(K), R);
-  return R;
-}
-
-bool LogicalLattice::isUnsatCached(const Conjunction &E) const {
-  if (!MemoEnabled)
-    return isUnsat(E);
-  if (const bool *Hit = UnsatCache.lookup(E))
-    return *Hit;
-  bool R = isUnsat(E);
-  UnsatCache.insert(E, R);
-  return R;
-}
-
-bool LogicalLattice::entailsAllCached(const Conjunction &E,
-                                      const Conjunction &C) const {
-  if (E.isBottom())
-    return true;
-  if (C.isBottom())
-    return isUnsatCached(E);
-  for (const Atom &A : C.atoms())
-    if (!entailsCached(E, A))
-      return false;
-  return true;
 }
 
 std::vector<std::pair<Term, Term>>
 LogicalLattice::impliedVarEqualitiesCached(const Conjunction &E) const {
   if (!MemoEnabled)
     return impliedVarEqualities(E);
-  if (const auto *Hit = VarEqCache.lookup(E))
+  if (const auto *Hit = VarEqCache.lookup(E)) {
+    CAI_METRIC_INC("lattice.vareq_cache.hits");
     return *Hit;
+  }
+  CAI_METRIC_INC("lattice.vareq_cache.misses");
   std::vector<std::pair<Term, Term>> R = impliedVarEqualities(E);
   VarEqCache.insert(E, R);
   return R;
 }
 
 void LogicalLattice::collectStats(LatticeStats &S) const {
-  for (const QueryCacheCounters &C :
-       {JoinCache.counters(), EntailCache.counters(), UnsatCache.counters(),
-        VarEqCache.counters()}) {
-    S.CacheHits += C.Hits;
-    S.CacheMisses += C.Misses;
-  }
+  S.CacheHits += VarEqCache.counters().Hits;
+  S.CacheMisses += VarEqCache.counters().Misses;
 }
 
 bool LogicalLattice::entailsAll(const Conjunction &E,

@@ -45,41 +45,6 @@ struct LatticeStats {
   }
 };
 
-namespace detail {
-
-/// Memoization key for join.  Stores both operands in full; the hash
-/// buckets by fingerprint and equality is exact, so collisions are
-/// harmless.
-struct ConjPairKey {
-  Conjunction A, B;
-  bool operator==(const ConjPairKey &RHS) const {
-    return A == RHS.A && B == RHS.B;
-  }
-};
-struct ConjPairHash {
-  size_t operator()(const ConjPairKey &K) const {
-    return static_cast<size_t>(K.A.fingerprint() * 0x9e3779b97f4a7c15ull ^
-                               K.B.fingerprint());
-  }
-};
-
-/// Memoization key for per-atom entailment queries.
-struct ConjAtomKey {
-  Conjunction E;
-  Atom A;
-  bool operator==(const ConjAtomKey &RHS) const {
-    return A == RHS.A && E == RHS.E;
-  }
-};
-struct ConjAtomHash {
-  size_t operator()(const ConjAtomKey &K) const {
-    return static_cast<size_t>(K.E.fingerprint() * 0x9e3779b97f4a7c15ull ^
-                               K.A.hash());
-  }
-};
-
-} // namespace detail
-
 /// An abstract domain over conjunctions of atomic facts.
 ///
 /// Elements are Conjunction values.  The empty conjunction is top and
@@ -176,28 +141,21 @@ public:
   bool equivalent(const Conjunction &A, const Conjunction &B) const;
 
   /// @}
-  /// \name Memoized entry points
+  /// \name Memoization
   ///
-  /// Non-virtual wrappers over the virtual operations above that cache
-  /// results keyed on the operands' canonical fingerprints.  The fixpoint
-  /// engine and the product combinators route their calls through these;
-  /// identical queries within one analysis become O(1) lookups.  Only join,
-  /// entailment, unsat and implied variable equalities have a table: they
-  /// are the ones a cold analysis measurably profits from (EXPERIMENTS.md
-  /// E22).  meet, widen and existQuant are called directly -- meet's
-  /// costly step is isUnsatCached, and repeated transfers are answered by
-  /// the analyzer's transfer cache before they reach existQuant.  With
-  /// memoization disabled (setMemoization(false)) every wrapper forwards
-  /// to the virtual operation unconditionally -- the cache-equivalence
-  /// test asserts bit-for-bit identical analysis results either way.
+  /// A lattice keeps one memo table, in front of impliedVarEqualities:
+  /// Nelson-Oppen saturation asks VE of the same component side under
+  /// many product elements, and a cold measurement shows the table pays
+  /// (EXPERIMENTS.md E26).  The other operators have none here.  The
+  /// analyzer memoizes the joins and edge transfers that repeat across
+  /// fixpoint and narrowing iterations (analysis/Analyzer.h), a product
+  /// its purification + saturation, and the affine and polyhedra domains
+  /// their canonical forms (support/CanonList.h).  With memoization
+  /// disabled (setMemoization(false)) impliedVarEqualitiesCached forwards
+  /// to the virtual operation -- the cache-equivalence test asserts
+  /// bit-for-bit identical analysis results either way.
   /// @{
 
-  Conjunction joinCached(const Conjunction &A, const Conjunction &B) const;
-  bool entailsCached(const Conjunction &E, const Atom &A) const;
-  bool isUnsatCached(const Conjunction &E) const;
-  /// entailsAll answered atom by atom through entailsCached (and
-  /// isUnsatCached for a bottom \p C); it has no table of its own.
-  bool entailsAllCached(const Conjunction &E, const Conjunction &C) const;
   std::vector<std::pair<Term, Term>>
   impliedVarEqualitiesCached(const Conjunction &E) const;
 
@@ -233,11 +191,6 @@ private:
   TermContext &Ctx;
 
   mutable bool MemoEnabled = true;
-  mutable QueryCache<detail::ConjPairKey, Conjunction, detail::ConjPairHash>
-      JoinCache;
-  mutable QueryCache<detail::ConjAtomKey, bool, detail::ConjAtomHash>
-      EntailCache;
-  mutable QueryCache<Conjunction, bool, ConjunctionHash> UnsatCache;
   mutable QueryCache<Conjunction, std::vector<std::pair<Term, Term>>,
                      ConjunctionHash>
       VarEqCache;

@@ -66,8 +66,7 @@ SaturationResult cai::noSaturate(TermContext &Ctx, const LogicalLattice &L1,
   CAI_METRIC_INC("nelson_oppen.saturations");
   CAI_METRIC_TIME("nelson_oppen.saturate_us");
   SaturationResult Result;
-  if (E1.isBottom() || E2.isBottom() || L1.isUnsatCached(E1) ||
-      L2.isUnsatCached(E2)) {
+  if (E1.isBottom() || E2.isBottom() || L1.isUnsat(E1) || L2.isUnsat(E2)) {
     Result.Bottom = true;
     Result.Side1 = Conjunction::bottom();
     Result.Side2 = Conjunction::bottom();
@@ -107,7 +106,7 @@ SaturationResult cai::noSaturate(TermContext &Ctx, const LogicalLattice &L1,
       }
       if (Forwarded) {
         Changed = true;
-        if (Dst.isUnsatCached(DstE)) {
+        if (Dst.isUnsat(DstE)) {
           Result.Bottom = true;
           Result.Side1 = Conjunction::bottom();
           Result.Side2 = Conjunction::bottom();

@@ -11,10 +11,12 @@
 
 #include "analysis/Analyzer.h"
 #include "check/CheckedLattice.h"
+#include "check/FaultInjection.h"
 #include "domains/affine/AffineDomain.h"
 #include "domains/poly/PolyDomain.h"
 #include "domains/uf/UFDomain.h"
 #include "ir/ProgramParser.h"
+#include "obs/Metrics.h"
 #include "product/DirectProduct.h"
 #include "product/LogicalProduct.h"
 #include "term/Printer.h"
@@ -52,10 +54,14 @@ void expectCacheEquivalent(const LogicalLattice &L, const Program &P,
   for (size_t I = 0; I < RO.Assertions.size(); ++I)
     EXPECT_EQ(RO.Assertions[I].Verified, RF.Assertions[I].Verified)
         << What << ": verdict differs for " << RO.Assertions[I].Label;
-  // The memoized run must actually have exercised the caches (otherwise
-  // this test proves nothing).
-  EXPECT_GT(RO.Stats.CacheHits + RO.Stats.CacheMisses, 0u) << What;
-  EXPECT_EQ(RF.Stats.CacheHits, 0u) << What;
+  // The memoized run must actually have exercised the memos (otherwise
+  // this test proves nothing).  A leaf run with no join consults only the
+  // transfer memo.
+  EXPECT_GT(RO.Stats.CacheHits + RO.Stats.CacheMisses +
+                RO.Stats.TransferCacheHits,
+            0u)
+      << What;
+  EXPECT_EQ(RF.Stats.CacheHits + RF.Stats.TransferCacheHits, 0u) << What;
 }
 
 TEST(AnalyzerCacheTest, RandomizedWorkloadsUnderEveryProduct) {
@@ -99,7 +105,10 @@ TEST(AnalyzerCacheTest, LoopFreeWorkload) {
 
 TEST(AnalyzerCacheTest, MemoizedRunReportsHits) {
   // Within a single run the narrowing passes re-evaluate stabilized edges,
-  // so the transfer cache must report hits on any looping workload.
+  // so the transfer cache must report hits on any looping workload, and
+  // they re-join stabilized contributions, which the join memo answers.  A
+  // pass-through wrapper counts the joins that reach the lattice: every
+  // join memo miss, exactly once, and with the memo off every join.
   TermContext Ctx;
   AffineDomain Affine(Ctx);
   UFDomain UF(Ctx);
@@ -108,19 +117,35 @@ TEST(AnalyzerCacheTest, MemoizedRunReportsHits) {
   WorkloadOptions Opts;
   Opts.Seed = 23;
   Workload W = generateWorkload(Ctx, Opts);
-  AnalysisResult R = Analyzer(Logical).run(W.P);
+  check::BrokenJoinLattice CountOn(Logical, /*BreakFrom=*/1u << 30);
+  check::BrokenJoinLattice CountOff(Logical, /*BreakFrom=*/1u << 30);
+  AnalyzerOptions Off;
+  Off.Memoize = false;
+  auto Before = obs::MetricsRegistry::global().counterValues();
+  AnalysisResult R = Analyzer(CountOn).run(W.P);
+  auto After = obs::MetricsRegistry::global().counterValues();
+  AnalysisResult RF = Analyzer(CountOff, Off).run(W.P);
   EXPECT_GT(R.Stats.TransferCacheHits, 0u);
   EXPECT_GT(R.Stats.CacheHits, 0u);
   EXPECT_GT(R.Stats.cacheHitRate(), 0.0);
   EXPECT_GT(R.Stats.SaturationRounds, 0u);
+
+  EXPECT_GT(CountOn.joinCalls(), 0u);
+  EXPECT_LT(CountOn.joinCalls(), CountOff.joinCalls());
+#ifndef CAI_DISABLE_OBS
+  EXPECT_EQ(CountOn.joinCalls(), After["analyzer.join_cache.misses"] -
+                                     Before["analyzer.join_cache.misses"]);
+#endif
+  ASSERT_EQ(R.Invariants.size(), RF.Invariants.size());
+  for (size_t N = 0; N < R.Invariants.size(); ++N)
+    EXPECT_TRUE(R.Invariants[N] == RF.Invariants[N]) << "node " << N;
 }
 
 TEST(AnalyzerCacheTest, DifferentialPolyOverTestdata) {
-  // The differential half of the tentpole's correctness bar: with the LP
-  // memo cache and simplex warm-start in the query path, every checked-in
-  // analyzer input must still produce bit-identical invariants and
-  // verdicts with memoization on and off, under the polyhedra domain
-  // alone and under both logical products that embed it.
+  // With the polyhedra canon list and simplex warm-start in the query
+  // path, every checked-in analyzer input must still produce bit-identical
+  // invariants and verdicts with memoization on and off, under the
+  // polyhedra domain alone and under both logical products that embed it.
   namespace fs = std::filesystem;
   std::vector<fs::path> Files;
   for (const auto &Entry : fs::directory_iterator(CAI_TESTDATA_DIR))
@@ -159,9 +184,9 @@ TEST(AnalyzerCacheTest, DifferentialTestdataUnderContractChecks) {
   // The memo-on/off differential again, this time with the online
   // lattice-contract checker wrapped around each domain: both runs must
   // still agree bit-for-bit, the decorator must be semantically invisible,
-  // and no run may violate a contract.  Routing the checked operations
-  // through the inner lattice's cached entry points means a stale memo
-  // entry would surface here as a violation.
+  // and no run may violate a contract.  The checker asks the inner
+  // lattice's memoized implied equalities, so a stale memo entry would
+  // surface here as a violation.
   namespace fs = std::filesystem;
   std::vector<fs::path> Files;
   for (const auto &Entry : fs::directory_iterator(CAI_TESTDATA_DIR))

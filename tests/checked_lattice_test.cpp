@@ -117,7 +117,7 @@ TEST(CheckedLatticeTest, DirectOperationContracts) {
   B.add(*parseAtom(Ctx, "x <= 5"));
 
   // join/meet/widen/existQuant on a sound domain: silent.
-  Checked.joinCached(A, B);
+  Checked.join(A, B);
   Checked.meet(A, B);
   Checked.widen(A, B);
   Checked.existQuant(A, {Ctx.mkVar("x")});
@@ -128,7 +128,7 @@ TEST(CheckedLatticeTest, DirectOperationContracts) {
   // Violations fire outside any engine step too, with Valid=false.
   BrokenJoinLattice Broken(Poly);
   CheckedLattice CheckedBroken(Broken);
-  CheckedBroken.joinCached(A, B);
+  CheckedBroken.join(A, B);
   ASSERT_FALSE(CheckedBroken.violations().empty());
   EXPECT_FALSE(CheckedBroken.violations().front().Where.Valid);
 }
@@ -143,7 +143,7 @@ TEST(CheckedLatticeTest, SetCheckingDisablesAudit) {
   Conjunction A, B;
   A.add(*parseAtom(Ctx, "x <= 3"));
   B.add(*parseAtom(Ctx, "x <= 5"));
-  Checked.joinCached(A, B);
+  Checked.join(A, B);
   EXPECT_TRUE(Checked.violations().empty())
       << "disabled checker must not audit";
   EXPECT_EQ(Checked.checksRun(), 0u);
@@ -161,7 +161,7 @@ TEST(CheckedLatticeTest, StatsAndMemoPropagate) {
 
   Conjunction A;
   A.add(*parseAtom(Ctx, "x <= 3"));
-  Checked.joinCached(A, A);
+  Checked.impliedVarEqualitiesCached(A);
   LatticeStats S;
   Checked.collectStats(S);
   EXPECT_GT(S.CacheMisses + S.CacheHits, 0u);

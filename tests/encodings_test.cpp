@@ -7,7 +7,6 @@
 #include "domains/uf/UFDomain.h"
 #include "ir/ProgramParser.h"
 #include "product/LogicalProduct.h"
-#include "theory/Entailment.h"
 
 #include "TestUtil.h"
 

@@ -11,7 +11,7 @@
 #include "domains/parity/ParityDomain.h"
 #include "domains/sign/SignDomain.h"
 #include "domains/uf/UFDomain.h"
-#include "theory/Entailment.h"
+#include "product/LogicalProduct.h"
 #include "theory/NelsonOppen.h"
 #include "theory/Purify.h"
 
@@ -29,6 +29,7 @@ protected:
   TermContext Ctx;
   AffineDomain LA{Ctx};
   UFDomain UF{Ctx};
+  LogicalProduct LAUF{Ctx, LA, UF};
 };
 
 } // namespace
@@ -70,9 +71,8 @@ TEST_F(PurifyEdgeTest, ConservativeExtension) {
   Conjunction E = C(Ctx, "x3 <= F(2*x2 - x1) && x1 = F(x1)");
   PurifyResult P = purify(Ctx, LA, UF, E);
   Conjunction Both = P.Side1.meet(P.Side2);
-  EXPECT_TRUE(combinedEntails(Ctx, LA, UF, Both, A(Ctx, "x1 = F(x1)")));
-  EXPECT_TRUE(
-      combinedEntails(Ctx, LA, UF, Both, A(Ctx, "F(x1) = F(F(x1))")));
+  EXPECT_TRUE(LAUF.entails(Both, A(Ctx, "x1 = F(x1)")));
+  EXPECT_TRUE(LAUF.entails(Both, A(Ctx, "F(x1) = F(F(x1))")));
 }
 
 TEST_F(PurifyEdgeTest, UnownedFunctionSymbolHavocs) {
@@ -84,9 +84,9 @@ TEST_F(PurifyEdgeTest, UnownedFunctionSymbolHavocs) {
   Conjunction E = cai::test::C(Ctx2, "x = mystery(y) + 1");
   PurifyResult P = purify(Ctx2, LA2, UF2, E);
   // x = $h + 1 with $h unconstrained: x - 1 = $h derivable, nothing else.
-  EXPECT_FALSE(
-      combinedEntails(Ctx2, LA2, UF2, P.Side1.meet(P.Side2),
-                      cai::test::A(Ctx2, "x = y + 1")));
+  EXPECT_FALSE(LogicalProduct(Ctx2, LA2, UF2)
+                   .entails(P.Side1.meet(P.Side2),
+                            cai::test::A(Ctx2, "x = y + 1")));
 }
 
 TEST_F(PurifyEdgeTest, BothArithmeticOwnersShareEqualities) {
@@ -139,8 +139,8 @@ TEST_F(PurifyEdgeTest, EntailmentOfFreshMixedAtom) {
   // The queried fact introduces an alien the left-hand side never
   // mentions; the shared purification pass must extend conservatively.
   Conjunction E = C(Ctx, "x = y + 2 && u = F(y + 2)");
-  EXPECT_TRUE(combinedEntails(Ctx, LA, UF, E, A(Ctx, "u = F(x)")));
-  EXPECT_FALSE(combinedEntails(Ctx, LA, UF, E, A(Ctx, "u = F(x + 1)")));
+  EXPECT_TRUE(LAUF.entails(E, A(Ctx, "u = F(x)")));
+  EXPECT_FALSE(LAUF.entails(E, A(Ctx, "u = F(x + 1)")));
 }
 
 TEST_F(PurifyEdgeTest, BottomInputsShortCircuit) {

@@ -2,14 +2,14 @@
 ///
 /// Reproduces the Figure 2 worked example (AlienTerms, Purify,
 /// NOSaturation over linear arithmetic + uninterpreted functions) and
-/// exercises the combined entailment procedure.
+/// exercises combined entailment through the logical product.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "domains/affine/AffineDomain.h"
 #include "domains/poly/PolyDomain.h"
 #include "domains/uf/UFDomain.h"
-#include "theory/Entailment.h"
+#include "product/LogicalProduct.h"
 #include "theory/NelsonOppen.h"
 #include "theory/Purify.h"
 
@@ -28,6 +28,8 @@ protected:
   PolyDomain LA{Ctx}; // Linear arithmetic with inequalities (Figure 2).
   AffineDomain LAeq{Ctx};
   UFDomain UF{Ctx};
+  LogicalProduct LAUF{Ctx, LA, UF};
+  LogicalProduct LAeqUF{Ctx, LAeq, UF};
 };
 
 } // namespace
@@ -103,44 +105,42 @@ TEST_F(TheoryTest, NoSaturationNoFalsePropagation) {
 
 TEST_F(TheoryTest, CombinedEntailmentPureFacts) {
   Conjunction E = C(Ctx, "x = y && a = F(x) && b = F(y)");
-  EXPECT_TRUE(combinedEntails(Ctx, LAeq, UF, E, A(Ctx, "a = b")));
-  EXPECT_TRUE(combinedEntails(Ctx, LAeq, UF, E, A(Ctx, "x = y")));
-  EXPECT_FALSE(combinedEntails(Ctx, LAeq, UF, E, A(Ctx, "a = x")));
+  EXPECT_TRUE(LAeqUF.entails(E, A(Ctx, "a = b")));
+  EXPECT_TRUE(LAeqUF.entails(E, A(Ctx, "x = y")));
+  EXPECT_FALSE(LAeqUF.entails(E, A(Ctx, "a = x")));
 }
 
 TEST_F(TheoryTest, CombinedEntailmentMixedFacts) {
   // The Figure 1 assertion pattern: d2 = F(d1 + 1).
   Conjunction E = C(Ctx, "d2 = F(w) && w = d1 + 1");
-  EXPECT_TRUE(combinedEntails(Ctx, LAeq, UF, E, A(Ctx, "d2 = F(d1 + 1)")));
-  EXPECT_FALSE(combinedEntails(Ctx, LAeq, UF, E, A(Ctx, "d2 = F(d1)")));
+  EXPECT_TRUE(LAeqUF.entails(E, A(Ctx, "d2 = F(d1 + 1)")));
+  EXPECT_FALSE(LAeqUF.entails(E, A(Ctx, "d2 = F(d1)")));
 }
 
 TEST_F(TheoryTest, CombinedEntailmentCrossTheoryChain) {
   // Arithmetic forces u = v; congruence then forces F(u) = F(v); then
   // arithmetic again: F(u) + 1 = F(v) + 1.
   Conjunction E = C(Ctx, "u = w + 1 && v = w + 1 && a = F(u) && b = F(v)");
-  EXPECT_TRUE(combinedEntails(Ctx, LAeq, UF, E, A(Ctx, "a = b")));
-  EXPECT_TRUE(
-      combinedEntails(Ctx, LAeq, UF, E, A(Ctx, "F(u) + 1 = F(v) + 1")));
+  EXPECT_TRUE(LAeqUF.entails(E, A(Ctx, "a = b")));
+  EXPECT_TRUE(LAeqUF.entails(E, A(Ctx, "F(u) + 1 = F(v) + 1")));
 }
 
 TEST_F(TheoryTest, CombinedUnsat) {
-  EXPECT_TRUE(combinedIsUnsat(
-      Ctx, LAeq, UF, C(Ctx, "x = y && F(x) = 1 + z && F(y) = z - 1")));
-  EXPECT_FALSE(combinedIsUnsat(
-      Ctx, LAeq, UF, C(Ctx, "x = y && F(x) = 1 + z && F(y) = z + 1")));
+  EXPECT_TRUE(LAeqUF.isUnsat(C(Ctx, "x = y && F(x) = 1 + z && F(y) = z - 1")));
+  EXPECT_FALSE(
+      LAeqUF.isUnsat(C(Ctx, "x = y && F(x) = 1 + z && F(y) = z + 1")));
 }
 
 TEST_F(TheoryTest, CombinedEntailmentWithInequalities) {
   // Figure 2's squeeze: x3 <= t2, x1 <= x3, x1 = t2 forces x1 = x3.
   Conjunction E = C(Ctx, "x3 <= F(x1) && x1 <= x3 && x1 = F(x1)");
-  EXPECT_TRUE(combinedEntails(Ctx, LA, UF, E, A(Ctx, "x1 = x3")));
-  EXPECT_TRUE(combinedEntails(Ctx, LA, UF, E, A(Ctx, "x3 = F(x1)")));
+  EXPECT_TRUE(LAUF.entails(E, A(Ctx, "x1 = x3")));
+  EXPECT_TRUE(LAUF.entails(E, A(Ctx, "x3 = F(x1)")));
 }
 
 TEST_F(TheoryTest, DroppedPredicatesAreConservative) {
   // A predicate neither side owns cannot be entailed (and must not crash).
   Ctx.getPredicate("mystery", 1);
   Conjunction E = C(Ctx, "x = y");
-  EXPECT_FALSE(combinedEntails(Ctx, LAeq, UF, E, A(Ctx, "mystery(x)")));
+  EXPECT_FALSE(LAeqUF.entails(E, A(Ctx, "mystery(x)")));
 }

@@ -1,0 +1,145 @@
+#!/usr/bin/env python3
+"""Byte-identity sweep: two cai-analyze builds over one corpus.
+
+    sweep_diff.py OLD NEW --specs S[,S...] [--jobs N] INPUT...
+
+OLD and NEW are cai-analyze binaries (say, a parent commit's build and a
+change's).  Each INPUT is a `.imp` program or a JSON-lines request file
+such as the `requests.jsonl` that `pbtool gen` writes; every line of it
+with a "program" member is one program.  Every program runs under every
+spec as `BIN --domain=SPEC --invariants PROGRAM` on both binaries, and
+the two runs' stdout and exit code are compared byte for byte.
+
+Prints, per spec, how many programs gave identical and different output,
+and the first differing program.  Exit code: 0 when every pair is
+identical, 1 on any difference, 2 on a usage error.
+
+    sweep_diff.py build/tools/cai-analyze build/tools/cai-analyze \\
+        --specs poly,logical:poly,uf tools/testdata/*.imp
+
+runs one binary on both sides, which checks that its output is
+deterministic (the `tool_sweep_diff_selftest` ctest).
+"""
+
+import argparse
+import concurrent.futures
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+TIMEOUT_S = 300
+
+
+def programs(inputs, workdir):
+    """(label, path) per program: a .imp input as it is, each program of a
+    JSON-lines input written to its own file under workdir."""
+    out = []
+    for path in inputs:
+        if not path.endswith(".jsonl"):
+            out.append((path, path))
+            continue
+        with open(path) as f:
+            for lineno, line in enumerate(f, 1):
+                if not line.strip():
+                    continue
+                text = json.loads(line).get("program")
+                if text is None:
+                    continue
+                prog = os.path.join(workdir, "p%d.imp" % len(out))
+                with open(prog, "w") as g:
+                    g.write(text)
+                out.append(("%s:%d" % (path, lineno), prog))
+    return out
+
+
+def spec_end(text, i):
+    """End of the one domain spec starting at text[i] (DomainFactory's
+    grammar: a leaf, mode:SPEC,SPEC, or (SPEC))."""
+    if text.startswith("(", i):
+        depth = 0
+        for j in range(i, len(text)):
+            depth += {"(": 1, ")": -1}.get(text[j], 0)
+            if depth == 0:
+                return j + 1
+        raise ValueError("unbalanced parenthesis in " + text)
+    j = i
+    while j < len(text) and text[j].isalnum():
+        j += 1
+    if not text.startswith(":", j):
+        return j
+    j = spec_end(text, j + 1)
+    if not text.startswith(",", j):
+        raise ValueError("expected ',' at offset %d of %s" % (j, text))
+    return spec_end(text, j + 1)
+
+
+def split_specs(text):
+    """'poly,logical:poly,uf' -> ['poly', 'logical:poly,uf']."""
+    specs, i = [], 0
+    while i < len(text):
+        j = spec_end(text, i)
+        if j == i or (j < len(text) and text[j] != ","):
+            raise ValueError("bad spec list at offset %d: %s" % (i, text))
+        specs.append(text[i:j])
+        i = j + 1
+    return specs
+
+
+def run(binary, spec, prog):
+    """(exit code, stdout bytes) of one analysis; a timeout reads as
+    exit code None."""
+    try:
+        p = subprocess.run([binary, "--domain=" + spec, "--invariants", prog],
+                           stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                           timeout=TIMEOUT_S)
+        return p.returncode, p.stdout
+    except subprocess.TimeoutExpired:
+        return None, b""
+
+
+def main():
+    ap = argparse.ArgumentParser(
+        description="Diff cai-analyze --invariants output of two builds.")
+    ap.add_argument("old")
+    ap.add_argument("new")
+    ap.add_argument("inputs", nargs="+", metavar="INPUT")
+    ap.add_argument("--specs", required=True,
+                    help="comma-separated domain specs; a spec's own commas "
+                         "stay with it (poly,logical:poly,uf is two specs)")
+    ap.add_argument("--jobs", type=int, default=2,
+                    help="programs analyzed at once (default 2)")
+    args = ap.parse_args()
+
+    try:
+        specs = split_specs(args.specs)
+    except ValueError as e:
+        print("sweep_diff: " + str(e), file=sys.stderr)
+        return 2
+
+    failed = False
+    with tempfile.TemporaryDirectory(prefix="sweep_diff.") as workdir:
+        progs = programs(args.inputs, workdir)
+        if not progs:
+            print("sweep_diff: no programs in the inputs", file=sys.stderr)
+            return 2
+        with concurrent.futures.ThreadPoolExecutor(max(1, args.jobs)) as pool:
+            for spec in specs:
+                def compare(item):
+                    _, prog = item
+                    return run(args.old, spec, prog) == run(args.new, spec,
+                                                            prog)
+                same = list(pool.map(compare, progs))
+                diff = [label for (label, _), ok in zip(progs, same) if not ok]
+                line = "%s: %d identical, %d different" % (
+                    spec, len(same) - len(diff), len(diff))
+                if diff:
+                    line += "; first: " + diff[0]
+                    failed = True
+                print(line, flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
