@@ -2,7 +2,7 @@
 
 #include "obs/EventLog.h"
 
-#include <cstdio>
+#include "support/TextIO.h"
 
 using namespace cai;
 using namespace cai::obs;
@@ -36,39 +36,6 @@ void EventLog::open(std::ostream *OS) {
 
 namespace {
 
-void writeEscaped(std::ostream &OS, const std::string &S) {
-  OS << '"';
-  for (char Ch : S) {
-    switch (Ch) {
-    case '"':
-      OS << "\\\"";
-      break;
-    case '\\':
-      OS << "\\\\";
-      break;
-    case '\n':
-      OS << "\\n";
-      break;
-    case '\r':
-      OS << "\\r";
-      break;
-    case '\t':
-      OS << "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(Ch) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x",
-                      static_cast<unsigned>(static_cast<unsigned char>(Ch)));
-        OS << Buf;
-      } else {
-        OS << Ch;
-      }
-    }
-  }
-  OS << '"';
-}
-
 /// True when \p N is one of the post-burst emission points: a power of
 /// two (so the log thins out exponentially instead of going silent).
 bool powerOfTwo(uint64_t N) { return N != 0 && (N & (N - 1)) == 0; }
@@ -95,9 +62,9 @@ void EventLog::emit(Severity Sev, const std::string &Component,
   std::ostream &OS = *Out;
   OS << "{\"seq\":" << ++NextSeq << ",\"ts_us\":" << TsUs << ",\"severity\":\""
      << severityName(Sev) << "\",\"component\":";
-  writeEscaped(OS, Component);
+  writeJsonString(OS, Component);
   OS << ",\"event\":";
-  writeEscaped(OS, Event);
+  writeJsonString(OS, Event);
   if (N > BurstLimit)
     OS << ",\"repeats\":" << N;
   OS << ",\"fields\":{";
@@ -106,12 +73,12 @@ void EventLog::emit(Severity Sev, const std::string &Component,
     if (!First)
       OS << ",";
     First = false;
-    writeEscaped(OS, F.Key);
+    writeJsonString(OS, F.Key);
     OS << ":";
     if (F.Raw)
       OS << F.Value;
     else
-      writeEscaped(OS, F.Value);
+      writeJsonString(OS, F.Value);
   }
   OS << "}}\n";
   OS.flush();

@@ -2,6 +2,8 @@
 
 #include "obs/Metrics.h"
 
+#include "support/TextIO.h"
+
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -55,14 +57,6 @@ void MetricsRegistry::reset() {
 
 namespace {
 
-void writeEscaped(std::ostream &OS, const std::string &S) {
-  for (char Ch : S) {
-    if (Ch == '"' || Ch == '\\')
-      OS << '\\';
-    OS << Ch;
-  }
-}
-
 /// A flattened metric ready for nesting: path segments plus a rendered
 /// JSON value.
 struct Flat {
@@ -100,9 +94,8 @@ void writeNested(std::ostream &OS, const std::vector<Flat> &Flats,
     if (!First)
       OS << ",";
     First = false;
-    OS << "\"";
-    writeEscaped(OS, Seg);
-    OS << "\":";
+    writeJsonString(OS, Seg);
+    OS << ":";
     if (J == I + 1 && Flats[I].Path.size() == Level + 1) {
       OS << Flats[I].Json;
     } else {

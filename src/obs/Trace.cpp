@@ -2,43 +2,12 @@
 
 #include "obs/Trace.h"
 
+#include "support/TextIO.h"
+
 using namespace cai;
 using namespace cai::obs;
 
 thread_local Tracer *Tracer::Active = nullptr;
-
-namespace {
-
-/// Escapes a string for a JSON string literal.
-void writeEscaped(std::ostream &OS, const char *S) {
-  for (; *S; ++S) {
-    unsigned char C = static_cast<unsigned char>(*S);
-    switch (C) {
-    case '"':
-      OS << "\\\"";
-      break;
-    case '\\':
-      OS << "\\\\";
-      break;
-    case '\n':
-      OS << "\\n";
-      break;
-    case '\t':
-      OS << "\\t";
-      break;
-    default:
-      if (C < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        OS << Buf;
-      } else {
-        OS << static_cast<char>(C);
-      }
-    }
-  }
-}
-
-} // namespace
 
 void Tracer::writeEvents(std::ostream &OS, unsigned Tid, bool &First) const {
   // The begin events whose matching end has not been recorded yet; they
@@ -60,11 +29,10 @@ void Tracer::writeEvents(std::ostream &OS, unsigned Tid, bool &First) const {
     }
     if (E.Ph == 'B')
       ++Open;
-    OS << ",\"name\":\"";
-    writeEscaped(OS, E.Name);
-    OS << "\",\"cat\":\"";
-    writeEscaped(OS, E.Cat ? E.Cat : "cai");
-    OS << "\"";
+    OS << ",\"name\":";
+    writeJsonString(OS, E.Name);
+    OS << ",\"cat\":";
+    writeJsonString(OS, E.Cat ? E.Cat : "cai");
     if (E.Ph == 'i')
       OS << ",\"s\":\"t\"";
     if (E.Ph == 'C') {
@@ -74,11 +42,9 @@ void Tracer::writeEvents(std::ostream &OS, unsigned Tid, bool &First) const {
       for (size_t I = 0; I < E.Args.size(); ++I) {
         if (I)
           OS << ",";
-        OS << "\"";
-        writeEscaped(OS, E.Args[I].Key);
-        OS << "\":\"";
-        writeEscaped(OS, E.Args[I].Value.c_str());
-        OS << "\"";
+        writeJsonString(OS, E.Args[I].Key);
+        OS << ":";
+        writeJsonString(OS, E.Args[I].Value);
       }
       OS << "}";
     }

@@ -16,11 +16,12 @@
 ///   record*  u32 payload-length | u32 crc32(payload) | payload bytes
 ///
 /// The header pins every version that decides whether a stored payload
-/// still means what it meant when written: the container framing itself,
-/// the result-cache key schema, and the format of the result-affecting
-/// option fingerprint.  A reader that finds any mismatch rejects the
-/// whole file (PersistStore counts it in `persist.stale_files`) instead
-/// of deserializing records under the wrong schema.
+/// still means what it meant when written: the container framing and
+/// payload format, the result-cache key schema, and the format of the
+/// result-affecting option fingerprint.  A reader that finds any
+/// mismatch rejects the whole file (PersistStore counts it in
+/// `persist.stale_files`) instead of deserializing records under the
+/// wrong schema.
 ///
 /// Torn tails are expected, not exceptional: a crash mid-append leaves a
 /// half-written record at the end of one shard, and the reader's CRC +
@@ -48,9 +49,14 @@ uint32_t crc32(const void *Data, size_t Size);
 /// First bytes of every shard file.
 extern const char PersistMagic[4]; // "CAIP"
 
-/// Version of the container framing itself (header layout, record
-/// framing).  Bump only when the byte layout of this file changes.
-constexpr uint32_t PersistContainerVersion = 1;
+/// Version of the container: the header layout, the record framing and
+/// the payload format.  Bump it when any of the three changes, so that a
+/// store an older build wrote is rejected whole, once, on first open,
+/// instead of being misread.
+///   1: payload is a persist-only JSON object with every AnalyzerStats
+///      field and each finding's CFG node.
+///   2: payload is the result's wire line (service::resultToJsonLine).
+constexpr uint32_t PersistContainerVersion = 2;
 
 /// Number of shard files per log directory.  Fixed: the shard of a
 /// record is derived from its fingerprint, so changing the count would

@@ -3,7 +3,7 @@
 #include "persist/PersistStore.h"
 
 #include "service/Fingerprint.h"
-#include "service/Json.h"
+#include "service/Protocol.h"
 #include "service/ResultCache.h"
 
 #include <algorithm>
@@ -17,25 +17,9 @@
 namespace cai {
 namespace persist {
 
-using service::Json;
 using service::JobResult;
 
 namespace {
-
-int64_t intField(const Json &Obj, const char *Key) {
-  const Json *V = Obj.get(Key);
-  return V && V->isNumber() ? V->asInt() : 0;
-}
-
-std::string strField(const Json &Obj, const char *Key) {
-  const Json *V = Obj.get(Key);
-  return V && V->isString() ? V->asString() : std::string();
-}
-
-bool boolField(const Json &Obj, const char *Key) {
-  const Json *V = Obj.get(Key);
-  return V && V->isBool() && V->asBool();
-}
 
 bool preadAll(int Fd, char *Data, size_t Size, uint64_t Offset) {
   while (Size) {
@@ -69,134 +53,6 @@ bool writeAllFd(int Fd, const char *Data, size_t Size) {
 }
 
 } // namespace
-
-std::string encodeResultPayload(const JobResult &R) {
-  Json P = Json::object();
-  P.set("fp", Json::str(R.Fingerprint));
-  P.set("status", Json::str(service::statusName(R.Status)));
-  P.set("domain", Json::str(R.Domain));
-  if (!R.Error.empty())
-    P.set("error", Json::str(R.Error));
-  P.set("verified", Json::integer(int64_t(R.NumVerified)));
-  Json As = Json::array();
-  for (const AssertionVerdict &A : R.Assertions) {
-    Json V = Json::object();
-    V.set("label", Json::str(A.Label));
-    V.set("ok", Json::boolean(A.Verified));
-    As.push(std::move(V));
-  }
-  P.set("assertions", std::move(As));
-  P.set("linted", Json::boolean(R.Linted));
-  if (R.Linted) {
-    Json Fs = Json::array();
-    for (const lint::LintFinding &F : R.Findings) {
-      Json V = Json::object();
-      V.set("rule", Json::str(F.Rule));
-      V.set("level", Json::str(F.Level));
-      V.set("line", Json::integer(int64_t(F.Line)));
-      V.set("col", Json::integer(int64_t(F.Col)));
-      V.set("node", Json::integer(int64_t(F.Node)));
-      V.set("message", Json::str(F.Message));
-      V.set("domain", Json::str(F.Domain));
-      Fs.push(std::move(V));
-    }
-    P.set("findings", std::move(Fs));
-  }
-  // Every AnalyzerStats field rides along: a disk hit must replay the
-  // original run's stats byte-for-byte on the wire, same as a memory hit.
-  Json St = Json::object();
-  St.set("joins", Json::integer(int64_t(R.Stats.Joins)));
-  St.set("widenings", Json::integer(int64_t(R.Stats.Widenings)));
-  St.set("transfers", Json::integer(int64_t(R.Stats.Transfers)));
-  St.set("entailment_checks", Json::integer(int64_t(R.Stats.EntailmentChecks)));
-  St.set("edge_evals", Json::integer(int64_t(R.Stats.EdgeEvals)));
-  St.set("transfer_cache_hits",
-         Json::integer(int64_t(R.Stats.TransferCacheHits)));
-  St.set("cache_hits", Json::integer(int64_t(R.Stats.CacheHits)));
-  St.set("cache_misses", Json::integer(int64_t(R.Stats.CacheMisses)));
-  St.set("saturation_rounds",
-         Json::integer(int64_t(R.Stats.SaturationRounds)));
-  St.set("wto_components", Json::integer(int64_t(R.Stats.WtoComponents)));
-  St.set("max_node_updates", Json::integer(int64_t(R.Stats.MaxNodeUpdates)));
-  St.set("total_node_updates",
-         Json::integer(int64_t(R.Stats.TotalNodeUpdates)));
-  St.set("components_reused",
-         Json::integer(int64_t(R.Stats.ComponentsReused)));
-  St.set("components_recomputed",
-         Json::integer(int64_t(R.Stats.ComponentsRecomputed)));
-  P.set("stats", std::move(St));
-  return P.dump();
-}
-
-bool decodeResultPayload(const std::string &Payload, JobResult *R) {
-  std::optional<Json> Parsed = Json::parse(Payload);
-  if (!Parsed || !Parsed->isObject())
-    return false;
-  const Json &P = *Parsed;
-  JobResult Out;
-  Out.Fingerprint = strField(P, "fp");
-  if (Out.Fingerprint.empty())
-    return false;
-  if (!service::statusFromName(strField(P, "status"), &Out.Status))
-    return false;
-  Out.Domain = strField(P, "domain");
-  Out.Error = strField(P, "error");
-  Out.NumVerified = unsigned(intField(P, "verified"));
-  if (const Json *As = P.get("assertions")) {
-    if (!As->isArray())
-      return false;
-    for (const Json &V : As->items()) {
-      AssertionVerdict A;
-      A.Label = strField(V, "label");
-      A.Verified = boolField(V, "ok");
-      Out.Assertions.push_back(std::move(A));
-    }
-  }
-  Out.Linted = boolField(P, "linted");
-  if (const Json *Fs = P.get("findings")) {
-    if (!Fs->isArray())
-      return false;
-    for (const Json &V : Fs->items()) {
-      lint::LintFinding F;
-      F.Rule = strField(V, "rule");
-      F.Level = strField(V, "level");
-      F.Line = uint32_t(intField(V, "line"));
-      F.Col = uint32_t(intField(V, "col"));
-      F.Node = NodeId(intField(V, "node"));
-      F.Message = strField(V, "message");
-      F.Domain = strField(V, "domain");
-      Out.Findings.push_back(std::move(F));
-    }
-  }
-  if (const Json *St = P.get("stats")) {
-    if (!St->isObject())
-      return false;
-    Out.Stats.Joins = (unsigned long)intField(*St, "joins");
-    Out.Stats.Widenings = (unsigned long)intField(*St, "widenings");
-    Out.Stats.Transfers = (unsigned long)intField(*St, "transfers");
-    Out.Stats.EntailmentChecks =
-        (unsigned long)intField(*St, "entailment_checks");
-    Out.Stats.EdgeEvals = (unsigned long)intField(*St, "edge_evals");
-    Out.Stats.TransferCacheHits =
-        (unsigned long)intField(*St, "transfer_cache_hits");
-    Out.Stats.CacheHits = (unsigned long)intField(*St, "cache_hits");
-    Out.Stats.CacheMisses = (unsigned long)intField(*St, "cache_misses");
-    Out.Stats.SaturationRounds =
-        (unsigned long)intField(*St, "saturation_rounds");
-    Out.Stats.WtoComponents = unsigned(intField(*St, "wto_components"));
-    Out.Stats.MaxNodeUpdates = unsigned(intField(*St, "max_node_updates"));
-    Out.Stats.TotalNodeUpdates =
-        unsigned(intField(*St, "total_node_updates"));
-    Out.Stats.ComponentsReused =
-        unsigned(intField(*St, "components_reused"));
-    Out.Stats.ComponentsRecomputed =
-        unsigned(intField(*St, "components_recomputed"));
-  }
-  Out.CacheHit = false;
-  Out.DurationMs = 0;
-  *R = std::move(Out);
-  return true;
-}
 
 PersistStore::PersistStore(std::string Dir, uint64_t ByteBudget,
                            unsigned FlushEvery)
@@ -303,14 +159,14 @@ bool PersistStore::loadShard(unsigned Sh, std::string *Error) {
       ++S.Corrupt; // Checksum mismatch with a plausible frame: skip one.
       continue;
     }
-    JobResult R;
-    if (!decodeResultPayload(std::string(Payload, Len), &R) ||
-        shardOfFingerprint(R.Fingerprint) != Sh) {
+    std::optional<JobResult> R =
+        service::resultFromJsonLine(std::string(Payload, Len));
+    if (!R || shardOfFingerprint(R->Fingerprint) != Sh) {
       ++S.Corrupt;
       continue;
     }
     // Newest record per fingerprint wins (append-only updates).
-    IndexEntry &E = Index[R.Fingerprint];
+    IndexEntry &E = Index[R->Fingerprint];
     E.Shard = Sh;
     E.Offset = FrameOffset;
     E.PayloadLen = Len;
@@ -338,14 +194,15 @@ std::shared_ptr<const JobResult> PersistStore::readEntryLocked(
   std::memcpy(&Len, Frame.data(), 4);
   std::memcpy(&Crc, Frame.data() + 4, 4);
   std::string Payload = Frame.substr(PersistRecordOverhead);
-  auto R = std::make_shared<JobResult>();
-  if (Len != E.PayloadLen || crc32(Payload.data(), Payload.size()) != Crc ||
-      !decodeResultPayload(Payload, R.get()) || R->Fingerprint != Fingerprint) {
+  std::optional<JobResult> R;
+  if (Len == E.PayloadLen && crc32(Payload.data(), Payload.size()) == Crc)
+    R = service::resultFromJsonLine(Payload);
+  if (!R || R->Fingerprint != Fingerprint) {
     ++S.Corrupt;
     Index.erase(Fingerprint);
     return nullptr;
   }
-  return R;
+  return std::make_shared<const JobResult>(std::move(*R));
 }
 
 std::shared_ptr<const JobResult> PersistStore::lookup(
@@ -375,7 +232,7 @@ void PersistStore::append(const JobResult &R) {
   std::lock_guard<std::mutex> L(Mu);
   if (!Opened || R.Fingerprint.empty() || !service::jobCacheable(R.Status))
     return;
-  std::string Payload = encodeResultPayload(R);
+  std::string Payload = service::resultToJsonLine(R);
   unsigned Sh = shardOfFingerprint(R.Fingerprint);
   uint64_t Offset = Log.append(Sh, Payload);
   IndexEntry &E = Index[R.Fingerprint];

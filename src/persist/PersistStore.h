@@ -2,7 +2,10 @@
 ///
 /// \file
 /// The second cache tier: a fingerprint-indexed store of completed
-/// JobResults on top of the PersistLog container.  The scheduler probes
+/// JobResults on top of the PersistLog container.  A record's payload is
+/// the result's wire line, resultToJsonLine(R), read back by
+/// resultFromJsonLine (service/Protocol.h), so a disk hit carries what the
+/// wire shows and no more.  The scheduler probes
 /// it on a memory miss (hit -> decode, promote into the in-memory LRU,
 /// serve as a cache hit) and appends every freshly computed cacheable
 /// result; across a restart the store replays its live records into the
@@ -70,14 +73,6 @@ struct PersistStats {
     return Total == 0 ? 0.0 : static_cast<double>(Hits) / Total;
   }
 };
-
-/// Serializes one cacheable JobResult (fingerprint included) as the
-/// record payload.  Exposed for tests.
-std::string encodeResultPayload(const service::JobResult &R);
-
-/// Inverse of encodeResultPayload(); returns false on any malformed
-/// input (missing field, unknown status, non-JSON bytes).
-bool decodeResultPayload(const std::string &Payload, service::JobResult *R);
 
 class PersistStore {
 public:

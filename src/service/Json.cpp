@@ -2,6 +2,8 @@
 
 #include "service/Json.h"
 
+#include "support/TextIO.h"
+
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -9,38 +11,6 @@
 
 using namespace cai;
 using namespace cai::service;
-
-void cai::service::writeJsonString(std::ostream &OS, const std::string &S) {
-  OS << '"';
-  for (unsigned char C : S) {
-    switch (C) {
-    case '"':
-      OS << "\\\"";
-      break;
-    case '\\':
-      OS << "\\\\";
-      break;
-    case '\n':
-      OS << "\\n";
-      break;
-    case '\r':
-      OS << "\\r";
-      break;
-    case '\t':
-      OS << "\\t";
-      break;
-    default:
-      if (C < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        OS << Buf;
-      } else {
-        OS << static_cast<char>(C);
-      }
-    }
-  }
-  OS << '"';
-}
 
 void Json::write(std::ostream &OS) const {
   switch (K) {

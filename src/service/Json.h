@@ -6,8 +6,9 @@
 /// pass-through, 64-bit integers plus doubles, objects keep insertion
 /// order on write (the service emits fields in a fixed order so two runs
 /// produce byte-identical lines).  The obs layer keeps its hand-rolled
-/// writers; this exists because cai-serve must *read* JSON, which no
-/// other subsystem needed before.
+/// writers, and they and this class share one string escaper
+/// (writeJsonString, support/TextIO.h); this exists because cai-serve
+/// must *read* JSON, which no other subsystem needed before.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -125,9 +126,6 @@ private:
   std::vector<Json> Arr;
   std::vector<std::pair<std::string, Json>> Fields;
 };
-
-/// Escapes \p S into \p OS as a JSON string literal (with quotes).
-void writeJsonString(std::ostream &OS, const std::string &S);
 
 } // namespace service
 } // namespace cai

@@ -32,6 +32,23 @@ template <typename T> bool wholeNumber(const Json &V, T &Out, uint64_t Max) {
   return true;
 }
 
+/// Lenient field readers for resultFromJsonLine: a missing or mistyped
+/// field reads as zero, empty or false.
+int64_t intField(const Json &Obj, const char *Key) {
+  const Json *V = Obj.get(Key);
+  return V && V->isNumber() ? V->asInt() : 0;
+}
+
+std::string strField(const Json &Obj, const char *Key) {
+  const Json *V = Obj.get(Key);
+  return V && V->isString() ? V->asString() : std::string();
+}
+
+bool boolField(const Json &Obj, const char *Key) {
+  const Json *V = Obj.get(Key);
+  return V && V->isBool() && V->asBool();
+}
+
 } // namespace
 
 bool cai::service::jobOptionsFromJson(const Json &Obj, JobOptions &Opts,
@@ -232,6 +249,53 @@ std::string cai::service::resultToJsonLine(const JobResult &R) {
   Line.set("stats", std::move(Stats));
   Line.set("error", Json::str(R.Error));
   return Line.dump();
+}
+
+std::optional<JobResult>
+cai::service::resultFromJsonLine(const std::string &Line) {
+  std::optional<Json> J = Json::parse(Line);
+  if (!J || !J->isObject())
+    return std::nullopt;
+  JobResult R;
+  R.Fingerprint = strField(*J, "fingerprint");
+  if (R.Fingerprint.empty() ||
+      !statusFromName(strField(*J, "status"), &R.Status))
+    return std::nullopt;
+  R.Domain = strField(*J, "domain");
+  R.NumVerified = unsigned(intField(*J, "verified"));
+  if (const Json *Asserts = J->get("assertions")) {
+    if (!Asserts->isArray())
+      return std::nullopt;
+    for (const Json &A : Asserts->items())
+      R.Assertions.push_back({strField(A, "label"), boolField(A, "verified")});
+  }
+  if (const Json *Findings = J->get("findings")) {
+    if (!Findings->isArray())
+      return std::nullopt;
+    R.Linted = true;
+    for (const Json &Obj : Findings->items()) {
+      lint::LintFinding F;
+      F.Rule = strField(Obj, "rule");
+      F.Level = strField(Obj, "level");
+      F.Line = uint32_t(intField(Obj, "line"));
+      F.Col = uint32_t(intField(Obj, "col"));
+      F.Message = strField(Obj, "message");
+      F.Domain = strField(Obj, "domain");
+      R.Findings.push_back(std::move(F));
+    }
+  }
+  if (const Json *Stats = J->get("stats")) {
+    if (!Stats->isObject())
+      return std::nullopt;
+    R.Stats.Joins = static_cast<unsigned long>(intField(*Stats, "joins"));
+    R.Stats.Widenings =
+        static_cast<unsigned long>(intField(*Stats, "widenings"));
+    R.Stats.Transfers =
+        static_cast<unsigned long>(intField(*Stats, "transfers"));
+    R.Stats.MaxNodeUpdates = unsigned(intField(*Stats, "max_node_updates"));
+  }
+  R.Error = strField(*J, "error");
+  return R;
 }
 
 std::string cai::service::statsToJsonLine(const ResultCacheStats &CS,

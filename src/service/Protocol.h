@@ -74,8 +74,20 @@ std::optional<Request> parseRequest(const std::string &Line,
                                     uint64_t DefaultId, std::string *Error);
 
 /// Serializes \p R as one deterministic JSON result line (no newline):
-/// fixed field order, no timing fields.
+/// fixed field order, no timing fields.  The line is also the payload of
+/// a persist record (persist/PersistStore.h), so this and
+/// resultFromJsonLine() are the only code that names a result's fields.
 std::string resultToJsonLine(const JobResult &R);
+
+/// Reads back a line resultToJsonLine() wrote: fingerprint, status,
+/// domain, verdicts, findings, the four stats the line carries, and the
+/// error.  The request-side fields (id, name, cached) are not read -- a
+/// served result takes them from the request it answers -- so they stay
+/// 0, empty and false, as do the stats and the finding node the line
+/// leaves out.  Returns std::nullopt on malformed input: not a JSON
+/// object, no fingerprint, an unknown status, "assertions" or "findings"
+/// not an array, or "stats" not an object.
+std::optional<JobResult> resultFromJsonLine(const std::string &Line);
 
 /// Serializes service statistics as one JSON line (no newline).  \p PS,
 /// when non-null, appends a "persist" block (disk-tier counters) after

@@ -57,7 +57,6 @@ AnalysisScheduler::AnalysisScheduler(const SchedulerOptions &O)
   auto Epoch = std::chrono::steady_clock::now();
   for (unsigned I = 0; I < Opts.Workers; ++I) {
     auto Sh = std::make_unique<Shard>();
-    Sh->Registry.enableTiming(Opts.Timing);
     if (Opts.CollectTraces)
       Sh->Trace =
           std::make_unique<obs::Tracer>(obs::Tracer::Sink::Buffer, Epoch);
@@ -412,7 +411,8 @@ void AnalysisScheduler::workerMain(unsigned Index) {
       std::lock_guard<std::mutex> Lock(ResultsMu);
       if (Callback)
         Callback(R);
-      Results.push_back(std::move(R));
+      else
+        Results.push_back(std::move(R));
       if (!Telemetry)
         --Pending;
     }

@@ -63,8 +63,6 @@ struct SchedulerOptions {
   size_t SnapshotCacheBytes = 64ull << 20;
   /// Record trace spans into per-worker shard tracers (writeMergedTrace).
   bool CollectTraces = false;
-  /// Enable time histograms in the shard registries.
-  bool Timing = false;
   /// Record per-job lifecycle spans into the TelemetryHub (the `telemetry`
   /// wire command / --telemetry-out).  Off by default: the telemetry-off
   /// configuration is the BM_BatchThroughput overhead bar.  Timing lives
@@ -101,7 +99,9 @@ public:
   AnalysisScheduler(const AnalysisScheduler &) = delete;
   AnalysisScheduler &operator=(const AnalysisScheduler &) = delete;
 
-  /// Streams results as they complete (cai-serve); optional.
+  /// Streams results as they complete (cai-serve); optional.  Each
+  /// result is handed over once: to \p CB when one is installed, else to
+  /// the list takeResults() empties, so a streaming server keeps none.
   void onResult(ResultCallback CB);
 
   void submit(JobSpec Spec);
@@ -109,18 +109,13 @@ public:
   /// Blocks until every submitted job has produced a result.
   void waitIdle();
 
-  /// Moves out the accumulated results, sorted by job id.
+  /// Moves out the results kept since the last call, sorted by job id:
+  /// those that finished while no onResult() callback was installed.
   std::vector<JobResult> takeResults();
 
   unsigned numWorkers() const { return unsigned(Shards.size()); }
   ResultCacheStats cacheStats() const { return Cache.stats(); }
   SnapshotCacheStats snapshotCacheStats() const { return Snapshots.stats(); }
-
-  /// True when a disk tier is attached (SchedulerOptions::Persist).
-  bool hasPersist() const { return Opts.Persist != nullptr; }
-  persist::PersistStats persistStats() const {
-    return Opts.Persist ? Opts.Persist->stats() : persist::PersistStats{};
-  }
 
   /// The live telemetry hub (mutex-guarded; safe to read while workers
   /// run, unlike the shard registries).
@@ -211,7 +206,7 @@ private:
 
   std::mutex ResultsMu;
   std::condition_variable IdleCv;
-  std::vector<JobResult> Results;
+  std::vector<JobResult> Results; ///< Only while no Callback is installed.
   ResultCallback Callback;
   size_t Pending = 0; ///< Submitted but not yet resulted (under ResultsMu).
 

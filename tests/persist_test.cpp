@@ -13,6 +13,7 @@
 #include "persist/PersistLog.h"
 #include "persist/PersistStore.h"
 #include "service/Fingerprint.h"
+#include "service/Protocol.h"
 #include "service/ResultCache.h"
 
 #include <gtest/gtest.h>
@@ -98,6 +99,10 @@ TEST(PersistLog, HeaderVersionMismatchRejected) {
   BadMagic[0] = 'X';
   EXPECT_FALSE(checkHeader(BadMagic, 3, 1));
   EXPECT_FALSE(checkHeader(H.substr(0, 8), 3, 1)); // Short header.
+  // Container version 1: records whose payload predates the wire line.
+  std::string OldContainer = H;
+  OldContainer.replace(4, 4, std::string("\x01\0\0\0", 4));
+  EXPECT_FALSE(checkHeader(OldContainer, 3, 1));
 }
 
 TEST(PersistLog, RecordFrameCarriesLengthAndChecksum) {
@@ -107,6 +112,8 @@ TEST(PersistLog, RecordFrameCarriesLengthAndChecksum) {
 }
 
 // --- Payload round-trip --------------------------------------------------
+//
+// A record's payload is the result's wire line (service/Protocol.h).
 
 TEST(PersistPayload, RoundTripsEveryField) {
   JobResult R = makeResult(fpInShard(4), 42);
@@ -114,8 +121,9 @@ TEST(PersistPayload, RoundTripsEveryField) {
   R.Findings.push_back(
       {"dead-branch", "warning", 12, 3, 5, "branch never taken",
        "poly >< uf"});
-  JobResult Out;
-  ASSERT_TRUE(decodeResultPayload(encodeResultPayload(R), &Out));
+  std::optional<JobResult> Decoded = resultFromJsonLine(resultToJsonLine(R));
+  ASSERT_TRUE(Decoded);
+  const JobResult &Out = *Decoded;
   EXPECT_EQ(Out.Fingerprint, R.Fingerprint);
   EXPECT_EQ(Out.Status, R.Status);
   EXPECT_EQ(Out.Domain, R.Domain);
@@ -137,16 +145,28 @@ TEST(PersistPayload, RoundTripsEveryField) {
 }
 
 TEST(PersistPayload, DecodeRejectsMalformedInput) {
-  JobResult Out;
-  EXPECT_FALSE(decodeResultPayload("not json", &Out));
-  EXPECT_FALSE(decodeResultPayload("{}", &Out)); // No fingerprint.
+  EXPECT_FALSE(resultFromJsonLine("not json"));
+  EXPECT_FALSE(resultFromJsonLine("{}")); // No fingerprint.
   JobResult R = makeResult(fpInShard(1));
-  std::string Good = encodeResultPayload(R);
+  R.Linted = true;
+  std::string Good = resultToJsonLine(R);
+  ASSERT_TRUE(resultFromJsonLine(Good));
   std::string BadStatus = Good;
   size_t At = BadStatus.find("assertions-failed");
   ASSERT_NE(At, std::string::npos);
   BadStatus.replace(At, 17, "no-such-status-xx");
-  EXPECT_FALSE(decodeResultPayload(BadStatus, &Out));
+  EXPECT_FALSE(resultFromJsonLine(BadStatus));
+  // Good with the value of field Key replaced by V.
+  const Json GoodJson = *Json::parse(Good);
+  auto With = [&](const std::string &Key, Json V) {
+    Json Line = Json::object();
+    for (const auto &[Field, Value] : GoodJson.fields())
+      Line.set(Field, Field == Key ? V : Value);
+    return Line.dump();
+  };
+  EXPECT_FALSE(resultFromJsonLine(With("assertions", Json::str("x"))));
+  EXPECT_FALSE(resultFromJsonLine(With("findings", Json::object())));
+  EXPECT_FALSE(resultFromJsonLine(With("stats", Json::array())));
 }
 
 // --- Store round-trip and warm restart -----------------------------------
@@ -246,8 +266,7 @@ TEST(PersistStore, StaleSchemaFileRejectedWholesale) {
     PersistLog OldLog(D.str(), CacheSchemaVersion - 1, OptionsFormatVersion);
     std::string Error;
     ASSERT_TRUE(OldLog.open(&Error)) << Error;
-    OldLog.append(shardOfFingerprint(FP),
-                  encodeResultPayload(makeResult(FP)));
+    OldLog.append(shardOfFingerprint(FP), resultToJsonLine(makeResult(FP)));
     ASSERT_TRUE(OldLog.flush(&Error)) << Error;
     OldLog.closeFiles();
   }
@@ -377,7 +396,7 @@ TEST(PersistStore, LookupReverifiesAtReadTime) {
 TEST(PersistStore, CompactionEnforcesTheByteBudget) {
   TempDir D("compact");
   std::string Error;
-  // ~700 bytes per record; a 4 KiB budget forces eviction well before 32
+  // ~335 bytes per record; a 4 KiB budget forces eviction well before 32
   // distinct fingerprints are in.
   uint64_t Budget = 4096 + PersistNumShards * PersistHeaderBytes;
   PersistStore Store(D.str(), Budget, /*FlushEvery=*/1);

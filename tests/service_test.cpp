@@ -17,6 +17,7 @@
 #include "service/Protocol.h"
 #include "service/ResultCache.h"
 #include "service/Scheduler.h"
+#include "support/TextIO.h"
 
 #include <gtest/gtest.h>
 
@@ -339,6 +340,49 @@ TEST(Protocol, ResultLineIsStableAndTimingFree) {
   EXPECT_EQ(Line.find("123"), std::string::npos);
 }
 
+// The persist tier stores result lines and reads them back, so the pair
+// must agree on real results, findings included: resultFromJsonLine of a
+// line, with the request-side id, name and cached put back, prints the
+// same line byte for byte.
+TEST(Protocol, ResultLineRoundTripsOverTestdata) {
+  std::vector<std::filesystem::path> Programs;
+  for (const char *Dir : {"", "/lint"})
+    for (const auto &E : std::filesystem::directory_iterator(
+             std::string(CAI_TESTDATA_DIR) + Dir))
+      if (E.path().extension() == ".imp")
+        Programs.push_back(E.path());
+  std::sort(Programs.begin(), Programs.end());
+  ASSERT_GE(Programs.size(), 9u);
+  unsigned Findings = 0;
+  for (const std::filesystem::path &Path : Programs) {
+    std::string Text;
+    ASSERT_TRUE(readFile(Path.string(), Text));
+    for (const char *Domain : {"poly", "logical:affine,uf", "logical:poly,uf"})
+      for (bool Lint : {false, true}) {
+        JobSpec Spec = specOf(Text, Domain);
+        Spec.Id = 7;
+        Spec.Name = Path.filename().string();
+        Spec.Opts.Lint = Lint;
+        JobResult R = AnalysisScheduler::runJobIsolated(Spec, nullptr);
+        Findings += R.Findings.size();
+        for (bool Cached : {false, true}) {
+          R.CacheHit = Cached;
+          std::string Line = resultToJsonLine(R);
+          std::optional<JobResult> Back = resultFromJsonLine(Line);
+          ASSERT_TRUE(Back) << Line;
+          EXPECT_EQ(Back->Id, 0u);
+          EXPECT_TRUE(Back->Name.empty());
+          EXPECT_FALSE(Back->CacheHit);
+          Back->Id = R.Id;
+          Back->Name = R.Name;
+          Back->CacheHit = R.CacheHit;
+          EXPECT_EQ(resultToJsonLine(*Back), Line);
+        }
+      }
+  }
+  EXPECT_GT(Findings, 0u); // The lint programs exercise the findings array.
+}
+
 // --- ProgramGen nested composition ---------------------------------------
 
 TEST(ProgramGen, NestedCompositionAppearsAndParses) {
@@ -542,6 +586,33 @@ TEST(Scheduler, WarmCacheServesRepeats) {
   ResultCacheStats S = Scheduler.cacheStats();
   EXPECT_GE(S.hitRate(), 0.5);
   EXPECT_EQ(S.Hits, Batch.size());
+}
+
+// A streaming server must not also keep what it streamed: with a callback
+// installed every result reaches it once, and none is left for
+// takeResults(), however long the stream runs.
+TEST(Scheduler, StreamedResultsAreNotKept) {
+  SchedulerOptions SO;
+  SO.Workers = 2;
+  AnalysisScheduler Scheduler(SO);
+  std::vector<uint64_t> Streamed; // The scheduler serializes callbacks.
+  Scheduler.onResult([&](const JobResult &R) { Streamed.push_back(R.Id); });
+  std::vector<JobSpec> Batch = generatedBatch(6);
+  for (int Pass = 0; Pass < 2; ++Pass) { // The second pass hits the cache.
+    for (JobSpec S : Batch) {
+      S.Id += Pass * Batch.size();
+      Scheduler.submit(std::move(S));
+    }
+    Scheduler.waitIdle();
+  }
+  EXPECT_EQ(Scheduler.cacheStats().Hits, Batch.size());
+  std::sort(Streamed.begin(), Streamed.end());
+  std::vector<uint64_t> Expected(2 * Batch.size());
+  for (size_t I = 0; I < Expected.size(); ++I)
+    Expected[I] = I;
+  EXPECT_EQ(Streamed, Expected);
+  EXPECT_TRUE(Scheduler.takeResults().empty());
+  EXPECT_EQ(Scheduler.jobsFinished(), Expected.size());
 }
 
 // --- Shard merge ---------------------------------------------------------

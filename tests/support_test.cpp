@@ -5,10 +5,16 @@
 #include "support/GF2.h"
 #include "support/Rational.h"
 #include "support/SmallVec.h"
+#include "support/TextIO.h"
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <random>
+#include <sstream>
+
+#include <unistd.h>
 #include <string>
 #include <vector>
 
@@ -383,4 +389,29 @@ TEST(Decimal, ReadsPlainDigitsUpToTheMaximum) {
   EXPECT_TRUE(parseDecimal("10", U, uint64_t(10)));
   EXPECT_FALSE(parseDecimal("11", U, uint64_t(10)));
   EXPECT_EQ(U, 10u);
+}
+
+TEST(TextIO, ReadFileWholeMissingAndDirectory) {
+  namespace fs = std::filesystem;
+  fs::path Dir = fs::temp_directory_path() /
+                 ("cai_textio_test_" + std::to_string(::getpid()));
+  fs::create_directories(Dir);
+  std::string Text("x := 1;\r\n\0assert(x = 1);\n", 25);
+  std::ofstream(Dir / "p.imp", std::ios::binary) << Text;
+  std::string Out = "stale";
+  ASSERT_TRUE(readFile((Dir / "p.imp").string(), Out));
+  EXPECT_EQ(Out, Text);
+  // A missing file is refused and leaves Out alone; a directory opens
+  // but reads as empty text, without throwing.
+  EXPECT_FALSE(readFile((Dir / "missing.imp").string(), Out));
+  EXPECT_EQ(Out, Text);
+  ASSERT_TRUE(readFile(Dir.string(), Out));
+  EXPECT_EQ(Out, "");
+  fs::remove_all(Dir);
+}
+
+TEST(TextIO, WriteJsonStringEscapes) {
+  std::ostringstream OS;
+  writeJsonString(OS, std::string("a\"b\\c\n\r\t\x01\0\xc3\xa9", 12));
+  EXPECT_EQ(OS.str(), "\"a\\\"b\\\\c\\n\\r\\t\\u0001\\u0000\xc3\xa9\"");
 }

@@ -88,6 +88,7 @@
 #include "obs/Trace.h"
 #include "service/Job.h"
 #include "support/Decimal.h"
+#include "support/TextIO.h"
 #include "term/Printer.h"
 
 #include <cstdio>
@@ -272,25 +273,19 @@ int main(int Argc, char **Argv) {
     return 2;
   }
 
-  std::ifstream In(Path);
-  if (!In) {
+  if (!readFile(Path, Spec.ProgramText)) {
     std::fprintf(stderr, "error: cannot open '%s'\n", Path.c_str());
     return 2;
   }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  Spec.ProgramText = Buffer.str();
 
   std::set<std::string> Baseline;
   if (!LintBaseline.empty()) {
-    std::ifstream BIn(LintBaseline);
-    if (!BIn) {
+    std::string BaselineText;
+    if (!readFile(LintBaseline, BaselineText)) {
       std::fprintf(stderr, "error: cannot open '%s'\n", LintBaseline.c_str());
       return 2;
     }
-    std::stringstream BBuf;
-    BBuf << BIn.rdbuf();
-    Baseline = lint::parseBaseline(BBuf.str());
+    Baseline = lint::parseBaseline(BaselineText);
   }
 
   // Observability: tracer, timing histograms, provenance recorder.

@@ -71,13 +71,13 @@
 #include "service/Protocol.h"
 #include "service/Scheduler.h"
 #include "support/Decimal.h"
+#include "support/TextIO.h"
 
 #include <algorithm>
 #include <climits>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -119,16 +119,12 @@ bool parseCount(const std::string &Arg, size_t Prefix, uint64_t &Out,
   return false;
 }
 
-bool readFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path);
-  if (!In) {
-    std::fprintf(stderr, "error: cannot open '%s'\n", Path.c_str());
-    return false;
-  }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  Out = Buffer.str();
-  return true;
+/// readFile, naming the file on stderr when it cannot be opened.
+bool readProgram(const std::string &Path, std::string &Out) {
+  if (readFile(Path, Out))
+    return true;
+  std::fprintf(stderr, "error: cannot open '%s'\n", Path.c_str());
+  return false;
 }
 
 } // namespace
@@ -260,7 +256,7 @@ int main(int Argc, char **Argv) {
       Spec.Id = NextId++;
       Spec.Name = File;
       Spec.Opts = Defaults;
-      if (!readFile(File, Spec.ProgramText))
+      if (!readProgram(File, Spec.ProgramText))
         return 2;
       Batch.push_back(std::move(Spec));
     }
@@ -287,8 +283,8 @@ int main(int Argc, char **Argv) {
       }
       Req->Spec.Id = NextId++; // Manifest ids are positional.
       if (!Req->ProgramFile.empty() &&
-          !readFile(Req->ProgramFile, Req->Spec.ProgramText)) {
-        // readFile already named the missing file; add which manifest
+          !readProgram(Req->ProgramFile, Req->Spec.ProgramText)) {
+        // readProgram already named the missing file; add which manifest
         // entry asked for it so a long manifest is debuggable.
         std::fprintf(stderr,
                      "error: %s:%u: cannot open program_file '%s'\n",

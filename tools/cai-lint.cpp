@@ -32,10 +32,10 @@
 #include "lint/Lint.h"
 #include "service/Job.h"
 #include "support/Decimal.h"
+#include "support/TextIO.h"
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 using namespace cai;
@@ -127,25 +127,19 @@ int main(int Argc, char **Argv) {
     return 2;
   }
 
-  std::ifstream In(Path);
-  if (!In) {
+  if (!readFile(Path, Spec.ProgramText)) {
     std::fprintf(stderr, "error: cannot open '%s'\n", Path.c_str());
     return 2;
   }
-  std::stringstream Buffer;
-  Buffer << In.rdbuf();
-  Spec.ProgramText = Buffer.str();
 
   std::set<std::string> Baseline;
   if (!BaselinePath.empty()) {
-    std::ifstream BIn(BaselinePath);
-    if (!BIn) {
+    std::string BaselineText;
+    if (!readFile(BaselinePath, BaselineText)) {
       std::fprintf(stderr, "error: cannot open '%s'\n", BaselinePath.c_str());
       return 2;
     }
-    std::stringstream BBuf;
-    BBuf << BIn.rdbuf();
-    Baseline = lint::parseBaseline(BBuf.str());
+    Baseline = lint::parseBaseline(BaselineText);
   }
 
   service::JobRun Run;

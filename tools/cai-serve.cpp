@@ -68,6 +68,7 @@
 #include "service/Protocol.h"
 #include "service/Scheduler.h"
 #include "support/Decimal.h"
+#include "support/TextIO.h"
 
 #include <atomic>
 #include <climits>
@@ -77,7 +78,6 @@
 #include <iostream>
 #include <memory>
 #include <mutex>
-#include <sstream>
 #include <string>
 
 using namespace cai;
@@ -152,7 +152,6 @@ void installSignalHandlers() {
 struct ServeContext {
   AnalysisScheduler *Scheduler = nullptr;
   std::shared_ptr<persist::PersistStore> Persist;
-  std::atomic<uint64_t> JobsCompleted{0};
   uint64_t NextId = 0;
 };
 
@@ -192,26 +191,19 @@ LineOutcome handleLine(ServeContext &Ctx, const std::string &Line) {
     // Stats describe a quiesced scheduler: drain first so the numbers
     // are complete (and deterministic for the protocol test).
     Scheduler.waitIdle();
-    Scheduler.takeResults(); // Already streamed; free the accumulation.
     persist::PersistStats PS;
     if (Ctx.Persist)
       PS = Ctx.Persist->stats();
     printLine(statsToJsonLine(
         Scheduler.cacheStats(), Scheduler.snapshotCacheStats(),
         Scheduler.incrementalStats(), Scheduler.numWorkers(),
-        Ctx.JobsCompleted.load(std::memory_order_relaxed),
-        Ctx.Persist ? &PS : nullptr));
+        Scheduler.jobsFinished(), Ctx.Persist ? &PS : nullptr));
     return LineOutcome::Continue;
   }
-  if (!Req->ProgramFile.empty()) {
-    std::ifstream In(Req->ProgramFile);
-    if (!In) {
-      printBadRequest("cannot open '" + Req->ProgramFile + "'");
-      return LineOutcome::Continue;
-    }
-    std::stringstream Buffer;
-    Buffer << In.rdbuf();
-    Req->Spec.ProgramText = Buffer.str();
+  if (!Req->ProgramFile.empty() &&
+      !readFile(Req->ProgramFile, Req->Spec.ProgramText)) {
+    printBadRequest("cannot open '" + Req->ProgramFile + "'");
+    return LineOutcome::Continue;
   }
   Ctx.NextId = Req->Spec.Id + 1;
   Scheduler.submit(std::move(Req->Spec));
@@ -276,7 +268,6 @@ void serveTcp(ServeContext &Ctx, net::Listener &Listener,
     // Drain before the sink goes away: every in-flight job's response
     // belongs to this connection.
     Ctx.Scheduler->waitIdle();
-    Ctx.Scheduler->takeResults();
     setSink(nullptr);
   }
 }
@@ -415,10 +406,8 @@ int main(int Argc, char **Argv) {
   AnalysisScheduler Scheduler(SO);
   Ctx.Scheduler = &Scheduler;
   Ctx.Persist = Persist;
-  Scheduler.onResult([&](const JobResult &R) {
-    Ctx.JobsCompleted.fetch_add(1, std::memory_order_relaxed);
-    printLine(resultToJsonLine(R));
-  });
+  Scheduler.onResult(
+      [](const JobResult &R) { printLine(resultToJsonLine(R)); });
 
   const char *ShutdownReason = "eof";
   NetCounters NC;
@@ -446,7 +435,6 @@ int main(int Argc, char **Argv) {
   // drain in-flight jobs, make the persist log durable, emit the final
   // shutdown event, then export traces/metrics.
   Scheduler.waitIdle();
-  Scheduler.takeResults();
   bool PersistFlushed = true;
   if (Persist) {
     std::string FlushErr;
@@ -459,9 +447,7 @@ int main(int Argc, char **Argv) {
     obs::EventLog::global().emit(
         obs::Severity::Info, "service", "shutdown",
         {obs::EventField::str("reason", ShutdownReason),
-         obs::EventField::num("jobs_completed",
-                              Ctx.JobsCompleted.load(
-                                  std::memory_order_relaxed)),
+         obs::EventField::num("jobs_completed", Scheduler.jobsFinished()),
          obs::EventField::num("persist_flushed", PersistFlushed ? 1 : 0)});
   if (!TraceOut.empty()) {
     std::ofstream TOut(TraceOut);

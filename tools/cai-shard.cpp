@@ -36,11 +36,10 @@
 #include "net/ShardRouter.h"
 #include "service/Fingerprint.h"
 #include "service/Protocol.h"
+#include "support/TextIO.h"
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -250,14 +249,10 @@ int main(int Argc, char **Argv) {
 
     // Analyze: resolve any file reference locally, fingerprint, route.
     if (!Req->ProgramFile.empty()) {
-      std::ifstream In(Req->ProgramFile);
-      if (!In) {
+      if (!readFile(Req->ProgramFile, Req->Spec.ProgramText)) {
         printBadRequest("cannot open '" + Req->ProgramFile + "'");
         continue;
       }
-      std::stringstream Buffer;
-      Buffer << In.rdbuf();
-      Req->Spec.ProgramText = Buffer.str();
       Req->ProgramFile.clear();
     }
     NextId = Req->Spec.Id + 1;

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Byte-identity sweep: two cai-analyze builds over one corpus.
+"""Byte-identity sweep: two builds over one corpus.
 
     sweep_diff.py OLD NEW --specs S[,S...] [--jobs N] INPUT...
+    sweep_diff.py --serve OLD NEW [--jobs N] REQUESTS...
 
 OLD and NEW are cai-analyze binaries (say, a parent commit's build and a
 change's).  Each INPUT is a `.imp` program or a JSON-lines request file
@@ -19,6 +20,15 @@ identical, 1 on any difference, 2 on a usage error.
 
 runs one binary on both sides, which checks that its output is
 deterministic (the `tool_sweep_diff_selftest` ctest).
+
+With --serve, OLD and NEW are cai-serve binaries and the REQUESTS files
+(JSON-lines requests, such as the `history.jsonl` and `requests.jsonl`
+that a perfbench run leaves in `<build>/perfbench/runs/<workload>-<seed>-0/`)
+are sent, as one stream in the order given, to `BIN --jobs=1
+--persist-dir=DIR`.  Each binary gets its own fresh DIR and two passes:
+cold, then warm on the store the cold pass wrote.  The responses of the
+two binaries are compared line by line per pass; the summary names the
+first differing line.  --jobs 2 or more runs the two binaries at once.
 """
 
 import argparse
@@ -99,18 +109,72 @@ def run(binary, spec, prog):
         return None, b""
 
 
+def serve_passes(binary, stream, store):
+    """(exit code, stdout bytes) of the cold and the warm pass of one
+    cai-serve binary over the request stream, on the persist dir store."""
+    out = []
+    for _ in range(2):
+        p = subprocess.run([binary, "--jobs=1", "--persist-dir=" + store],
+                           input=stream, stdout=subprocess.PIPE,
+                           stderr=subprocess.DEVNULL)
+        out.append((p.returncode, p.stdout))
+    return out
+
+
+def serve_sweep(args):
+    stream = b""
+    for path in args.inputs:
+        with open(path, "rb") as f:
+            stream += b"".join(l.rstrip(b"\n") + b"\n" for l in f)
+    with tempfile.TemporaryDirectory(prefix="sweep_diff.") as workdir:
+        stores = [os.path.join(workdir, side) for side in ("old", "new")]
+        with concurrent.futures.ThreadPoolExecutor(
+                min(2, max(1, args.jobs))) as pool:
+            old, new = pool.map(serve_passes, (args.old, args.new),
+                                (stream, stream), stores)
+    failed = False
+    for name, (old_rc, old_out), (new_rc, new_out) in zip(
+            ("cold", "warm"), old, new):
+        old_lines, new_lines = old_out.splitlines(), new_out.splitlines()
+        diff = [i for i in range(max(len(old_lines), len(new_lines)))
+                if old_lines[i:i + 1] != new_lines[i:i + 1]]
+        line = "%s: %d identical, %d different" % (
+            name, max(len(old_lines), len(new_lines)) - len(diff), len(diff))
+        if diff:
+            i = diff[0]
+            shown = [(lines[i:i + 1] or [b"<none>"])[0][:300].decode(
+                errors="replace") for lines in (old_lines, new_lines)]
+            line += "; first: response %d\n  old: %s\n  new: %s" % (
+                i + 1, shown[0], shown[1])
+        if old_rc != new_rc:
+            line += "; exit codes %s and %s" % (old_rc, new_rc)
+        failed = failed or bool(diff) or old_rc != new_rc
+        print(line, flush=True)
+    return 1 if failed else 0
+
+
 def main():
     ap = argparse.ArgumentParser(
-        description="Diff cai-analyze --invariants output of two builds.")
+        description="Diff cai-analyze --invariants output, or cai-serve "
+                    "responses, of two builds.")
     ap.add_argument("old")
     ap.add_argument("new")
     ap.add_argument("inputs", nargs="+", metavar="INPUT")
-    ap.add_argument("--specs", required=True,
+    ap.add_argument("--specs",
                     help="comma-separated domain specs; a spec's own commas "
                          "stay with it (poly,logical:poly,uf is two specs)")
+    ap.add_argument("--serve", action="store_true",
+                    help="OLD and NEW are cai-serve binaries and each INPUT "
+                         "a JSON-lines request file")
     ap.add_argument("--jobs", type=int, default=2,
-                    help="programs analyzed at once (default 2)")
+                    help="programs analyzed at once (default 2); with "
+                         "--serve, 2 or more runs both binaries at once")
     args = ap.parse_args()
+    if args.serve == (args.specs is not None):
+        print("sweep_diff: give either --specs or --serve", file=sys.stderr)
+        return 2
+    if args.serve:
+        return serve_sweep(args)
 
     try:
         specs = split_specs(args.specs)
