@@ -1,19 +1,15 @@
-//===- persist/PersistLog.cpp - Append-only checksummed record log --------===//
+//===- persist/PersistLog.cpp - File format of the result log -------------===//
 
 #include "persist/PersistLog.h"
 
-#include <cerrno>
 #include <cstring>
-
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <sys/types.h>
-#include <unistd.h>
+#include <vector>
 
 namespace cai {
 namespace persist {
 
 const char PersistMagic[4] = {'C', 'A', 'I', 'P'};
+const char PersistLogFileName[] = "results.log";
 
 namespace {
 
@@ -57,20 +53,6 @@ uint64_t getU64(const char *P) {
   return V;
 }
 
-bool writeAll(int Fd, const char *Data, size_t Size) {
-  while (Size) {
-    ssize_t N = ::write(Fd, Data, Size);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    Data += N;
-    Size -= size_t(N);
-  }
-  return true;
-}
-
 } // namespace
 
 uint32_t crc32(const void *Data, size_t Size) {
@@ -80,27 +62,6 @@ uint32_t crc32(const void *Data, size_t Size) {
   for (size_t I = 0; I < Size; ++I)
     C = T[(C ^ P[I]) & 0xFF] ^ (C >> 8);
   return C ^ 0xFFFFFFFFu;
-}
-
-unsigned shardOfFingerprint(const std::string &Fingerprint) {
-  if (Fingerprint.empty())
-    return 0;
-  char C = Fingerprint[0];
-  if (C >= '0' && C <= '9')
-    return unsigned(C - '0');
-  if (C >= 'a' && C <= 'f')
-    return unsigned(C - 'a') + 10;
-  if (C >= 'A' && C <= 'F')
-    return unsigned(C - 'A') + 10;
-  return 0;
-}
-
-std::string shardFileName(unsigned Shard) {
-  static const char Hex[] = "0123456789abcdef";
-  std::string Name = "shard-";
-  Name.push_back(Hex[Shard & 0xF]);
-  Name += ".log";
-  return Name;
 }
 
 std::string encodeHeader(uint64_t SchemaVersion, uint64_t OptionsVersion) {
@@ -137,113 +98,26 @@ std::string encodeRecordFrame(const std::string &Payload) {
   return Frame;
 }
 
-PersistLog::PersistLog(std::string Dir, uint64_t SchemaVersion,
-                       uint64_t OptionsVersion)
-    : Dir(std::move(Dir)), SchemaVersion(SchemaVersion),
-      OptionsVersion(OptionsVersion), Fds(PersistNumShards, -1),
-      Sizes(PersistNumShards, 0), Pending(PersistNumShards) {}
-
-PersistLog::~PersistLog() { closeFiles(); }
-
-bool PersistLog::open(std::string *Error, std::vector<uint64_t> *ShardBytes) {
-  closeFiles();
-  if (::mkdir(Dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    if (Error)
-      *Error = "cannot create " + Dir + ": " + std::strerror(errno);
-    return false;
+Frame decodeFrame(std::string_view Bytes) {
+  Frame F;
+  if (Bytes.size() < PersistRecordOverhead)
+    return F;
+  uint32_t Len = getU32(Bytes.data());
+  if (Len > PersistMaxRecordBytes) {
+    F.Status = Frame::Kind::BadLength;
+    return F;
   }
-  for (unsigned S = 0; S < PersistNumShards; ++S) {
-    std::string Path = Dir + "/" + shardFileName(S);
-    int Fd = ::open(Path.c_str(), O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC,
-                    0644);
-    if (Fd < 0) {
-      if (Error)
-        *Error = "cannot open " + Path + ": " + std::strerror(errno);
-      closeFiles();
-      return false;
-    }
-    struct stat St;
-    if (::fstat(Fd, &St) != 0) {
-      if (Error)
-        *Error = "cannot stat " + Path + ": " + std::strerror(errno);
-      ::close(Fd);
-      closeFiles();
-      return false;
-    }
-    Fds[S] = Fd;
-    Sizes[S] = uint64_t(St.st_size);
-    Pending[S].clear();
-    if (Sizes[S] == 0) {
-      std::string H = encodeHeader(SchemaVersion, OptionsVersion);
-      if (!writeAll(Fd, H.data(), H.size())) {
-        if (Error)
-          *Error = "cannot write header to " + Path + ": " +
-                   std::strerror(errno);
-        closeFiles();
-        return false;
-      }
-      Sizes[S] = H.size();
-    }
+  if (Bytes.size() - PersistRecordOverhead < Len)
+    return F;
+  F.Size = PersistRecordOverhead + Len;
+  std::string_view Payload = Bytes.substr(PersistRecordOverhead, Len);
+  if (crc32(Payload.data(), Len) != getU32(Bytes.data() + 4)) {
+    F.Status = Frame::Kind::BadChecksum;
+    return F;
   }
-  PendingBytes = 0;
-  if (ShardBytes)
-    *ShardBytes = Sizes;
-  return true;
-}
-
-uint64_t PersistLog::append(unsigned Shard, const std::string &Payload) {
-  std::string Frame = encodeRecordFrame(Payload);
-  uint64_t Offset = Sizes[Shard];
-  Pending[Shard] += Frame;
-  Sizes[Shard] += Frame.size();
-  PendingBytes += Frame.size();
-  return Offset;
-}
-
-bool PersistLog::flush(std::string *Error) {
-  if (PendingBytes == 0)
-    return true;
-  for (unsigned S = 0; S < PersistNumShards; ++S) {
-    if (Pending[S].empty())
-      continue;
-    int Fd = Fds[S];
-    if (Fd < 0) {
-      if (Error)
-        *Error = "persist log not open";
-      return false;
-    }
-    if (!writeAll(Fd, Pending[S].data(), Pending[S].size())) {
-      if (Error)
-        *Error = "write failed on " + shardFileName(S) + ": " +
-                 std::strerror(errno);
-      return false;
-    }
-    if (::fsync(Fd) != 0) {
-      if (Error)
-        *Error = "fsync failed on " + shardFileName(S) + ": " +
-                 std::strerror(errno);
-      return false;
-    }
-    PendingBytes -= Pending[S].size();
-    Pending[S].clear();
-  }
-  ++Flushes;
-  return true;
-}
-
-uint64_t PersistLog::totalBytes() const {
-  uint64_t Total = 0;
-  for (uint64_t S : Sizes)
-    Total += S;
-  return Total;
-}
-
-void PersistLog::closeFiles() {
-  for (int &Fd : Fds) {
-    if (Fd >= 0)
-      ::close(Fd);
-    Fd = -1;
-  }
+  F.Status = Frame::Kind::Ok;
+  F.Payload = Payload;
+  return F;
 }
 
 } // namespace persist

@@ -2,6 +2,7 @@
 
 #include "persist/PersistStore.h"
 
+#include "persist/PersistLog.h"
 #include "service/Fingerprint.h"
 #include "service/Protocol.h"
 #include "service/ResultCache.h"
@@ -21,6 +22,12 @@ using service::JobResult;
 
 namespace {
 
+/// Appends batched into one write and one fsync.
+constexpr unsigned AppendsPerFlush = 32;
+
+/// Bytes open() reads, and compaction writes, per system call.
+constexpr size_t IoChunkBytes = 64 << 10;
+
 bool preadAll(int Fd, char *Data, size_t Size, uint64_t Offset) {
   while (Size) {
     ssize_t N = ::pread(Fd, Data, Size, off_t(Offset));
@@ -38,15 +45,17 @@ bool preadAll(int Fd, char *Data, size_t Size, uint64_t Offset) {
   return true;
 }
 
-bool writeAllFd(int Fd, const char *Data, size_t Size) {
+bool writeAll(int Fd, const std::string &Data) {
+  const char *P = Data.data();
+  size_t Size = Data.size();
   while (Size) {
-    ssize_t N = ::write(Fd, Data, Size);
+    ssize_t N = ::write(Fd, P, Size);
     if (N < 0) {
       if (errno == EINTR)
         continue;
       return false;
     }
-    Data += N;
+    P += N;
     Size -= size_t(N);
   }
   return true;
@@ -54,149 +63,141 @@ bool writeAllFd(int Fd, const char *Data, size_t Size) {
 
 } // namespace
 
-PersistStore::PersistStore(std::string Dir, uint64_t ByteBudget,
-                           unsigned FlushEvery)
-    : Dir(Dir), Budget(ByteBudget),
-      FlushEvery(FlushEvery == 0 ? 1 : FlushEvery),
-      Log(std::move(Dir), service::CacheSchemaVersion,
-          service::OptionsFormatVersion) {
+PersistStore::PersistStore(std::string Dir, uint64_t ByteBudget)
+    : Dir(Dir), Path(Dir + "/" + PersistLogFileName), Budget(ByteBudget) {
   S.ByteBudget = ByteBudget;
 }
 
 PersistStore::~PersistStore() {
-  std::string Err;
   std::lock_guard<std::mutex> L(Mu);
-  if (Opened)
-    flushLocked(&Err);
+  flushLocked(nullptr);
+  closeLocked();
+}
+
+void PersistStore::closeLocked() {
+  if (Fd >= 0)
+    ::close(Fd);
+  Fd = -1;
 }
 
 bool PersistStore::open(std::string *Error) {
   std::lock_guard<std::mutex> L(Mu);
+  closeLocked();
   Index.clear();
-  NextSeq = 0;
-
-  // Pass 1: reject stale-format files *before* the log opens them for
-  // appending -- appending current-schema records to a file whose header
-  // declares another schema would poison later loads.  A rejected file
-  // is truncated to empty (the log then stamps a fresh header).
-  if (::mkdir(Dir.c_str(), 0755) != 0 && errno != EEXIST) {
+  Pending.clear();
+  PendingFrames = 0;
+  auto Fail = [&](const std::string &What) {
     if (Error)
-      *Error = "cannot create " + Dir + ": " + std::strerror(errno);
+      *Error = What + ": " + std::strerror(errno);
+    closeLocked();
     return false;
-  }
-  for (unsigned Sh = 0; Sh < PersistNumShards; ++Sh) {
-    std::string Path = Dir + "/" + shardFileName(Sh);
-    int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (Fd < 0)
-      continue; // Not created yet.
-    char Buf[PersistHeaderBytes];
-    ssize_t N = ::pread(Fd, Buf, sizeof(Buf), 0);
-    ::close(Fd);
-    if (N <= 0)
-      continue; // Empty file: the log stamps a header.
-    std::string Header(Buf, size_t(std::max<ssize_t>(N, 0)));
+  };
+
+  if (::mkdir(Dir.c_str(), 0755) != 0 && errno != EEXIST)
+    return Fail("cannot create " + Dir);
+  // The sixteen shard files of the older layout are not migrated: their
+  // results are recomputed once, and no file outside the log outlives
+  // the upgrade.
+  for (char Digit : std::string("0123456789abcdef"))
+    if (::unlink((Dir + "/shard-" + Digit + ".log").c_str()) == 0)
+      ++S.StaleFiles;
+  ::unlink((Path + ".tmp").c_str()); // Left by an interrupted compaction.
+
+  Fd = ::open(Path.c_str(), O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
+  if (Fd < 0)
+    return Fail("cannot open " + Path);
+  struct stat St;
+  if (::fstat(Fd, &St) != 0)
+    return Fail("cannot stat " + Path);
+  uint64_t Size = uint64_t(St.st_size);
+
+  // A file written under another schema is emptied and restamped before
+  // anything is appended to it.
+  bool Fresh = Size == 0;
+  if (!Fresh) {
+    std::string Header(size_t(std::min<uint64_t>(Size, PersistHeaderBytes)),
+                       '\0');
+    if (!preadAll(Fd, &Header[0], Header.size(), 0))
+      return Fail("cannot read " + Path);
     if (!checkHeader(Header, service::CacheSchemaVersion,
                      service::OptionsFormatVersion)) {
       ++S.StaleFiles;
-      ::truncate(Path.c_str(), 0);
+      Fresh = true;
     }
   }
+  if (Fresh) {
+    if (::ftruncate(Fd, 0) != 0 ||
+        !writeAll(Fd, encodeHeader(service::CacheSchemaVersion,
+                                   service::OptionsFormatVersion)))
+      return Fail("cannot write the header of " + Path);
+    Size = PersistHeaderBytes;
+  }
 
-  if (!Log.open(Error))
-    return false;
+  // Index every verified record (the newest per fingerprint wins),
+  // reading through a buffer that never holds more than one chunk plus
+  // one frame.  Read is the file offset just past Buf, At the next frame
+  // in it.
+  std::string Buf;
+  size_t At = 0;
+  uint64_t Read = PersistHeaderBytes;
+  while (true) {
+    Frame F = decodeFrame(std::string_view(Buf).substr(At));
+    if (F.Status == Frame::Kind::Incomplete && Read < Size) {
+      Buf.erase(0, At);
+      At = 0;
+      size_t N = size_t(std::min<uint64_t>(IoChunkBytes, Size - Read));
+      size_t Old = Buf.size();
+      Buf.resize(Old + N);
+      if (!preadAll(Fd, &Buf[Old], N, Read))
+        return Fail("cannot read " + Path);
+      Read += N;
+      continue;
+    }
+    if (F.Status == Frame::Kind::Incomplete ||
+        F.Status == Frame::Kind::BadLength)
+      break;
+    std::optional<JobResult> R;
+    if (F.Status == Frame::Kind::Ok)
+      R = service::resultFromJsonLine(std::string(F.Payload));
+    if (R)
+      Index[R->Fingerprint] = {Read - (Buf.size() - At),
+                               uint32_t(F.Payload.size())};
+    else
+      ++S.Corrupt; // Checksum or decode failure: skip this one frame.
+    At += F.Size;
+  }
+  // A torn tail (or a length no frame can have) ends the readable log.
+  // Cut it off, so that the next append lands where a later open() can
+  // read it.
+  FileBytes = Read - (Buf.size() - At);
+  if (FileBytes < Size) {
+    ++S.Corrupt;
+    if (::ftruncate(Fd, off_t(FileBytes)) != 0)
+      return Fail("cannot cut the torn tail of " + Path);
+  }
 
-  // Pass 2: verify and index every record.
-  for (unsigned Sh = 0; Sh < PersistNumShards; ++Sh)
-    if (!loadShard(Sh, Error))
-      return false;
-
-  Opened = true;
   S.LiveRecords = Index.size();
-  S.LogBytes = Log.totalBytes();
+  S.LogBytes = FileBytes;
   return true;
 }
 
-bool PersistStore::loadShard(unsigned Sh, std::string *Error) {
-  int Fd = Log.fd(Sh);
-  struct stat St;
-  if (::fstat(Fd, &St) != 0) {
-    if (Error)
-      *Error = "cannot stat " + shardFileName(Sh) + ": " +
-               std::strerror(errno);
+bool PersistStore::readFrameLocked(const IndexEntry &E, std::string &Bytes) {
+  Bytes.assign(PersistRecordOverhead + E.PayloadLen, '\0');
+  if (!preadAll(Fd, &Bytes[0], Bytes.size(), E.Offset))
     return false;
-  }
-  uint64_t Size = uint64_t(St.st_size);
-  if (Size <= PersistHeaderBytes)
-    return true;
-  std::string Data(size_t(Size - PersistHeaderBytes), '\0');
-  if (!preadAll(Fd, &Data[0], Data.size(), PersistHeaderBytes)) {
-    if (Error)
-      *Error = "cannot read " + shardFileName(Sh) + ": " +
-               std::strerror(errno);
-    return false;
-  }
-
-  size_t Pos = 0;
-  while (Pos < Data.size()) {
-    if (Data.size() - Pos < PersistRecordOverhead) {
-      ++S.Corrupt; // Torn tail: frame words themselves are incomplete.
-      break;
-    }
-    uint32_t Len = 0, Crc = 0;
-    std::memcpy(&Len, Data.data() + Pos, 4);
-    std::memcpy(&Crc, Data.data() + Pos + 4, 4);
-    if (Len > PersistMaxRecordBytes ||
-        Data.size() - Pos - PersistRecordOverhead < Len) {
-      // Implausible length or fewer bytes than promised: cannot resync
-      // past this point, drop the rest of the shard's tail.
-      ++S.Corrupt;
-      break;
-    }
-    const char *Payload = Data.data() + Pos + PersistRecordOverhead;
-    uint64_t FrameOffset = PersistHeaderBytes + Pos;
-    Pos += PersistRecordOverhead + Len;
-    if (crc32(Payload, Len) != Crc) {
-      ++S.Corrupt; // Checksum mismatch with a plausible frame: skip one.
-      continue;
-    }
-    std::optional<JobResult> R =
-        service::resultFromJsonLine(std::string(Payload, Len));
-    if (!R || shardOfFingerprint(R->Fingerprint) != Sh) {
-      ++S.Corrupt;
-      continue;
-    }
-    // Newest record per fingerprint wins (append-only updates).
-    IndexEntry &E = Index[R->Fingerprint];
-    E.Shard = Sh;
-    E.Offset = FrameOffset;
-    E.PayloadLen = Len;
-    E.Seq = NextSeq++;
-  }
-  return true;
+  Frame F = decodeFrame(Bytes);
+  return F.Status == Frame::Kind::Ok && F.Size == Bytes.size();
 }
 
 std::shared_ptr<const JobResult> PersistStore::readEntryLocked(
     const std::string &Fingerprint, const IndexEntry &E) {
-  // The indexed frame may still sit in the write buffer; make it
-  // readable first.
-  if (Log.hasPending()) {
-    std::string Err;
-    if (!flushLocked(&Err))
-      return nullptr;
-  }
-  std::string Frame(PersistRecordOverhead + E.PayloadLen, '\0');
-  if (!preadAll(Log.fd(E.Shard), &Frame[0], Frame.size(), E.Offset)) {
-    ++S.Corrupt;
-    Index.erase(Fingerprint);
+  // A frame still in the write buffer must reach the file first.
+  if (E.Offset >= FileBytes - Pending.size() && !flushLocked(nullptr))
     return nullptr;
-  }
-  uint32_t Len = 0, Crc = 0;
-  std::memcpy(&Len, Frame.data(), 4);
-  std::memcpy(&Crc, Frame.data() + 4, 4);
-  std::string Payload = Frame.substr(PersistRecordOverhead);
+  std::string Bytes;
   std::optional<JobResult> R;
-  if (Len == E.PayloadLen && crc32(Payload.data(), Payload.size()) == Crc)
-    R = service::resultFromJsonLine(Payload);
+  if (readFrameLocked(E, Bytes))
+    R = service::resultFromJsonLine(Bytes.substr(PersistRecordOverhead));
   if (!R || R->Fingerprint != Fingerprint) {
     ++S.Corrupt;
     Index.erase(Fingerprint);
@@ -208,7 +209,7 @@ std::shared_ptr<const JobResult> PersistStore::readEntryLocked(
 std::shared_ptr<const JobResult> PersistStore::lookup(
     const std::string &Fingerprint) {
   std::lock_guard<std::mutex> L(Mu);
-  if (!Opened) {
+  if (Fd < 0) {
     ++S.Misses;
     return nullptr;
   }
@@ -230,59 +231,69 @@ std::shared_ptr<const JobResult> PersistStore::lookup(
 
 void PersistStore::append(const JobResult &R) {
   std::lock_guard<std::mutex> L(Mu);
-  if (!Opened || R.Fingerprint.empty() || !service::jobCacheable(R.Status))
+  if (Fd < 0 || R.Fingerprint.empty() || !service::jobCacheable(R.Status))
     return;
-  std::string Payload = service::resultToJsonLine(R);
-  unsigned Sh = shardOfFingerprint(R.Fingerprint);
-  uint64_t Offset = Log.append(Sh, Payload);
-  IndexEntry &E = Index[R.Fingerprint];
-  E.Shard = Sh;
-  E.Offset = Offset;
-  E.PayloadLen = uint32_t(Payload.size());
-  E.Seq = NextSeq++;
+  std::string Bytes = encodeRecordFrame(service::resultToJsonLine(R));
+  Index[R.Fingerprint] = {FileBytes,
+                          uint32_t(Bytes.size() - PersistRecordOverhead)};
+  Pending += Bytes;
+  FileBytes += Bytes.size();
   ++S.Appends;
   S.LiveRecords = Index.size();
-  S.LogBytes = Log.totalBytes();
-  if (++AppendsSinceFlush >= FlushEvery) {
-    std::string Err;
-    flushLocked(&Err);
-  }
-  if (Budget && Log.totalBytes() > Budget)
+  S.LogBytes = FileBytes;
+  if (++PendingFrames >= AppendsPerFlush)
+    flushLocked(nullptr);
+  if (Fd >= 0 && Budget && FileBytes > Budget)
     compactLocked();
 }
 
 bool PersistStore::flush(std::string *Error) {
   std::lock_guard<std::mutex> L(Mu);
-  if (!Opened)
-    return true;
   return flushLocked(Error);
 }
 
 bool PersistStore::flushLocked(std::string *Error) {
-  if (!Log.flush(Error))
+  if (Pending.empty())
+    return true;
+  if (!writeAll(Fd, Pending) || ::fsync(Fd) != 0) {
+    if (Error)
+      *Error = "cannot write " + Path + ": " + std::strerror(errno);
+    // The file may now end in part of the batch, so the index no longer
+    // describes it.  The memory tier serves alone until the next open(),
+    // which cuts the file back to its last whole frame.
+    closeLocked();
+    Index.clear();
+    Pending.clear();
+    S.LiveRecords = 0;
     return false;
-  AppendsSinceFlush = 0;
-  S.Flushes = Log.flushCount();
+  }
+  Pending.clear();
+  PendingFrames = 0;
+  ++S.Flushes;
   return true;
+}
+
+std::vector<std::pair<std::string, PersistStore::IndexEntry>>
+PersistStore::byAgeLocked() const {
+  std::vector<std::pair<std::string, IndexEntry>> Live(Index.begin(),
+                                                       Index.end());
+  std::sort(Live.begin(), Live.end(), [](const auto &A, const auto &B) {
+    return A.second.Offset < B.second.Offset;
+  });
+  return Live;
 }
 
 uint64_t PersistStore::replayInto(service::ResultCache &Cache) {
   std::lock_guard<std::mutex> L(Mu);
-  if (!Opened)
+  if (Fd < 0)
     return 0;
   // Oldest-first so the newest records land most-recently-used in the
   // LRU (and survive longest if the memory budget is tighter than disk).
-  std::vector<std::pair<uint64_t, std::string>> Order;
-  Order.reserve(Index.size());
-  for (const auto &[FP, E] : Index)
-    Order.emplace_back(E.Seq, FP);
-  std::sort(Order.begin(), Order.end());
   uint64_t N = 0;
-  for (const auto &[Seq, FP] : Order) {
-    auto It = Index.find(FP);
-    if (It == Index.end())
-      continue; // Dropped by a corrupt read earlier in the loop.
-    std::shared_ptr<const JobResult> R = readEntryLocked(FP, It->second);
+  for (const auto &[FP, E] : byAgeLocked()) {
+    std::shared_ptr<const JobResult> R = readEntryLocked(FP, E);
+    if (Fd < 0)
+      break; // A flush failed and took the disk tier out of service.
     if (!R)
       continue;
     Cache.insert(FP, std::move(R));
@@ -294,116 +305,62 @@ uint64_t PersistStore::replayInto(service::ResultCache &Cache) {
 }
 
 void PersistStore::compactLocked() {
-  std::string Err;
-  if (!flushLocked(&Err))
+  if (!flushLocked(nullptr))
     return;
-
-  // Live records in append order; evict oldest until the rewritten log
-  // would fit the budget.
-  std::vector<std::pair<uint64_t, std::string>> Order;
-  Order.reserve(Index.size());
-  for (const auto &[FP, E] : Index)
-    Order.emplace_back(E.Seq, FP);
-  std::sort(Order.begin(), Order.end());
-
-  uint64_t Projected = PersistNumShards * PersistHeaderBytes;
-  for (const auto &[Seq, FP] : Order)
-    Projected += PersistRecordOverhead + Index[FP].PayloadLen;
+  // Evict oldest until the rewritten log would fit the budget.
+  std::vector<std::pair<std::string, IndexEntry>> Live = byAgeLocked();
+  uint64_t Projected = PersistHeaderBytes;
+  for (const auto &[FP, E] : Live)
+    Projected += PersistRecordOverhead + E.PayloadLen;
   size_t Drop = 0;
-  while (Budget && Projected > Budget && Drop < Order.size()) {
-    Projected -=
-        PersistRecordOverhead + Index[Order[Drop].second].PayloadLen;
-    ++Drop;
-  }
+  while (Projected > Budget && Drop < Live.size())
+    Projected -= PersistRecordOverhead + Live[Drop++].second.PayloadLen;
 
-  // Fetch surviving payloads before the files are replaced.
-  struct Live {
-    std::string FP;
-    std::string Payload;
-  };
-  std::vector<std::vector<Live>> PerShard(PersistNumShards);
-  for (size_t I = Drop; I < Order.size(); ++I) {
-    const std::string &FP = Order[I].second;
-    auto It = Index.find(FP);
-    if (It == Index.end())
-      continue;
-    const IndexEntry &E = It->second;
-    std::string Frame(PersistRecordOverhead + E.PayloadLen, '\0');
-    if (!preadAll(Log.fd(E.Shard), &Frame[0], Frame.size(), E.Offset)) {
-      ++S.Corrupt;
-      continue;
-    }
-    PerShard[E.Shard].push_back(
-        {FP, Frame.substr(PersistRecordOverhead)});
-  }
-
-  // Rewrite each shard: header + surviving frames to a .tmp, fsync,
-  // rename over the old file.  A crash mid-compaction leaves either the
-  // old file or the complete new one -- never a half-written rename.
-  std::string Header =
+  // Copy the survivors, each verified again, behind a fresh header into
+  // a .tmp file, fsync it and rename it over the log: a crash leaves
+  // either the old file or the whole new one.  A record that rotted
+  // since it was indexed is dropped, never rewritten under a fresh CRC.
+  std::string Tmp = Path + ".tmp";
+  int TmpFd = ::open(Tmp.c_str(),
+                     O_RDWR | O_CREAT | O_TRUNC | O_APPEND | O_CLOEXEC, 0644);
+  if (TmpFd < 0)
+    return;
+  std::unordered_map<std::string, IndexEntry> Kept;
+  std::string Out =
       encodeHeader(service::CacheSchemaVersion, service::OptionsFormatVersion);
-  std::vector<std::vector<std::pair<std::string, IndexEntry>>> NewEntries(
-      PersistNumShards);
-  bool WroteAll = true;
-  for (unsigned Sh = 0; Sh < PersistNumShards; ++Sh) {
-    std::string Tmp = Dir + "/" + shardFileName(Sh) + ".tmp";
-    int Fd = ::open(Tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                    0644);
-    if (Fd < 0) {
-      WroteAll = false;
-      break;
+  uint64_t Written = 0, Rotted = 0;
+  bool Ok = true;
+  std::string Bytes;
+  for (size_t I = Drop; I < Live.size() && Ok; ++I) {
+    const auto &[FP, E] = Live[I];
+    if (!readFrameLocked(E, Bytes)) {
+      ++Rotted;
+      continue;
     }
-    bool Ok = writeAllFd(Fd, Header.data(), Header.size());
-    uint64_t Offset = Header.size();
-    for (const Live &L : PerShard[Sh]) {
-      if (!Ok)
-        break;
-      std::string Frame = encodeRecordFrame(L.Payload);
-      Ok = writeAllFd(Fd, Frame.data(), Frame.size());
-      IndexEntry E;
-      E.Shard = Sh;
-      E.Offset = Offset;
-      E.PayloadLen = uint32_t(L.Payload.size());
-      NewEntries[Sh].emplace_back(L.FP, E);
-      Offset += Frame.size();
-    }
-    Ok = Ok && ::fsync(Fd) == 0;
-    ::close(Fd);
-    if (!Ok) {
-      ::unlink(Tmp.c_str());
-      WroteAll = false;
-      break;
+    Kept[FP] = {Written + Out.size(), E.PayloadLen};
+    Out += Bytes;
+    if (Out.size() >= IoChunkBytes) {
+      Ok = writeAll(TmpFd, Out);
+      Written += Out.size();
+      Out.clear();
     }
   }
-  if (!WroteAll)
-    return; // Keep the old (oversized but valid) files.
-
-  Log.closeFiles();
-  for (unsigned Sh = 0; Sh < PersistNumShards; ++Sh) {
-    std::string Tmp = Dir + "/" + shardFileName(Sh) + ".tmp";
-    std::string Path = Dir + "/" + shardFileName(Sh);
-    ::rename(Tmp.c_str(), Path.c_str());
+  Ok = Ok && writeAll(TmpFd, Out) && ::fsync(TmpFd) == 0 &&
+       ::rename(Tmp.c_str(), Path.c_str()) == 0;
+  if (!Ok) {
+    ::close(TmpFd);
+    ::unlink(Tmp.c_str());
+    return; // Keep the old (oversized but valid) file and its index.
   }
-
+  closeLocked();
+  Fd = TmpFd;
+  FileBytes = Written + Out.size();
+  Index = std::move(Kept);
+  S.Corrupt += Rotted;
   S.Evictions += Drop;
   ++S.Compactions;
-  uint64_t Seq = 0;
-  Index.clear();
-  std::string ReopenErr;
-  if (!Log.open(&ReopenErr)) {
-    Opened = false; // Disk tier degraded; memory tier keeps serving.
-    S.LiveRecords = 0;
-    S.LogBytes = 0;
-    return;
-  }
-  for (unsigned Sh = 0; Sh < PersistNumShards; ++Sh)
-    for (auto &[FP, E] : NewEntries[Sh]) {
-      E.Seq = Seq++;
-      Index[FP] = E;
-    }
-  NextSeq = Seq;
   S.LiveRecords = Index.size();
-  S.LogBytes = Log.totalBytes();
+  S.LogBytes = FileBytes;
 }
 
 PersistStats PersistStore::stats() const {

@@ -2,8 +2,9 @@
 ///
 /// \file
 /// The second cache tier: a fingerprint-indexed store of completed
-/// JobResults on top of the PersistLog container.  A record's payload is
-/// the result's wire line, resultToJsonLine(R), read back by
+/// JobResults in one append-only log file (format in PersistLog.h) that
+/// this class alone opens, reads and writes.  A record's payload is the
+/// result's wire line, resultToJsonLine(R), read back by
 /// resultFromJsonLine (service/Protocol.h), so a disk hit carries what the
 /// wire shows and no more.  The scheduler probes
 /// it on a memory miss (hit -> decode, promote into the in-memory LRU,
@@ -12,20 +13,26 @@
 /// LRU, which is what makes warm-restart hit rates match warm in-process
 /// ones.
 ///
-/// Trust model: the disk is the *untrusted* party.  open() re-verifies
-/// the header and every record CRC before indexing anything; lookup()
-/// verifies again at read time (the file may have been truncated or
-/// flipped since).  Any failure -- framing, checksum, JSON, unknown
-/// status -- demotes the record to a miss and bumps `persist.corrupt`;
-/// a bad header demotes the whole file and bumps `persist.stale_files`.
-/// Corruption therefore costs a recompute, never a wrong result and
-/// never a crash (the corruption ctest tier pins all three paths).
+/// Appends collect in memory and go to disk 32 at a time, in one write
+/// and one fsync.  Records are only appended, so a record's file offset
+/// is its age: replay and compaction walk the index in offset order.
 ///
-/// GC is log compaction: when the on-disk footprint exceeds the byte
-/// budget, live records (the newest per fingerprint) are rewritten to
-/// fresh shard files -- oldest-first eviction until the budget holds --
-/// and the old files are atomically replaced (write .tmp, fsync,
-/// rename).
+/// Trust model: the disk is the *untrusted* party.  open() re-verifies
+/// the header and every record CRC before indexing anything, and cuts a
+/// torn tail off the file before the first append lands behind it;
+/// lookup() and compaction verify again at read time (the file may have
+/// been truncated or flipped since).  Any failure -- framing, checksum,
+/// JSON, unknown status -- demotes the record to a miss and bumps
+/// `persist.corrupt`; a bad header demotes the whole file and bumps
+/// `persist.stale_files`, as does each `shard-?.log` file of the older
+/// sixteen-file layout, which open() removes.  Corruption therefore costs
+/// a recompute, never a wrong result and never a crash (the corruption
+/// ctest tier pins all three paths).
+///
+/// GC is log compaction: when the file exceeds the byte budget, the
+/// live records (the newest per fingerprint) are copied, oldest evicted
+/// first until the budget holds, into a fresh file that atomically
+/// replaces the old one (write .tmp, fsync, rename).
 ///
 /// Thread-safe: one mutex serializes all operations; the scheduler's
 /// workers call lookup()/append() concurrently.
@@ -35,7 +42,6 @@
 #ifndef CAI_PERSIST_PERSISTSTORE_H
 #define CAI_PERSIST_PERSISTSTORE_H
 
-#include "persist/PersistLog.h"
 #include "service/Job.h"
 
 #include <cstdint>
@@ -43,6 +49,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace cai {
@@ -60,12 +67,12 @@ struct PersistStats {
   uint64_t Appends = 0;     ///< Records queued for the log.
   uint64_t Flushes = 0;     ///< fsync batches performed.
   uint64_t Corrupt = 0;     ///< Records dropped: framing/CRC/decode.
-  uint64_t StaleFiles = 0;  ///< Shard files rejected for header mismatch.
+  uint64_t StaleFiles = 0;  ///< Files rejected: header mismatch or old layout.
   uint64_t Compactions = 0; ///< Log compaction runs.
   uint64_t Evictions = 0;   ///< Live records dropped by compaction GC.
   uint64_t Replayed = 0;    ///< Records replayed into the memory LRU.
   uint64_t LiveRecords = 0; ///< Fingerprints currently indexed.
-  uint64_t LogBytes = 0;    ///< On-disk footprint (headers included).
+  uint64_t LogBytes = 0;    ///< On-disk footprint (header included).
   uint64_t ByteBudget = 0;  ///< 0 = unbounded.
 
   double hitRate() const {
@@ -76,23 +83,24 @@ struct PersistStats {
 
 class PersistStore {
 public:
-  /// \p ByteBudget bounds the on-disk footprint (0 = unbounded);
-  /// \p FlushEvery batches that many appends per fsync (clamped to 1).
-  PersistStore(std::string Dir, uint64_t ByteBudget, unsigned FlushEvery = 32);
+  /// \p ByteBudget bounds the on-disk footprint (0 = unbounded).
+  PersistStore(std::string Dir, uint64_t ByteBudget);
   ~PersistStore();
 
   PersistStore(const PersistStore &) = delete;
   PersistStore &operator=(const PersistStore &) = delete;
 
-  /// Opens the log directory, verifies every shard header and record,
-  /// and indexes the live (newest-per-fingerprint) records.  Corrupt
-  /// records/tails and stale files are counted and skipped -- open()
-  /// only fails (returning false with \p Error) on genuine I/O errors
-  /// like an uncreatable directory.
+  /// Opens (creating if missing) the directory and its log file,
+  /// verifies the header and every record, cuts a torn tail, and indexes
+  /// the live (newest-per-fingerprint) records.  Corrupt records and
+  /// stale files are counted and skipped -- open() only fails (returning
+  /// false with \p Error) on genuine I/O errors like an uncreatable
+  /// directory or a tail that cannot be cut.
   bool open(std::string *Error);
 
-  /// True once open() has succeeded.
-  bool ok() const { return Opened; }
+  /// True once open() has succeeded, until an I/O failure takes the
+  /// disk tier out of service.
+  bool ok() const { return Fd >= 0; }
 
   /// Fetches and decodes the live record for \p Fingerprint; nullptr on
   /// miss or on any verification failure (which also drops the index
@@ -101,12 +109,14 @@ public:
       const std::string &Fingerprint);
 
   /// Appends \p R as the new live record for \p R.Fingerprint.  Batches
-  /// writes (see FlushEvery); triggers compaction when the footprint
-  /// exceeds the budget.  No-op before open() or for empty fingerprints.
+  /// writes (one fsync per 32 appends); triggers compaction when the
+  /// footprint exceeds the budget.  No-op before open() or for empty
+  /// fingerprints.
   void append(const service::JobResult &R);
 
   /// Forces pending appends to disk (fsync).  Returns false on I/O
-  /// failure.  Called on shutdown and before reads of pending data.
+  /// failure, which also takes the disk tier out of service until the
+  /// next open().  Called on shutdown and before reads of pending data.
   bool flush(std::string *Error = nullptr);
 
   /// Decodes every live record and inserts it into \p Cache
@@ -118,30 +128,33 @@ public:
 
 private:
   struct IndexEntry {
-    unsigned Shard = 0;
-    uint64_t Offset = 0;   ///< Of the record frame (length word).
+    uint64_t Offset = 0; ///< Of the record frame (length word): its age.
     uint32_t PayloadLen = 0;
-    uint64_t Seq = 0;      ///< Append order across the whole store.
   };
 
-  bool loadShard(unsigned S, std::string *Error);
-  /// pread + verify + decode the indexed record; on failure counts
+  /// Reads the frame of \p E into \p Bytes; false unless it is whole and
+  /// matches its checksum.  Caller holds Mu.
+  bool readFrameLocked(const IndexEntry &E, std::string &Bytes);
+  /// Reads, verifies and decodes the indexed record; on failure counts
   /// corruption and drops the entry.  Caller holds Mu.
   std::shared_ptr<const service::JobResult> readEntryLocked(
       const std::string &Fingerprint, const IndexEntry &E);
+  /// The indexed fingerprints, oldest record first.  Caller holds Mu.
+  std::vector<std::pair<std::string, IndexEntry>> byAgeLocked() const;
   bool flushLocked(std::string *Error);
   void compactLocked();
+  void closeLocked();
 
   std::string Dir;
+  std::string Path; ///< Dir + "/" + PersistLogFileName.
   uint64_t Budget;
-  unsigned FlushEvery;
-  PersistLog Log;
-  bool Opened = false;
 
   mutable std::mutex Mu;
+  int Fd = -1; ///< The log; -1 before open() and after an I/O failure.
+  uint64_t FileBytes = 0; ///< Size of the log, pending frames included.
+  std::string Pending;    ///< Frames appended since the last flush.
+  unsigned PendingFrames = 0;
   std::unordered_map<std::string, IndexEntry> Index;
-  uint64_t NextSeq = 0;
-  unsigned AppendsSinceFlush = 0;
   PersistStats S;
 };
 

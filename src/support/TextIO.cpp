@@ -3,16 +3,21 @@
 #include "support/TextIO.h"
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
 bool cai::readFile(const std::string &Path, std::string &Out) {
+  // A directory opens as a stream but holds no program; FIFOs and
+  // /dev/stdin are read like files.
+  std::error_code EC;
+  if (std::filesystem::is_directory(Path, EC))
+    return false;
   std::ifstream In(Path);
   if (!In)
     return false;
   // Stream insertion, unlike an istreambuf_iterator, turns a read error
-  // (a directory opens but cannot be read) into an empty text rather than
-  // an exception.
+  // into an empty text rather than an exception.
   std::ostringstream Text;
   Text << In.rdbuf();
   Out = Text.str();

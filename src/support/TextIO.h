@@ -17,8 +17,8 @@
 namespace cai {
 
 /// Reads the whole file at \p Path into \p Out.  Returns false, leaving
-/// \p Out untouched, when the file cannot be opened; the caller words the
-/// error.
+/// \p Out untouched, when the file cannot be opened or is a directory;
+/// the caller words the error.
 bool readFile(const std::string &Path, std::string &Out);
 
 /// Writes \p S to \p OS as a JSON string literal, quotes included:

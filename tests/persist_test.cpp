@@ -1,12 +1,13 @@
 //===- tests/persist_test.cpp - Persistent cache tier unit tests -----------===//
 //
 // The disk tier end to end at the library level: the CRC32 checksum, the
-// shard-file header versioning (stale schema/options files rejected
-// whole), record payload round-trips, the PersistStore's warm-restart
-// index and LRU replay, the three corruption paths (torn tail,
-// bit-flipped payload, wrong checksum) each degrading to a counted miss
-// rather than a crash or a wrong result, read-time re-verification, and
-// byte-budget GC via log compaction.
+// log header versioning (stale schema/options files rejected whole, the
+// older sharded layout removed), record payload round-trips, the
+// PersistStore's warm-restart index and LRU replay, the three corruption
+// paths (torn tail, bit-flipped payload, wrong checksum) each degrading
+// to a counted miss rather than a crash or a wrong result, read-time
+// re-verification, and byte-budget GC via log compaction, oldest record
+// first by its place in the file.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,9 +19,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <vector>
 
 using namespace cai;
 using namespace cai::persist;
@@ -46,10 +50,10 @@ struct TempDir {
   std::string str() const { return Path.string(); }
 };
 
-/// A fingerprint whose leading hex digit pins its shard.
-std::string fpInShard(unsigned Shard, char Fill = 'a') {
+/// A fingerprint led by hex digit \p Digit and filled with \p Fill.
+std::string makeFp(unsigned Digit, char Fill = 'a') {
   std::string FP(32, Fill);
-  FP[0] = "0123456789abcdef"[Shard];
+  FP[0] = "0123456789abcdef"[Digit];
   return FP;
 }
 
@@ -68,9 +72,29 @@ JobResult makeResult(const std::string &FP, uint64_t Id = 0) {
   return R;
 }
 
-/// The shard file a fingerprint's records land in.
-fs::path shardPath(const TempDir &D, const std::string &FP) {
-  return D.Path / shardFileName(shardOfFingerprint(FP));
+/// The store's one log file.
+fs::path logPath(const TempDir &D) { return D.Path / PersistLogFileName; }
+
+/// The names of the files in the store directory.
+std::vector<std::string> filesIn(const TempDir &D) {
+  std::vector<std::string> Names;
+  for (const auto &Entry : fs::directory_iterator(D.Path))
+    Names.push_back(Entry.path().filename().string());
+  std::sort(Names.begin(), Names.end());
+  return Names;
+}
+
+/// Writes \p Bytes over the log starting at \p Offset.
+void overwrite(const TempDir &D, uint64_t Offset, const std::string &Bytes) {
+  std::fstream F(logPath(D), std::ios::in | std::ios::out | std::ios::binary);
+  F.seekp(static_cast<std::streamoff>(Offset));
+  F.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
+}
+
+/// The whole log file.
+std::string readLog(const TempDir &D) {
+  std::ifstream F(logPath(D), std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(F), {});
 }
 
 // --- Container primitives ------------------------------------------------
@@ -79,14 +103,6 @@ TEST(PersistLog, Crc32KnownVector) {
   // The standard CRC-32 check value ("123456789" -> 0xCBF43926).
   EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
   EXPECT_EQ(crc32("", 0), 0u);
-}
-
-TEST(PersistLog, ShardOfFingerprintIsLeadingNibble) {
-  EXPECT_EQ(shardOfFingerprint(fpInShard(0)), 0u);
-  EXPECT_EQ(shardOfFingerprint(fpInShard(9)), 9u);
-  EXPECT_EQ(shardOfFingerprint(fpInShard(15)), 15u);
-  EXPECT_EQ(shardFileName(0), "shard-0.log");
-  EXPECT_EQ(shardFileName(15), "shard-f.log");
 }
 
 TEST(PersistLog, HeaderVersionMismatchRejected) {
@@ -116,7 +132,7 @@ TEST(PersistLog, RecordFrameCarriesLengthAndChecksum) {
 // A record's payload is the result's wire line (service/Protocol.h).
 
 TEST(PersistPayload, RoundTripsEveryField) {
-  JobResult R = makeResult(fpInShard(4), 42);
+  JobResult R = makeResult(makeFp(4), 42);
   R.Linted = true;
   R.Findings.push_back(
       {"dead-branch", "warning", 12, 3, 5, "branch never taken",
@@ -147,7 +163,7 @@ TEST(PersistPayload, RoundTripsEveryField) {
 TEST(PersistPayload, DecodeRejectsMalformedInput) {
   EXPECT_FALSE(resultFromJsonLine("not json"));
   EXPECT_FALSE(resultFromJsonLine("{}")); // No fingerprint.
-  JobResult R = makeResult(fpInShard(1));
+  JobResult R = makeResult(makeFp(1));
   R.Linted = true;
   std::string Good = resultToJsonLine(R);
   ASSERT_TRUE(resultFromJsonLine(Good));
@@ -173,13 +189,14 @@ TEST(PersistPayload, DecodeRejectsMalformedInput) {
 
 TEST(PersistStore, RoundTripAcrossReopen) {
   TempDir D("roundtrip");
-  std::string FP = fpInShard(7);
+  std::string FP = makeFp(7);
   {
     PersistStore Store(D.str(), /*ByteBudget=*/0);
     std::string Error;
     ASSERT_TRUE(Store.open(&Error)) << Error;
     Store.append(makeResult(FP, 1));
     EXPECT_TRUE(Store.flush());
+    EXPECT_EQ(filesIn(D), std::vector<std::string>{PersistLogFileName});
     // Same-process lookup hits too (the scheduler's miss path).
     auto Hit = Store.lookup(FP);
     ASSERT_NE(Hit, nullptr);
@@ -193,14 +210,14 @@ TEST(PersistStore, RoundTripAcrossReopen) {
   ASSERT_NE(Hit, nullptr);
   EXPECT_EQ(Hit->Status, JobStatus::AssertionsFailed);
   EXPECT_EQ(Hit->NumVerified, 1u);
-  EXPECT_EQ(Store.lookup(fpInShard(7, 'b')), nullptr); // Different job.
+  EXPECT_EQ(Store.lookup(makeFp(7, 'b')), nullptr); // Different job.
   EXPECT_EQ(Store.stats().Hits, 1u);
   EXPECT_EQ(Store.stats().Misses, 1u);
 }
 
 TEST(PersistStore, NewestRecordPerFingerprintWins) {
   TempDir D("newest");
-  std::string FP = fpInShard(2);
+  std::string FP = makeFp(2);
   PersistStore Store(D.str(), 0);
   std::string Error;
   ASSERT_TRUE(Store.open(&Error)) << Error;
@@ -225,7 +242,7 @@ TEST(PersistStore, UncacheableAndUnfingerprintedResultsNotAppended) {
   PersistStore Store(D.str(), 0);
   std::string Error;
   ASSERT_TRUE(Store.open(&Error)) << Error;
-  JobResult Timeout = makeResult(fpInShard(1));
+  JobResult Timeout = makeResult(makeFp(1));
   Timeout.Status = JobStatus::Timeout;
   Store.append(Timeout);
   JobResult NoFP = makeResult("");
@@ -241,7 +258,7 @@ TEST(PersistStore, ReplayIntoSeedsTheMemoryTier) {
     PersistStore Store(D.str(), 0);
     ASSERT_TRUE(Store.open(&Error)) << Error;
     for (unsigned I = 0; I < 4; ++I)
-      Store.append(makeResult(fpInShard(I), I));
+      Store.append(makeResult(makeFp(I), I));
     ASSERT_TRUE(Store.flush());
   }
   PersistStore Store(D.str(), 0);
@@ -250,30 +267,27 @@ TEST(PersistStore, ReplayIntoSeedsTheMemoryTier) {
   EXPECT_EQ(Store.replayInto(Cache), 4u);
   EXPECT_EQ(Store.stats().Replayed, 4u);
   EXPECT_EQ(Cache.stats().Entries, 4u);
-  auto Hit = Cache.lookup(fpInShard(2));
+  auto Hit = Cache.lookup(makeFp(2));
   ASSERT_NE(Hit, nullptr);
-  EXPECT_EQ(Hit->Fingerprint, fpInShard(2));
+  EXPECT_EQ(Hit->Fingerprint, makeFp(2));
 }
 
 // --- Version guards ------------------------------------------------------
 
 TEST(PersistStore, StaleSchemaFileRejectedWholesale) {
   TempDir D("stale");
-  std::string FP = fpInShard(5);
-  {
-    // A log written under the previous cache schema: every record in it
-    // keyed by fingerprints the current code would compute differently.
-    PersistLog OldLog(D.str(), CacheSchemaVersion - 1, OptionsFormatVersion);
-    std::string Error;
-    ASSERT_TRUE(OldLog.open(&Error)) << Error;
-    OldLog.append(shardOfFingerprint(FP), resultToJsonLine(makeResult(FP)));
-    ASSERT_TRUE(OldLog.flush(&Error)) << Error;
-    OldLog.closeFiles();
-  }
+  std::string FP = makeFp(5);
+  // A log written under the previous cache schema: every record in it
+  // keyed by fingerprints the current code would compute differently.
+  fs::create_directories(D.Path);
+  std::ofstream(logPath(D), std::ios::binary)
+      << encodeHeader(CacheSchemaVersion - 1, OptionsFormatVersion)
+      << encodeRecordFrame(resultToJsonLine(makeResult(FP)));
   PersistStore Store(D.str(), 0);
   std::string Error;
   ASSERT_TRUE(Store.open(&Error)) << Error;
-  EXPECT_GE(Store.stats().StaleFiles, 1u);
+  EXPECT_EQ(Store.stats().StaleFiles, 1u);
+  EXPECT_EQ(Store.stats().Corrupt, 0u);
   EXPECT_EQ(Store.stats().LiveRecords, 0u);
   EXPECT_EQ(Store.lookup(FP), nullptr);
   // The stale file was truncated and restamped: new appends round-trip
@@ -286,11 +300,44 @@ TEST(PersistStore, StaleSchemaFileRejectedWholesale) {
   ASSERT_NE(Reopened.lookup(FP), nullptr);
 }
 
+TEST(PersistStore, OlderShardedLayoutIsRemoved) {
+  // The layout an older build wrote: sixteen shard files, named by the
+  // leading hex digit of the fingerprints in them, each with a header
+  // of the current versions.
+  TempDir D("sharded");
+  std::string FP = makeFp(5);
+  fs::create_directories(D.Path);
+  std::string Header = encodeHeader(CacheSchemaVersion, OptionsFormatVersion);
+  for (char Digit : std::string("0123456789abcdef")) {
+    std::ofstream Shard(D.Path / ("shard-" + std::string(1, Digit) + ".log"),
+                        std::ios::binary);
+    Shard << Header;
+    if (Digit == FP[0])
+      Shard << encodeRecordFrame(resultToJsonLine(makeResult(FP)));
+  }
+  PersistStore Store(D.str(), 0);
+  std::string Error;
+  ASSERT_TRUE(Store.open(&Error)) << Error;
+  EXPECT_EQ(Store.stats().StaleFiles, 16u);
+  EXPECT_EQ(Store.stats().LiveRecords, 0u);
+  EXPECT_EQ(Store.lookup(FP), nullptr);
+  EXPECT_EQ(filesIn(D), std::vector<std::string>{PersistLogFileName});
+  // The store starts empty, and appends round-trip.
+  std::string Fresh = makeFp(6);
+  Store.append(makeResult(Fresh));
+  ASSERT_TRUE(Store.flush());
+  PersistStore Reopened(D.str(), 0);
+  ASSERT_TRUE(Reopened.open(&Error)) << Error;
+  EXPECT_EQ(Reopened.stats().StaleFiles, 0u);
+  EXPECT_NE(Reopened.lookup(Fresh), nullptr);
+  EXPECT_EQ(Reopened.lookup(FP), nullptr);
+}
+
 // --- Corruption paths ----------------------------------------------------
 
 TEST(PersistStore, TruncatedTailSkippedEarlierRecordsSurvive) {
   TempDir D("torn");
-  std::string FP = fpInShard(3);
+  std::string FP = makeFp(3);
   std::string Error;
   {
     PersistStore Store(D.str(), 0);
@@ -298,23 +345,40 @@ TEST(PersistStore, TruncatedTailSkippedEarlierRecordsSurvive) {
     Store.append(makeResult(FP));
     ASSERT_TRUE(Store.flush());
   }
-  // Simulate a crash mid-append: half a frame at the end of the shard.
+  // Simulate a crash mid-append: half a frame at the end of the log.
   {
-    std::ofstream Tail(shardPath(D, FP), std::ios::app | std::ios::binary);
+    std::ofstream Tail(logPath(D), std::ios::app | std::ios::binary);
     std::string Frame = encodeRecordFrame("payload never finished");
     Tail.write(Frame.data(), static_cast<std::streamsize>(Frame.size() / 2));
   }
+  std::string Later = makeFp(3, 'b');
+  {
+    PersistStore Store(D.str(), 0);
+    ASSERT_TRUE(Store.open(&Error)) << Error;
+    EXPECT_EQ(Store.stats().Corrupt, 1u);
+    auto Hit = Store.lookup(FP); // The complete record still serves.
+    ASSERT_NE(Hit, nullptr);
+    EXPECT_EQ(Hit->Fingerprint, FP);
+    // The process that opened after the crash keeps appending.
+    Store.append(makeResult(Later));
+    ASSERT_TRUE(Store.flush());
+    EXPECT_NE(Store.lookup(Later), nullptr);
+  }
+  // open() cut the torn half-frame, so the record appended after it is
+  // readable by the next process too.
   PersistStore Store(D.str(), 0);
   ASSERT_TRUE(Store.open(&Error)) << Error;
-  EXPECT_GE(Store.stats().Corrupt, 1u);
-  auto Hit = Store.lookup(FP); // The complete record still serves.
+  EXPECT_EQ(Store.stats().Corrupt, 0u);
+  EXPECT_EQ(Store.stats().LiveRecords, 2u);
+  EXPECT_NE(Store.lookup(FP), nullptr);
+  auto Hit = Store.lookup(Later);
   ASSERT_NE(Hit, nullptr);
-  EXPECT_EQ(Hit->Fingerprint, FP);
+  EXPECT_EQ(Hit->Fingerprint, Later);
 }
 
 TEST(PersistStore, BitFlippedPayloadIsACountedMiss) {
   TempDir D("bitflip");
-  std::string FP = fpInShard(6);
+  std::string FP = makeFp(6);
   std::string Error;
   {
     PersistStore Store(D.str(), 0);
@@ -323,7 +387,7 @@ TEST(PersistStore, BitFlippedPayloadIsACountedMiss) {
     ASSERT_TRUE(Store.flush());
   }
   {
-    std::fstream F(shardPath(D, FP),
+    std::fstream F(logPath(D),
                    std::ios::in | std::ios::out | std::ios::binary);
     // Flip a bit in the payload, well past the header and frame words.
     F.seekp(static_cast<std::streamoff>(PersistHeaderBytes +
@@ -344,7 +408,7 @@ TEST(PersistStore, BitFlippedPayloadIsACountedMiss) {
 
 TEST(PersistStore, WrongChecksumIsACountedMiss) {
   TempDir D("badcrc");
-  std::string FP = fpInShard(9);
+  std::string FP = makeFp(9);
   std::string Error;
   {
     PersistStore Store(D.str(), 0);
@@ -353,7 +417,7 @@ TEST(PersistStore, WrongChecksumIsACountedMiss) {
     ASSERT_TRUE(Store.flush());
   }
   {
-    std::fstream F(shardPath(D, FP),
+    std::fstream F(logPath(D),
                    std::ios::in | std::ios::out | std::ios::binary);
     // The CRC word sits right after the length word.
     F.seekp(static_cast<std::streamoff>(PersistHeaderBytes + 4));
@@ -369,14 +433,14 @@ TEST(PersistStore, LookupReverifiesAtReadTime) {
   // The file can rot *after* open() indexed it; lookup() must catch that
   // too, drop the entry and serve a miss instead of a wrong result.
   TempDir D("readtime");
-  std::string FP = fpInShard(11);
+  std::string FP = makeFp(11);
   std::string Error;
   PersistStore Store(D.str(), 0);
   ASSERT_TRUE(Store.open(&Error)) << Error;
   Store.append(makeResult(FP));
   ASSERT_TRUE(Store.flush());
   {
-    std::fstream F(shardPath(D, FP),
+    std::fstream F(logPath(D),
                    std::ios::in | std::ios::out | std::ios::binary);
     F.seekp(static_cast<std::streamoff>(PersistHeaderBytes +
                                         PersistRecordOverhead + 5));
@@ -398,12 +462,11 @@ TEST(PersistStore, CompactionEnforcesTheByteBudget) {
   std::string Error;
   // ~335 bytes per record; a 4 KiB budget forces eviction well before 32
   // distinct fingerprints are in.
-  uint64_t Budget = 4096 + PersistNumShards * PersistHeaderBytes;
-  PersistStore Store(D.str(), Budget, /*FlushEvery=*/1);
+  uint64_t Budget = 4096 + PersistHeaderBytes;
+  PersistStore Store(D.str(), Budget);
   ASSERT_TRUE(Store.open(&Error)) << Error;
   for (unsigned I = 0; I < 32; ++I)
-    Store.append(makeResult(fpInShard(I % PersistNumShards,
-                                      static_cast<char>('a' + I / 16)),
+    Store.append(makeResult(makeFp(I % 16, static_cast<char>('a' + I / 16)),
                             I));
   ASSERT_TRUE(Store.flush());
   PersistStats St = Store.stats();
@@ -412,16 +475,92 @@ TEST(PersistStore, CompactionEnforcesTheByteBudget) {
   EXPECT_LE(St.LogBytes, Budget);
   EXPECT_LT(St.LiveRecords, 32u);
   EXPECT_GT(St.LiveRecords, 0u);
+  EXPECT_EQ(St.LogBytes, fs::file_size(logPath(D)));
+  EXPECT_EQ(filesIn(D), std::vector<std::string>{PersistLogFileName});
   // Eviction is oldest-first: the newest record must have survived.
-  EXPECT_NE(Store.lookup(fpInShard(31 % PersistNumShards, 'b')), nullptr);
+  EXPECT_NE(Store.lookup(makeFp(15, 'b')), nullptr);
 
-  // Compaction rewrote the files consistently: a reopen sees the same
+  // Compaction rewrote the file consistently: a reopen sees the same
   // live set and every survivor still decodes.
   PersistStore Reopened(D.str(), Budget);
   ASSERT_TRUE(Reopened.open(&Error)) << Error;
   EXPECT_EQ(Reopened.stats().LiveRecords, St.LiveRecords);
   EXPECT_EQ(Reopened.stats().Corrupt, 0u);
-  EXPECT_NE(Reopened.lookup(fpInShard(31 % PersistNumShards, 'b')), nullptr);
+  EXPECT_NE(Reopened.lookup(makeFp(15, 'b')), nullptr);
+}
+
+TEST(PersistStore, CompactionDropsARecordThatRottedOnDisk) {
+  TempDir D("rot");
+  std::string Rotted = makeFp(1), Kept = makeFp(2);
+  std::string Error;
+  PersistStore Store(D.str(), /*ByteBudget=*/4096);
+  ASSERT_TRUE(Store.open(&Error)) << Error;
+  Store.append(makeResult(Rotted));
+  Store.append(makeResult(Kept));
+  ASSERT_TRUE(Store.flush());
+  // After the record was written and indexed, one byte of its first
+  // label rots on disk: "assert@10" now reads "assert@17".
+  size_t Label = readLog(D).find("assert@10");
+  ASSERT_NE(Label, std::string::npos);
+  overwrite(D, Label + 8, "7");
+  // Re-appending one fingerprint grows the log with dead records until
+  // it compacts; both live records fit the budget.
+  for (unsigned I = 0; I < 64 && Store.stats().Compactions == 0; ++I)
+    Store.append(makeResult(Kept, I));
+  ASSERT_EQ(Store.stats().Compactions, 1u);
+  EXPECT_EQ(Store.stats().Evictions, 0u);
+  // Compaction checked the record and dropped it, instead of copying it
+  // under a fresh checksum that would have served the rotted label.
+  EXPECT_EQ(Store.stats().Corrupt, 1u);
+  EXPECT_EQ(Store.stats().LiveRecords, 1u);
+  EXPECT_EQ(Store.lookup(Rotted), nullptr);
+  EXPECT_NE(Store.lookup(Kept), nullptr);
+
+  PersistStore Reopened(D.str(), 4096);
+  ASSERT_TRUE(Reopened.open(&Error)) << Error;
+  EXPECT_EQ(Reopened.stats().Corrupt, 0u);
+  EXPECT_EQ(Reopened.lookup(Rotted), nullptr);
+  EXPECT_NE(Reopened.lookup(Kept), nullptr);
+}
+
+TEST(PersistStore, EvictionAndReplayAreOldestFirstAcrossAReopen) {
+  // X is appended first and Y second; their fingerprints sort the other
+  // way, so only the place in the file says which is older.
+  TempDir D("age");
+  std::string X = makeFp(15), Y = makeFp(0), Z = makeFp(7);
+  std::string Error;
+  {
+    PersistStore Store(D.str(), 0);
+    ASSERT_TRUE(Store.open(&Error)) << Error;
+    Store.append(makeResult(X));
+    Store.append(makeResult(Y));
+    ASSERT_TRUE(Store.flush());
+  }
+  {
+    // Replay ends on the newest record: a cache with room for one
+    // record keeps Y.
+    JobResult Served = *resultFromJsonLine(resultToJsonLine(makeResult(Y)));
+    ResultCache Cache(ResultCache::costOf(Y, Served) * 3 / 2);
+    PersistStore Store(D.str(), 0);
+    ASSERT_TRUE(Store.open(&Error)) << Error;
+    EXPECT_EQ(Store.replayInto(Cache), 2u);
+    EXPECT_EQ(Cache.stats().Entries, 1u);
+    EXPECT_NE(Cache.lookup(Y), nullptr);
+    EXPECT_EQ(Cache.lookup(X), nullptr);
+  }
+  // A third append overflows a budget with room for two records; the
+  // compaction evicts the oldest, X.
+  uint64_t Frame =
+      PersistRecordOverhead + resultToJsonLine(makeResult(X)).size();
+  uint64_t Budget = PersistHeaderBytes + 2 * Frame + Frame / 2;
+  PersistStore Store(D.str(), Budget);
+  ASSERT_TRUE(Store.open(&Error)) << Error;
+  Store.append(makeResult(Z));
+  EXPECT_EQ(Store.stats().Compactions, 1u);
+  EXPECT_EQ(Store.stats().Evictions, 1u);
+  EXPECT_EQ(Store.lookup(X), nullptr);
+  EXPECT_NE(Store.lookup(Y), nullptr);
+  EXPECT_NE(Store.lookup(Z), nullptr);
 }
 
 } // namespace

@@ -401,12 +401,11 @@ TEST(TextIO, ReadFileWholeMissingAndDirectory) {
   std::string Out = "stale";
   ASSERT_TRUE(readFile((Dir / "p.imp").string(), Out));
   EXPECT_EQ(Out, Text);
-  // A missing file is refused and leaves Out alone; a directory opens
-  // but reads as empty text, without throwing.
+  // A missing file and a directory are refused and leave Out alone.
   EXPECT_FALSE(readFile((Dir / "missing.imp").string(), Out));
   EXPECT_EQ(Out, Text);
-  ASSERT_TRUE(readFile(Dir.string(), Out));
-  EXPECT_EQ(Out, "");
+  EXPECT_FALSE(readFile(Dir.string(), Out));
+  EXPECT_EQ(Out, Text);
   fs::remove_all(Dir);
 }
 

@@ -14,9 +14,10 @@ Five checks, all against the built binaries:
      replay the log into the memory tier: result lines byte-identical to
      the first run modulo the "cached" flag, stats hit_rate_permille >=
      900, persist.replayed > 0.
-  2. corruption     -- every shard log gets a byte flipped in place; the
-     next run must still exit cleanly with byte-identical results
-     (recomputed, not served wrong) and count persist.corrupt > 0.
+  2. corruption     -- one payload byte each of the first and the middle
+     record of the log is flipped in place; the next run must still exit
+     cleanly with byte-identical results (recomputed, not served wrong)
+     and count exactly those records in persist.corrupt.
   3. stdio vs TCP   -- the same session over stdin and over a TCP
      connection (--listen) must produce byte-identical response lines.
   4. 2 shards vs 1  -- the same session through cai-shard over two
@@ -144,24 +145,40 @@ def check_warm_restart(batch, tmpdir):
     return cold_lines
 
 
+HEADER_BYTES = 24  # "CAIP", container version, two format versions.
+FRAME_WORDS = 8    # Payload length and CRC-32, little-endian u32 each.
+
+
+def frame_offsets(data):
+    """Offsets of the record frames in a log file, walked by length."""
+    offsets, pos = [], HEADER_BYTES
+    while pos + FRAME_WORDS <= len(data):
+        offsets.append(pos)
+        pos += FRAME_WORDS + int.from_bytes(data[pos:pos + 4], "little")
+    return offsets
+
+
 def check_corruption(batch, tmpdir, cold_lines):
     before = len(FAILURES)
     pdir = os.path.join(tmpdir, "persist-warm")
-    flipped = 0
-    for name in sorted(os.listdir(pdir)):
-        path = os.path.join(pdir, name)
-        size = os.path.getsize(path)
-        if size <= 40:  # Header-only shard: nothing to corrupt.
-            continue
-        with open(path, "r+b") as f:
-            f.seek(40)
-            byte = f.read(1)
-            f.seek(40)
-            f.write(bytes([byte[0] ^ 0x55]))
-            flipped += 1
-    if flipped == 0:
-        fail("no shard file was large enough to corrupt")
+    logs = os.listdir(pdir)
+    if len(logs) != 1:
+        fail(f"the store holds {logs}, not one log file")
         return
+    path = os.path.join(pdir, logs[0])
+    with open(path, "rb") as f:
+        offsets = frame_offsets(f.read())
+    if len(offsets) < 3:
+        fail(f"the log holds {len(offsets)} records, too few to corrupt")
+        return
+    flipped = [offsets[0], offsets[len(offsets) // 2]]
+    with open(path, "r+b") as f:
+        for frame in flipped:
+            at = frame + FRAME_WORDS + 8  # A byte inside the payload.
+            f.seek(at)
+            byte = f.read(1)
+            f.seek(at)
+            f.write(bytes([byte[0] ^ 0x55]))
     proc = run([batch] + BATCH_ARGS + [f"--persist-dir={pdir}"])
     if proc.returncode not in (0, 1):
         fail(f"corrupted-log run crashed (exit {proc.returncode}): "
@@ -181,12 +198,12 @@ def check_corruption(batch, tmpdir, cold_lines):
     stats = json.loads(next(l for l in split_lines(proc.stderr)
                             if is_stats(l)))
     corrupt = stats.get("persist", {}).get("corrupt", 0)
-    if corrupt < 1:
-        fail(f"corrupted shards not counted in persist.corrupt: "
-             f"{stats.get('persist')}")
+    if corrupt != len(flipped):
+        fail(f"{len(flipped)} flipped records, but persist.corrupt is "
+             f"{corrupt}: {stats.get('persist')}")
     if len(FAILURES) == before:
-        ok(f"{flipped} flipped shards -> {corrupt} corrupt records "
-           f"skipped, results identical")
+        ok(f"{len(flipped)} flipped records of {len(offsets)} -> {corrupt} "
+           f"corrupt records skipped, results identical")
 
 
 SESSION = None  # Built in main() from --program.
