@@ -61,6 +61,50 @@ bool writeAll(int Fd, const std::string &Data) {
   return true;
 }
 
+/// Walks the whole frames of the log from the header to \p End, oldest
+/// first, through a buffer that never holds more than one chunk plus one
+/// frame, calling Visit(Offset, Frame, FrameBytes) for each (Ok or
+/// Corrupt).  Returns the offset just past the last whole frame -- a torn
+/// tail, or a length no frame can have, ends the walk early -- or nullopt
+/// on a read error.
+template <typename VisitFn>
+std::optional<uint64_t> walkFrames(int Fd, uint64_t End, VisitFn &&Visit) {
+  // Read is the file offset just past Buf, At the next frame in it.
+  std::string Buf;
+  size_t At = 0;
+  uint64_t Read = PersistHeaderBytes;
+  while (true) {
+    std::string_view Rest = std::string_view(Buf).substr(At);
+    Frame F = decodeFrame(Rest);
+    if (F.Status == Frame::Kind::Incomplete && Read < End) {
+      Buf.erase(0, At);
+      At = 0;
+      size_t N = size_t(std::min<uint64_t>(IoChunkBytes, End - Read));
+      size_t Old = Buf.size();
+      Buf.resize(Old + N);
+      if (!preadAll(Fd, &Buf[Old], N, Read))
+        return std::nullopt;
+      Read += N;
+      continue;
+    }
+    if (F.Status == Frame::Kind::Incomplete ||
+        F.Status == Frame::Kind::BadLength)
+      break;
+    Visit(Read - (Buf.size() - At), F, Rest.substr(0, F.Size));
+    At += F.Size;
+  }
+  return Read - (Buf.size() - At);
+}
+
+/// The result in a verified frame, if its payload decodes to the
+/// fingerprint the frame is keyed by.
+std::optional<JobResult> decodeRecord(const Frame &F) {
+  std::optional<JobResult> R = service::resultFromJsonLine(F.Payload);
+  if (R && R->Fingerprint != F.Key)
+    R.reset();
+  return R;
+}
+
 } // namespace
 
 PersistStore::PersistStore(std::string Dir, uint64_t ByteBudget)
@@ -133,43 +177,26 @@ bool PersistStore::open(std::string *Error) {
     Size = PersistHeaderBytes;
   }
 
-  // Index every verified record (the newest per fingerprint wins),
-  // reading through a buffer that never holds more than one chunk plus
-  // one frame.  Read is the file offset just past Buf, At the next frame
-  // in it.
-  std::string Buf;
-  size_t At = 0;
-  uint64_t Read = PersistHeaderBytes;
-  while (true) {
-    Frame F = decodeFrame(std::string_view(Buf).substr(At));
-    if (F.Status == Frame::Kind::Incomplete && Read < Size) {
-      Buf.erase(0, At);
-      At = 0;
-      size_t N = size_t(std::min<uint64_t>(IoChunkBytes, Size - Read));
-      size_t Old = Buf.size();
-      Buf.resize(Old + N);
-      if (!preadAll(Fd, &Buf[Old], N, Read))
-        return Fail("cannot read " + Path);
-      Read += N;
-      continue;
+  // Index every verified record by its key (the newest per fingerprint
+  // wins); no payload is decoded until it is replayed or looked up.
+  std::optional<uint64_t> Stop =
+      walkFrames(Fd, Size, [&](uint64_t At, const Frame &F, std::string_view) {
+    if (F.Status != Frame::Kind::Ok) {
+      ++S.Corrupt; // A frame that fails its check: skip this one.
+      return;
     }
-    if (F.Status == Frame::Kind::Incomplete ||
-        F.Status == Frame::Kind::BadLength)
-      break;
-    std::optional<JobResult> R;
-    if (F.Status == Frame::Kind::Ok)
-      R = service::resultFromJsonLine(std::string(F.Payload));
-    if (R)
-      Index[R->Fingerprint] = {Read - (Buf.size() - At),
-                               uint32_t(F.Payload.size())};
+    IndexEntry E{At, uint32_t(F.Size)};
+    if (auto It = Index.find(F.Key); It != Index.end())
+      It->second = E;
     else
-      ++S.Corrupt; // Checksum or decode failure: skip this one frame.
-    At += F.Size;
-  }
+      Index.emplace(F.Key, E);
+  });
+  if (!Stop)
+    return Fail("cannot read " + Path);
   // A torn tail (or a length no frame can have) ends the readable log.
   // Cut it off, so that the next append lands where a later open() can
   // read it.
-  FileBytes = Read - (Buf.size() - At);
+  FileBytes = *Stop;
   if (FileBytes < Size) {
     ++S.Corrupt;
     if (::ftruncate(Fd, off_t(FileBytes)) != 0)
@@ -179,31 +206,6 @@ bool PersistStore::open(std::string *Error) {
   S.LiveRecords = Index.size();
   S.LogBytes = FileBytes;
   return true;
-}
-
-bool PersistStore::readFrameLocked(const IndexEntry &E, std::string &Bytes) {
-  Bytes.assign(PersistRecordOverhead + E.PayloadLen, '\0');
-  if (!preadAll(Fd, &Bytes[0], Bytes.size(), E.Offset))
-    return false;
-  Frame F = decodeFrame(Bytes);
-  return F.Status == Frame::Kind::Ok && F.Size == Bytes.size();
-}
-
-std::shared_ptr<const JobResult> PersistStore::readEntryLocked(
-    const std::string &Fingerprint, const IndexEntry &E) {
-  // A frame still in the write buffer must reach the file first.
-  if (E.Offset >= FileBytes - Pending.size() && !flushLocked(nullptr))
-    return nullptr;
-  std::string Bytes;
-  std::optional<JobResult> R;
-  if (readFrameLocked(E, Bytes))
-    R = service::resultFromJsonLine(Bytes.substr(PersistRecordOverhead));
-  if (!R || R->Fingerprint != Fingerprint) {
-    ++S.Corrupt;
-    Index.erase(Fingerprint);
-    return nullptr;
-  }
-  return std::make_shared<const JobResult>(std::move(*R));
 }
 
 std::shared_ptr<const JobResult> PersistStore::lookup(
@@ -218,26 +220,41 @@ std::shared_ptr<const JobResult> PersistStore::lookup(
     ++S.Misses;
     return nullptr;
   }
+  // A frame still in the write buffer must reach the file first.
   IndexEntry E = It->second;
-  std::shared_ptr<const JobResult> R = readEntryLocked(Fingerprint, E);
-  if (!R) {
+  if (E.Offset >= FileBytes - Pending.size() && !flushLocked(nullptr)) {
     ++S.Misses;
+    return nullptr;
+  }
+  // Read the frame again and check it, its key and its payload: the file
+  // may have rotted since open().
+  std::string Bytes(E.Size, '\0');
+  std::optional<JobResult> R;
+  if (preadAll(Fd, &Bytes[0], Bytes.size(), E.Offset)) {
+    Frame F = decodeFrame(Bytes);
+    if (F.Status == Frame::Kind::Ok && F.Size == Bytes.size() &&
+        F.Key == Fingerprint)
+      R = decodeRecord(F);
+  }
+  if (!R) {
+    ++S.Corrupt;
+    ++S.Misses;
+    Index.erase(Fingerprint);
     S.LiveRecords = Index.size();
     return nullptr;
   }
   ++S.Hits;
-  return R;
+  return std::make_shared<const JobResult>(std::move(*R));
 }
 
 void PersistStore::append(const JobResult &R) {
   std::lock_guard<std::mutex> L(Mu);
   if (Fd < 0 || R.Fingerprint.empty() || !service::jobCacheable(R.Status))
     return;
-  std::string Bytes = encodeRecordFrame(service::resultToJsonLine(R));
-  Index[R.Fingerprint] = {FileBytes,
-                          uint32_t(Bytes.size() - PersistRecordOverhead)};
-  Pending += Bytes;
-  FileBytes += Bytes.size();
+  size_t Size = appendRecordFrame(Pending, R.Fingerprint,
+                                  service::resultToJsonLine(R));
+  Index[R.Fingerprint] = {FileBytes, uint32_t(Size)};
+  FileBytes += Size;
   ++S.Appends;
   S.LiveRecords = Index.size();
   S.LogBytes = FileBytes;
@@ -273,32 +290,31 @@ bool PersistStore::flushLocked(std::string *Error) {
   return true;
 }
 
-std::vector<std::pair<std::string, PersistStore::IndexEntry>>
-PersistStore::byAgeLocked() const {
-  std::vector<std::pair<std::string, IndexEntry>> Live(Index.begin(),
-                                                       Index.end());
-  std::sort(Live.begin(), Live.end(), [](const auto &A, const auto &B) {
-    return A.second.Offset < B.second.Offset;
-  });
-  return Live;
-}
-
 uint64_t PersistStore::replayInto(service::ResultCache &Cache) {
   std::lock_guard<std::mutex> L(Mu);
-  if (Fd < 0)
+  if (Fd < 0 || !flushLocked(nullptr))
     return 0;
-  // Oldest-first so the newest records land most-recently-used in the
-  // LRU (and survive longest if the memory budget is tighter than disk).
+  // One pass in file order, which is age order, so the newest records
+  // land most-recently-used in the LRU (and survive longest if the memory
+  // budget is tighter than disk).  A frame that no longer verifies, or
+  // that a read error keeps the walk from reaching, is skipped here; its
+  // index entry stays for lookup() to re-check and drop.
   uint64_t N = 0;
-  for (const auto &[FP, E] : byAgeLocked()) {
-    std::shared_ptr<const JobResult> R = readEntryLocked(FP, E);
-    if (Fd < 0)
-      break; // A flush failed and took the disk tier out of service.
-    if (!R)
-      continue;
-    Cache.insert(FP, std::move(R));
+  walkFrames(Fd, FileBytes, [&](uint64_t At, const Frame &F, std::string_view) {
+    if (F.Status != Frame::Kind::Ok)
+      return;
+    auto It = Index.find(F.Key);
+    if (It == Index.end() || It->second.Offset != At)
+      return; // Superseded by a newer record of the same fingerprint.
+    std::optional<JobResult> R = decodeRecord(F);
+    if (!R) {
+      ++S.Corrupt;
+      Index.erase(It);
+      return;
+    }
+    Cache.insert(It->first, std::make_shared<const JobResult>(std::move(*R)));
     ++N;
-  }
+  });
   S.Replayed += N;
   S.LiveRecords = Index.size();
   return N;
@@ -307,45 +323,50 @@ uint64_t PersistStore::replayInto(service::ResultCache &Cache) {
 void PersistStore::compactLocked() {
   if (!flushLocked(nullptr))
     return;
-  // Evict oldest until the rewritten log would fit the budget.
-  std::vector<std::pair<std::string, IndexEntry>> Live = byAgeLocked();
-  uint64_t Projected = PersistHeaderBytes;
-  for (const auto &[FP, E] : Live)
-    Projected += PersistRecordOverhead + E.PayloadLen;
-  size_t Drop = 0;
-  while (Projected > Budget && Drop < Live.size())
-    Projected -= PersistRecordOverhead + Live[Drop++].second.PayloadLen;
+  // Evict oldest-first until the live records fit half the budget, so
+  // that the next many appends land without another rewrite.  The newest
+  // record stays whenever it fits the budget by itself.
+  uint64_t Projected = PersistHeaderBytes, Newest = 0;
+  for (const auto &[FP, E] : Index) {
+    Projected += E.Size;
+    Newest = std::max(Newest, E.Offset);
+  }
 
-  // Copy the survivors, each verified again, behind a fresh header into
-  // a .tmp file, fsync it and rename it over the log: a crash leaves
-  // either the old file or the whole new one.  A record that rotted
-  // since it was indexed is dropped, never rewritten under a fresh CRC.
+  // Copy the survivors, verified again as the walk reads them, behind a
+  // fresh header into a .tmp file, fsync it and rename it over the log: a
+  // crash leaves either the old file or the whole new one.  A record that
+  // rotted since it was indexed is dropped, never rewritten under a fresh
+  // CRC.
   std::string Tmp = Path + ".tmp";
   int TmpFd = ::open(Tmp.c_str(),
                      O_RDWR | O_CREAT | O_TRUNC | O_APPEND | O_CLOEXEC, 0644);
   if (TmpFd < 0)
     return;
-  std::unordered_map<std::string, IndexEntry> Kept;
+  IndexMap Kept;
   std::string Out =
       encodeHeader(service::CacheSchemaVersion, service::OptionsFormatVersion);
-  uint64_t Written = 0, Rotted = 0;
+  uint64_t Written = 0, Evicted = 0;
   bool Ok = true;
-  std::string Bytes;
-  for (size_t I = Drop; I < Live.size() && Ok; ++I) {
-    const auto &[FP, E] = Live[I];
-    if (!readFrameLocked(E, Bytes)) {
-      ++Rotted;
-      continue;
+  auto Copy = [&](uint64_t At, const Frame &F, std::string_view Bytes) {
+    auto It = F.Status == Frame::Kind::Ok ? Index.find(F.Key) : Index.end();
+    if (!Ok || It == Index.end() || It->second.Offset != At)
+      return;
+    if (Projected > Budget / 2 &&
+        (At != Newest || PersistHeaderBytes + F.Size > Budget)) {
+      Projected -= F.Size;
+      ++Evicted;
+      return;
     }
-    Kept[FP] = {Written + Out.size(), E.PayloadLen};
+    Kept.emplace(It->first, IndexEntry{Written + Out.size(), uint32_t(F.Size)});
     Out += Bytes;
     if (Out.size() >= IoChunkBytes) {
       Ok = writeAll(TmpFd, Out);
       Written += Out.size();
       Out.clear();
     }
-  }
-  Ok = Ok && writeAll(TmpFd, Out) && ::fsync(TmpFd) == 0 &&
+  };
+  bool Read = walkFrames(Fd, FileBytes, Copy).has_value();
+  Ok = Ok && Read && writeAll(TmpFd, Out) && ::fsync(TmpFd) == 0 &&
        ::rename(Tmp.c_str(), Path.c_str()) == 0;
   if (!Ok) {
     ::close(TmpFd);
@@ -355,9 +376,9 @@ void PersistStore::compactLocked() {
   closeLocked();
   Fd = TmpFd;
   FileBytes = Written + Out.size();
+  S.Corrupt += Index.size() - Kept.size() - Evicted; // Rotted since open.
   Index = std::move(Kept);
-  S.Corrupt += Rotted;
-  S.Evictions += Drop;
+  S.Evictions += Evicted;
   ++S.Compactions;
   S.LiveRecords = Index.size();
   S.LogBytes = FileBytes;

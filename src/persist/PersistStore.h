@@ -15,14 +15,20 @@
 ///
 /// Appends collect in memory and go to disk 32 at a time, in one write
 /// and one fsync.  Records are only appended, so a record's file offset
-/// is its age: replay and compaction walk the index in offset order.
+/// is its age.  Each frame carries its fingerprint, so open() indexes
+/// the file from the keys without decoding a payload; replay and
+/// compaction walk the file front to back once, oldest record first,
+/// and take from it only the frame each fingerprint's index entry
+/// points to.
 ///
 /// Trust model: the disk is the *untrusted* party.  open() re-verifies
 /// the header and every record CRC before indexing anything, and cuts a
 /// torn tail off the file before the first append lands behind it;
-/// lookup() and compaction verify again at read time (the file may have
-/// been truncated or flipped since).  Any failure -- framing, checksum,
-/// JSON, unknown status -- demotes the record to a miss and bumps
+/// replay, lookup() and compaction verify again at read time (the file
+/// may have been truncated or flipped since), and a payload is served
+/// only if it decodes to the fingerprint its frame is keyed by.  Any
+/// failure -- framing, checksum, JSON, unknown status, a key that
+/// disagrees with the payload -- demotes the record to a miss and bumps
 /// `persist.corrupt`; a bad header demotes the whole file and bumps
 /// `persist.stale_files`, as does each `shard-?.log` file of the older
 /// sixteen-file layout, which open() removes.  Corruption therefore costs
@@ -31,8 +37,10 @@
 ///
 /// GC is log compaction: when the file exceeds the byte budget, the
 /// live records (the newest per fingerprint) are copied, oldest evicted
-/// first until the budget holds, into a fresh file that atomically
-/// replaces the old one (write .tmp, fsync, rename).
+/// first until they fit half the budget, into a fresh file that
+/// atomically replaces the old one (write .tmp, fsync, rename).  The
+/// half left free absorbs the next appends, so a full store rewrites
+/// itself once per many appends rather than on each one.
 ///
 /// Thread-safe: one mutex serializes all operations; the scheduler's
 /// workers call lookup()/append() concurrently.
@@ -48,9 +56,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 namespace cai {
 namespace service {
@@ -91,8 +98,9 @@ public:
   PersistStore &operator=(const PersistStore &) = delete;
 
   /// Opens (creating if missing) the directory and its log file,
-  /// verifies the header and every record, cuts a torn tail, and indexes
-  /// the live (newest-per-fingerprint) records.  Corrupt records and
+  /// verifies the header and every record's checksum, cuts a torn tail,
+  /// and indexes the live (newest-per-fingerprint) records by their
+  /// frames' keys, decoding no payload.  Corrupt records and
   /// stale files are counted and skipped -- open() only fails (returning
   /// false with \p Error) on genuine I/O errors like an uncreatable
   /// directory or a tail that cannot be cut.
@@ -119,8 +127,9 @@ public:
   /// next open().  Called on shutdown and before reads of pending data.
   bool flush(std::string *Error = nullptr);
 
-  /// Decodes every live record and inserts it into \p Cache
-  /// oldest-first, so the newest records end most-recently-used.
+  /// Reads the log once, front to back, decoding each live record and
+  /// inserting it into \p Cache oldest-first, so the newest records end
+  /// most-recently-used.  Superseded records are skipped undecoded.
   /// Returns the number replayed.
   uint64_t replayInto(service::ResultCache &Cache);
 
@@ -129,18 +138,18 @@ public:
 private:
   struct IndexEntry {
     uint64_t Offset = 0; ///< Of the record frame (length word): its age.
-    uint32_t PayloadLen = 0;
+    uint32_t Size = 0;   ///< Of the whole frame.
   };
+  /// Lets the index be probed with a frame's key in place.
+  struct KeyHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view Key) const {
+      return std::hash<std::string_view>{}(Key);
+    }
+  };
+  using IndexMap =
+      std::unordered_map<std::string, IndexEntry, KeyHash, std::equal_to<>>;
 
-  /// Reads the frame of \p E into \p Bytes; false unless it is whole and
-  /// matches its checksum.  Caller holds Mu.
-  bool readFrameLocked(const IndexEntry &E, std::string &Bytes);
-  /// Reads, verifies and decodes the indexed record; on failure counts
-  /// corruption and drops the entry.  Caller holds Mu.
-  std::shared_ptr<const service::JobResult> readEntryLocked(
-      const std::string &Fingerprint, const IndexEntry &E);
-  /// The indexed fingerprints, oldest record first.  Caller holds Mu.
-  std::vector<std::pair<std::string, IndexEntry>> byAgeLocked() const;
   bool flushLocked(std::string *Error);
   void compactLocked();
   void closeLocked();
@@ -154,7 +163,7 @@ private:
   uint64_t FileBytes = 0; ///< Size of the log, pending frames included.
   std::string Pending;    ///< Frames appended since the last flush.
   unsigned PendingFrames = 0;
-  std::unordered_map<std::string, IndexEntry> Index;
+  IndexMap Index;
   PersistStats S;
 };
 

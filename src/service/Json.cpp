@@ -5,6 +5,7 @@
 #include "support/TextIO.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -70,7 +71,7 @@ namespace {
 /// request line cannot blow the stack.
 class Parser {
 public:
-  Parser(const std::string &S, std::string *Error) : S(S), Error(Error) {}
+  Parser(std::string_view S, std::string *Error) : S(S), Error(Error) {}
 
   std::optional<Json> run() {
     std::optional<Json> V = value(0);
@@ -85,7 +86,7 @@ public:
 private:
   static constexpr unsigned MaxDepth = 64;
 
-  std::optional<Json> fail(const std::string &Msg) {
+  std::nullopt_t fail(const std::string &Msg) {
     if (Error && Error->empty())
       *Error = Msg + " at offset " + std::to_string(Pos);
     return std::nullopt;
@@ -121,8 +122,12 @@ private:
     case 'f':
       return literal("false") ? std::optional<Json>(Json::boolean(false))
                               : fail("bad literal");
-    case '"':
-      return string();
+    case '"': {
+      std::optional<std::string> Text = string();
+      if (!Text)
+        return std::nullopt;
+      return Json::str(std::move(*Text));
+    }
     case '[':
       return array(Depth);
     case '{':
@@ -132,14 +137,15 @@ private:
     }
   }
 
-  std::optional<Json> string() {
+  /// The text of the string literal whose opening quote is at Pos.
+  std::optional<std::string> string() {
     ++Pos; // opening quote
     std::string Out;
     while (Pos < S.size()) {
       unsigned char C = S[Pos];
       if (C == '"') {
         ++Pos;
-        return Json::str(std::move(Out));
+        return Out;
       }
       if (C == '\\') {
         if (Pos + 1 >= S.size())
@@ -210,8 +216,13 @@ private:
       }
       if (C < 0x20)
         return fail("raw control character in string");
-      Out += char(C);
-      ++Pos;
+      // Append the run of plain characters that starts here whole.
+      size_t Run = Pos + 1;
+      while (Run < S.size() && S[Run] != '"' && S[Run] != '\\' &&
+             static_cast<unsigned char>(S[Run]) >= 0x20)
+        ++Run;
+      Out.append(S, Pos, Run - Pos);
+      Pos = Run;
     }
     return fail("unterminated string");
   }
@@ -244,16 +255,15 @@ private:
     }
     if (!Digits)
       return fail("expected a JSON value");
-    std::string Text = S.substr(Begin, Pos - Begin);
     if (Integral) {
-      try {
-        return Json::integer(std::stoll(Text));
-      } catch (...) {
-        // Out of int64 range: fall through to double.
-      }
+      int64_t V = 0;
+      auto [End, Err] = std::from_chars(S.data() + Begin, S.data() + Pos, V);
+      if (Err == std::errc() && End == S.data() + Pos)
+        return Json::integer(V);
+      // Out of int64 range: fall through to double.
     }
     try {
-      return Json::number(std::stod(Text));
+      return Json::number(std::stod(std::string(S.substr(Begin, Pos - Begin))));
     } catch (...) {
       return fail("unparsable number");
     }
@@ -299,7 +309,7 @@ private:
       skipWs();
       if (Pos >= S.size() || S[Pos] != '"')
         return fail("expected object key");
-      std::optional<Json> Key = string();
+      std::optional<std::string> Key = string();
       if (!Key)
         return std::nullopt;
       skipWs();
@@ -309,7 +319,7 @@ private:
       std::optional<Json> V = value(Depth + 1);
       if (!V)
         return std::nullopt;
-      Out.set(Key->asString(), std::move(*V));
+      Out.set(std::move(*Key), std::move(*V));
       skipWs();
       if (Pos >= S.size())
         return fail("unterminated object");
@@ -325,14 +335,14 @@ private:
     }
   }
 
-  const std::string &S;
+  std::string_view S;
   std::string *Error;
   size_t Pos = 0;
 };
 
 } // namespace
 
-std::optional<Json> Json::parse(const std::string &Text, std::string *Error) {
+std::optional<Json> Json::parse(std::string_view Text, std::string *Error) {
   if (Error)
     Error->clear();
   return Parser(Text, Error).run();

@@ -21,6 +21,7 @@
 #include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -114,7 +115,7 @@ public:
   /// Parses one JSON document from \p Text.  On failure returns
   /// std::nullopt and, when \p Error is non-null, a one-line message with
   /// the byte offset.  Trailing garbage after the document is an error.
-  static std::optional<Json> parse(const std::string &Text,
+  static std::optional<Json> parse(std::string_view Text,
                                    std::string *Error = nullptr);
 
 private:

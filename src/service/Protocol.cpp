@@ -252,7 +252,7 @@ std::string cai::service::resultToJsonLine(const JobResult &R) {
 }
 
 std::optional<JobResult>
-cai::service::resultFromJsonLine(const std::string &Line) {
+cai::service::resultFromJsonLine(std::string_view Line) {
   std::optional<Json> J = Json::parse(Line);
   if (!J || !J->isObject())
     return std::nullopt;

@@ -87,7 +87,7 @@ std::string resultToJsonLine(const JobResult &R);
 /// leaves out.  Returns std::nullopt on malformed input: not a JSON
 /// object, no fingerprint, an unknown status, "assertions" or "findings"
 /// not an array, or "stats" not an object.
-std::optional<JobResult> resultFromJsonLine(const std::string &Line);
+std::optional<JobResult> resultFromJsonLine(std::string_view Line);
 
 /// Serializes service statistics as one JSON line (no newline).  \p PS,
 /// when non-null, appends a "persist" block (disk-tier counters) after

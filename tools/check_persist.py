@@ -15,9 +15,10 @@ Five checks, all against the built binaries:
      the first run modulo the "cached" flag, stats hit_rate_permille >=
      900, persist.replayed > 0.
   2. corruption     -- one payload byte each of the first and the middle
-     record of the log is flipped in place; the next run must still exit
-     cleanly with byte-identical results (recomputed, not served wrong)
-     and count exactly those records in persist.corrupt.
+     record of the log (past the frame's length and CRC words and its
+     length-prefixed key) is flipped in place; the next run must still
+     exit cleanly with byte-identical results (recomputed, not served
+     wrong) and count exactly those records in persist.corrupt.
   3. stdio vs TCP   -- the same session over stdin and over a TCP
      connection (--listen) must produce byte-identical response lines.
   4. 2 shards vs 1  -- the same session through cai-shard over two
@@ -146,7 +147,8 @@ def check_warm_restart(batch, tmpdir):
 
 
 HEADER_BYTES = 24  # "CAIP", container version, two format versions.
-FRAME_WORDS = 8    # Payload length and CRC-32, little-endian u32 each.
+FRAME_WORDS = 8    # Body length and CRC-32, little-endian u32 each.
+KEY_WORD = 4       # The body starts with the key's length, a u32.
 
 
 def frame_offsets(data):
@@ -174,7 +176,10 @@ def check_corruption(batch, tmpdir, cold_lines):
     flipped = [offsets[0], offsets[len(offsets) // 2]]
     with open(path, "r+b") as f:
         for frame in flipped:
-            at = frame + FRAME_WORDS + 8  # A byte inside the payload.
+            f.seek(frame + FRAME_WORDS)
+            key = int.from_bytes(f.read(KEY_WORD), "little")
+            # A byte inside the payload, which follows the key.
+            at = frame + FRAME_WORDS + KEY_WORD + key + 8
             f.seek(at)
             byte = f.read(1)
             f.seek(at)
