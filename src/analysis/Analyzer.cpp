@@ -578,11 +578,9 @@ AnalysisResult Analyzer::run(const Program &P) const {
   CAI_METRIC_ADD("lattice.cache.hits", Result.Stats.CacheHits);
   CAI_METRIC_ADD("lattice.cache.misses", Result.Stats.CacheMisses);
   CAI_METRIC_ADD("lattice.saturation_rounds", Delta.SaturationRounds);
-#ifndef CAI_DISABLE_OBS
   obs::MetricsRegistry::current().gauge("analyzer.wto_components")
       .set(Result.Stats.WtoComponents);
   obs::MetricsRegistry::current().gauge("analyzer.max_node_updates")
       .set(Result.Stats.MaxNodeUpdates);
-#endif
   return Result;
 }

@@ -2,6 +2,8 @@
 
 #include "domains/affine/AffineDomain.h"
 
+#include "domains/affine/EqualityKit.h"
+
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 
@@ -23,19 +25,6 @@ linearSides(const TermContext &Ctx, const Atom &A) {
 }
 
 } // namespace
-
-std::optional<LinRow<Rational>>
-AffineDomain::rowOf(const LinearExpr &Diff, const ColumnSpace &Space) {
-  LinRow<Rational> Row(Space.Columns.size() + 1);
-  for (const auto &[T, C] : Diff.terms()) {
-    auto It = Space.Index.find(T);
-    if (It == Space.Index.end())
-      return std::nullopt; // Indeterminate unknown to this column space.
-    Row[It->second] = C;
-  }
-  Row[Space.Columns.size()] = -Diff.constant();
-  return Row;
-}
 
 std::shared_ptr<const AffineDomain::Canon>
 AffineDomain::canon(const Conjunction &E) const {
@@ -65,7 +54,7 @@ AffineDomain::canon(const Conjunction &E) const {
   }
   C->Sys = AffineSystem<Rational>(C->Cols.Columns.size());
   for (const LinearExpr &Diff : Diffs)
-    C->Sys.addRow(std::move(*rowOf(Diff, C->Cols)));
+    C->Sys.addRow(std::move(*equationRow(Diff, C->Cols)));
   C->Sys.isInconsistent(); // Canonicalize here, once.
   if (Memo)
     Recent.insert(E, C);
@@ -76,31 +65,10 @@ Conjunction AffineDomain::fromSystem(const AffineSystem<Rational> &S,
                                      const std::vector<Term> &Columns) const {
   if (S.isInconsistent())
     return Conjunction::bottom();
-  TermContext &Ctx = context();
   Conjunction Out;
-  for (const LinRow<Rational> &Row : S.rows()) {
-    LinearExpr Lhs;
-    for (size_t C = 0; C < Columns.size(); ++C)
-      if (!Row[C].isZero())
-        Lhs.addTerm(Columns[C], Row[C]);
-    LinearExpr Rhs(Row[Columns.size()]);
-    // Scale to integral coefficients for readable canonical output.
-    LinearExpr Diff = Lhs - Rhs;
-    Rational Scale = Diff.normalizeIntegral(/*NormalizeSign=*/true);
-    Lhs = Lhs.scaled(Scale);
-    Rhs = Rhs.scaled(Scale);
-    Out.add(Atom::mkEq(Ctx, Lhs.toTerm(Ctx), Rhs.toTerm(Ctx)));
-  }
+  for (const LinRow<Rational> &Row : S.rows())
+    Out.add(eqAtom(context(), Row, Row[Columns.size()], Columns));
   return Out;
-}
-
-Term AffineDomain::termOf(const LinRow<Rational> &Row,
-                          const std::vector<Term> &Columns) const {
-  LinearExpr Expr(Row[Columns.size()]);
-  for (size_t C = 0; C < Columns.size(); ++C)
-    if (!Row[C].isZero())
-      Expr.addTerm(Columns[C], Row[C]);
-  return Expr.toTerm(context());
 }
 
 Conjunction AffineDomain::join(const Conjunction &A,
@@ -128,17 +96,10 @@ Conjunction AffineDomain::existQuant(const Conjunction &E,
   if (E.isBottom())
     return E;
   std::shared_ptr<const Canon> C = canon(E);
-  const std::vector<Term> &Columns = C->Cols.Columns;
   // Eliminate each variable column in Vars, and every opaque column whose
   // term mentions one of them.
-  std::vector<bool> Mask(Columns.size(), false);
-  for (size_t Col = 0; Col < Columns.size(); ++Col)
-    for (Term V : Vars)
-      if (occursIn(V, Columns[Col])) {
-        Mask[Col] = true;
-        break;
-      }
-  return fromSystem(C->Sys.project(Mask), Columns);
+  return fromSystem(C->Sys.project(columnsMentioning(C->Cols.Columns, Vars)),
+                    C->Cols.Columns);
 }
 
 bool AffineDomain::entails(const Conjunction &E, const Atom &A) const {
@@ -155,7 +116,7 @@ bool AffineDomain::entails(const Conjunction &E, const Atom &A) const {
   // A term outside E's columns is unconstrained by the consistent E, so an
   // atom still mentioning one after cancellation is not entailed.
   std::optional<LinRow<Rational>> Row =
-      rowOf(Sides->first - Sides->second, C->Cols);
+      equationRow(Sides->first - Sides->second, C->Cols);
   return Row && C->Sys.entails(std::move(*Row));
 }
 
@@ -165,24 +126,12 @@ bool AffineDomain::isUnsat(const Conjunction &E) const {
 
 std::vector<std::pair<Term, Term>>
 AffineDomain::impliedVarEqualities(const Conjunction &E) const {
-  std::vector<std::pair<Term, Term>> Out;
   if (E.isBottom())
-    return Out;
+    return {};
   std::shared_ptr<const Canon> C = canon(E);
   if (C->Sys.isInconsistent())
-    return Out;
-  const std::vector<Term> &Columns = C->Cols.Columns;
-  std::vector<LinRow<Rational>> Reps = C->Sys.varRepresentatives();
-  // Group variable columns with identical representatives.
-  std::map<LinRow<Rational>, Term, std::less<LinRow<Rational>>> Leader;
-  for (size_t Col = 0; Col < Columns.size(); ++Col) {
-    if (!Columns[Col]->isVariable())
-      continue;
-    auto [It, Inserted] = Leader.emplace(Reps[Col], Columns[Col]);
-    if (!Inserted)
-      Out.emplace_back(It->second, Columns[Col]);
-  }
-  return Out;
+    return {};
+  return varEqualities(C->Sys, C->Cols.Columns);
 }
 
 std::optional<Term>
@@ -192,58 +141,18 @@ AffineDomain::alternate(const Conjunction &E, Term Var,
     return std::nullopt;
   assert(Var->isVariable() && "alternate target must be a variable");
   std::shared_ptr<const Canon> C = canon(E);
-  const std::vector<Term> &Columns = C->Cols.Columns;
-  auto VarIt = C->Cols.Index.find(Var);
-  if (VarIt == C->Cols.Index.end() || C->Sys.isInconsistent())
-    return std::nullopt;
-  // A column is unusable if its term mentions Var or any avoided variable.
-  std::vector<bool> Mask(Columns.size(), false);
-  for (size_t Col = 0; Col < Columns.size(); ++Col) {
-    if (Col == VarIt->second)
-      continue;
-    if (occursIn(Var, Columns[Col])) {
-      Mask[Col] = true;
-      continue;
-    }
-    for (Term V : Avoid)
-      if (occursIn(V, Columns[Col])) {
-        Mask[Col] = true;
-        break;
-      }
-  }
-  std::optional<LinRow<Rational>> Row = C->Sys.solveFor(VarIt->second, Mask);
-  if (!Row)
-    return std::nullopt;
-  return termOf(*Row, Columns);
+  return alternateIn(context(), C->Cols, Var, Avoid, [&] {
+    return C->Sys.isInconsistent() ? nullptr : &C->Sys;
+  });
 }
 
 std::vector<std::pair<Term, Term>>
 AffineDomain::alternateBatch(const Conjunction &E,
                              const std::vector<Term> &Targets) const {
-  std::vector<std::pair<Term, Term>> Out;
   if (E.isBottom())
-    return Out;
+    return {};
   std::shared_ptr<const Canon> C = canon(E);
-  if (C->Sys.isInconsistent())
-    return Out;
-  const std::vector<Term> &Columns = C->Cols.Columns;
-  // Target columns: the target variables themselves plus every opaque
-  // column whose term mentions one (those may not appear in definitions).
-  std::vector<bool> Mask(Columns.size(), false);
-  bool AnyTarget = false;
-  for (size_t Col = 0; Col < Columns.size(); ++Col)
-    for (Term V : Targets)
-      if (occursIn(V, Columns[Col])) {
-        Mask[Col] = true;
-        AnyTarget |= Columns[Col]->isVariable();
-        break;
-      }
-  if (!AnyTarget)
-    return Out;
-  for (auto &[Col, Row] : C->Sys.solveForMany(Mask)) {
-    if (!Columns[Col]->isVariable())
-      continue; // Opaque columns are not QSaturation targets.
-    Out.emplace_back(Columns[Col], termOf(Row, Columns));
-  }
-  return Out;
+  return alternateBatchIn(context(), C->Cols.Columns, Targets, [&] {
+    return C->Sys.isInconsistent() ? nullptr : &C->Sys;
+  });
 }

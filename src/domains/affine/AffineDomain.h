@@ -67,14 +67,6 @@ private:
 
   Conjunction fromSystem(const AffineSystem<Rational> &S,
                          const std::vector<Term> &Columns) const;
-  /// The row over \p Space of the equation Diff = 0; nullopt when \p Diff
-  /// mentions a term outside \p Space.
-  static std::optional<LinRow<Rational>> rowOf(const LinearExpr &Diff,
-                                               const ColumnSpace &Space);
-  /// Rewrites a definition row (coefficients over \p Columns, then the
-  /// constant) as a term.
-  Term termOf(const LinRow<Rational> &Row,
-              const std::vector<Term> &Columns) const;
 
   mutable CanonList<Canon> Recent;
 };

@@ -1,0 +1,128 @@
+//===- domains/affine/EqualityKit.h - Affine equality operators -*- C++ -*-===//
+///
+/// \file
+/// The operator pieces the linear domains share: each holds an affine
+/// equality system over a column space and answers VE_T, Alternate_T and
+/// existential quantification's column selection from it.  Karr's domain
+/// keeps that system directly, the polyhedra domain derives it as its
+/// affine hull, and the parity domain keeps it beside its GF(2) layer.
+/// This header also renders their rows back into terms and atoms.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef CAI_DOMAINS_AFFINE_EQUALITYKIT_H
+#define CAI_DOMAINS_AFFINE_EQUALITYKIT_H
+
+#include "linalg/AffineSystem.h"
+#include "term/Atom.h"
+#include "term/ColumnSpace.h"
+#include "term/LinearExpr.h"
+
+#include <optional>
+
+namespace cai {
+
+/// Marks each of \p Columns whose term mentions one of \p Vars: the
+/// variable columns themselves and every opaque column containing one.
+std::vector<bool> columnsMentioning(const std::vector<Term> &Columns,
+                                    const std::vector<Term> &Vars);
+
+/// The row over \p Space of the equation Diff = 0 (coefficients, then the
+/// constant); nullopt when \p Diff mentions a term outside \p Space.
+std::optional<LinRow<Rational>> equationRow(const LinearExpr &Diff,
+                                            const ColumnSpace &Space);
+
+/// Coefficients over \p Columns, then optionally a constant, as a linear
+/// expression.
+template <typename RowT>
+LinearExpr exprOf(const RowT &Coeffs, const std::vector<Term> &Columns,
+                  Rational Constant = Rational()) {
+  LinearExpr Expr(std::move(Constant));
+  for (size_t C = 0; C < Columns.size(); ++C)
+    if (!Coeffs[C].isZero())
+      Expr.addTerm(Columns[C], Coeffs[C]);
+  return Expr;
+}
+
+/// A definition row (coefficients over \p Columns, then the constant) as
+/// a term.
+Term rowTerm(TermContext &Ctx, const LinRow<Rational> &Row,
+             const std::vector<Term> &Columns);
+
+/// The equality Coeffs . x = Rhs, scaled to integral coefficients with a
+/// normalized sign, so both halves of an equality pair render as the same
+/// atom.
+template <typename RowT>
+Atom eqAtom(TermContext &Ctx, const RowT &Coeffs, const Rational &Rhs,
+            const std::vector<Term> &Columns) {
+  LinearExpr Lhs = exprOf(Coeffs, Columns);
+  LinearExpr RhsExpr(Rhs);
+  LinearExpr Diff = Lhs - RhsExpr;
+  Rational Scale = Diff.normalizeIntegral(/*NormalizeSign=*/true);
+  Lhs = Lhs.scaled(Scale);
+  RhsExpr = RhsExpr.scaled(Scale);
+  return Atom::mkEq(Ctx, Lhs.toTerm(Ctx), RhsExpr.toTerm(Ctx));
+}
+
+/// VE_T of the consistent system \p Sys: variable columns with identical
+/// canonical representatives, each paired with the first of its group.
+std::vector<std::pair<Term, Term>>
+varEqualities(const AffineSystem<Rational> &Sys,
+              const std::vector<Term> &Columns);
+
+/// Alternate_T: a definition of \p Var over the columns that mention
+/// neither Var nor a variable of \p Avoid.  \p System returns the
+/// element's equality system, or null when the element is empty; it is
+/// called only once \p Var is known to be a column, so a domain that
+/// derives the system lazily pays nothing otherwise.
+template <typename SystemFn>
+std::optional<Term> alternateIn(TermContext &Ctx, const ColumnSpace &Cols,
+                                Term Var, const std::vector<Term> &Avoid,
+                                SystemFn &&System) {
+  auto VarIt = Cols.Index.find(Var);
+  if (VarIt == Cols.Index.end())
+    return std::nullopt;
+  const AffineSystem<Rational> *Sys = System();
+  if (!Sys)
+    return std::nullopt;
+  std::vector<Term> Forbidden = Avoid;
+  Forbidden.push_back(Var);
+  std::vector<bool> Mask = columnsMentioning(Cols.Columns, Forbidden);
+  Mask[VarIt->second] = false; // The column solved for.
+  std::optional<LinRow<Rational>> Row = Sys->solveFor(VarIt->second, Mask);
+  if (!Row)
+    return std::nullopt;
+  return rowTerm(Ctx, *Row, Cols.Columns);
+}
+
+/// Batched Alternate_T: definitions of as many \p Targets as one
+/// elimination finds, each over the columns that mention no target.
+/// \p System is as for alternateIn, and is called only when some target
+/// is a column.
+template <typename SystemFn>
+std::vector<std::pair<Term, Term>>
+alternateBatchIn(TermContext &Ctx, const std::vector<Term> &Columns,
+                 const std::vector<Term> &Targets, SystemFn &&System) {
+  std::vector<std::pair<Term, Term>> Out;
+  // Target columns: the target variables themselves plus every opaque
+  // column whose term mentions one (those may not appear in definitions).
+  std::vector<bool> Mask = columnsMentioning(Columns, Targets);
+  bool AnyTarget = false;
+  for (size_t Col = 0; Col < Columns.size(); ++Col)
+    AnyTarget |= Mask[Col] && Columns[Col]->isVariable();
+  if (!AnyTarget)
+    return Out;
+  const AffineSystem<Rational> *Sys = System();
+  if (!Sys)
+    return Out;
+  for (auto &[Col, Row] : Sys->solveForMany(Mask)) {
+    if (!Columns[Col]->isVariable())
+      continue; // Opaque columns are not QSaturation targets.
+    Out.emplace_back(Columns[Col], rowTerm(Ctx, Row, Columns));
+  }
+  return Out;
+}
+
+} // namespace cai
+
+#endif // CAI_DOMAINS_AFFINE_EQUALITYKIT_H

@@ -3,15 +3,25 @@
 #include "domains/arrays/ArrayDomain.h"
 
 #include "obs/Metrics.h"
-#include "obs/Trace.h"
-
-#include "domains/uf/UFJoin.h"
-
-#include <algorithm>
 
 using namespace cai;
 
-void ArrayDomain::applyArrayRules(CongruenceClosure &CC) const {
+void ArrayDomain::countJoin() const { CAI_METRIC_INC("domain.arrays.joins"); }
+
+void ArrayDomain::materialize(CongruenceClosure &CC) const {
+  // Joins and projections can then speak about the hit read even when it
+  // does not occur in the input.
+  TermContext &Ctx = context();
+  unsigned Count = CC.numNodes();
+  for (unsigned N = 0; N < Count; ++N) {
+    if (!CC.isApp(N) || CC.symbolOf(N) != Update)
+      continue;
+    Term UpdateTerm = CC.termOf(N);
+    CC.addTerm(Ctx.mkApp(Select, {UpdateTerm, UpdateTerm->args()[1]}));
+  }
+}
+
+void ArrayDomain::applyRules(CongruenceClosure &CC) const {
   // Read-over-write hit: for every select(s, i) whose array argument's
   // class contains update(a, j, v) with i congruent to j, merge the
   // select with v.  Quadratic scan to fixpoint, like the list rules.
@@ -37,120 +47,4 @@ void ArrayDomain::applyArrayRules(CongruenceClosure &CC) const {
       }
     }
   }
-}
-
-CongruenceClosure ArrayDomain::closureOf(const Conjunction &E) const {
-  CongruenceClosure CC(context());
-  CC.addConjunction(E);
-  for (Term V : E.vars())
-    CC.addTerm(V);
-  // Materialize the hit read for every update node so joins/projections
-  // can speak about it even when it does not occur in the input.
-  TermContext &Ctx = context();
-  unsigned Count = CC.numNodes();
-  for (unsigned N = 0; N < Count; ++N) {
-    if (!CC.isApp(N) || CC.symbolOf(N) != Update)
-      continue;
-    Term UpdateTerm = CC.termOf(N);
-    CC.addTerm(Ctx.mkApp(Select, {UpdateTerm, UpdateTerm->args()[1]}));
-  }
-  applyArrayRules(CC);
-  return CC;
-}
-
-Conjunction ArrayDomain::join(const Conjunction &A,
-                              const Conjunction &B) const {
-  CAI_TRACE_SPAN("arrays.join", "domain");
-  CAI_METRIC_INC("domain.arrays.joins");
-  if (A.isBottom())
-    return B;
-  if (B.isBottom())
-    return A;
-  CongruenceClosure CC1 = closureOf(A);
-  CongruenceClosure CC2 = closureOf(B);
-  std::vector<Term> Shared = A.vars();
-  for (Term V : B.vars())
-    Shared.push_back(V);
-  std::sort(Shared.begin(), Shared.end(), TermStructLess());
-  Shared.erase(std::unique(Shared.begin(), Shared.end()), Shared.end());
-  return ufJoinClosed(context(), CC1, CC2, Shared);
-}
-
-Conjunction ArrayDomain::existQuant(const Conjunction &E,
-                                    const std::vector<Term> &Vars) const {
-  if (E.isBottom())
-    return E;
-  CongruenceClosure CC = closureOf(E);
-  return ufProjectClosed(context(), CC, Vars);
-}
-
-bool ArrayDomain::entails(const Conjunction &E, const Atom &A) const {
-  if (E.isBottom())
-    return true;
-  if (A.isTrivial(context()))
-    return true;
-  if (A.predicate() != context().eqSymbol())
-    return false;
-  CongruenceClosure CC = closureOf(E);
-  CC.addTerm(A.lhs());
-  CC.addTerm(A.rhs());
-  applyArrayRules(CC); // Query terms can enable new hit reads.
-  return CC.areEqual(A.lhs(), A.rhs());
-}
-
-std::vector<std::pair<Term, Term>>
-ArrayDomain::impliedVarEqualities(const Conjunction &E) const {
-  std::vector<std::pair<Term, Term>> Out;
-  if (E.isBottom())
-    return Out;
-  CongruenceClosure CC = closureOf(E);
-  for (const std::vector<unsigned> &Class : CC.allClasses()) {
-    Term Leader = nullptr;
-    for (unsigned N : Class) {
-      Term T = CC.termOf(N);
-      if (!T->isVariable())
-        continue;
-      if (!Leader)
-        Leader = T;
-      else
-        Out.emplace_back(Leader, T);
-    }
-  }
-  return Out;
-}
-
-std::optional<Term>
-ArrayDomain::alternate(const Conjunction &E, Term Var,
-                       const std::vector<Term> &Avoid) const {
-  if (E.isBottom())
-    return std::nullopt;
-  CongruenceClosure CC = closureOf(E);
-  return ufAlternateClosed(context(), CC, Var, Avoid);
-}
-
-std::vector<std::pair<Term, Term>>
-ArrayDomain::alternateBatch(const Conjunction &E,
-                            const std::vector<Term> &Targets) const {
-  if (E.isBottom())
-    return {};
-  CongruenceClosure CC = closureOf(E);
-  return ufAlternateBatchClosed(context(), CC, Targets);
-}
-
-Conjunction ArrayDomain::widen(const Conjunction &Old,
-                               const Conjunction &New) const {
-  Conjunction Joined = join(Old, New);
-  if (Joined.isBottom())
-    return Joined;
-  // Same depth cap as the other E-graph domains; update chains grow one
-  // level per loop iteration (m := update(m, i, v)).
-  Conjunction Out;
-  for (const Atom &A : Joined.atoms()) {
-    bool TooDeep = false;
-    for (Term Arg : A.args())
-      TooDeep |= termDepth(Arg) > 16;
-    if (!TooDeep)
-      Out.add(A);
-  }
-  return Out;
 }

@@ -17,6 +17,10 @@
 /// complete for the Horn fragment, and a documented under-approximation
 /// of full array reasoning -- exactly the trade the paper anticipates.
 ///
+/// Implementation: an EGraphDomain whose closure materializes the hit read
+/// of every update node and runs read-over-write to fixpoint; join,
+/// projection and the other operators are the base's.
+///
 /// Memory is modeled the way Section 4 suggests: "Memory, for example,
 /// can be modeled using array variables and select and update
 /// expressions" -- see examples/memory_cells.cpp.
@@ -26,16 +30,16 @@
 #ifndef CAI_DOMAINS_ARRAYS_ARRAYDOMAIN_H
 #define CAI_DOMAINS_ARRAYS_ARRAYDOMAIN_H
 
-#include "domains/uf/CongruenceClosure.h"
-#include "theory/LogicalLattice.h"
+#include "domains/uf/EGraphDomain.h"
 
 namespace cai {
 
 /// The array (select/update) domain, convex fragment.
-class ArrayDomain : public LogicalLattice {
+class ArrayDomain : public EGraphDomain {
 public:
   explicit ArrayDomain(TermContext &Ctx)
-      : LogicalLattice(Ctx), Select(Ctx.getFunction("select", 2)),
+      : EGraphDomain(Ctx, "arrays.join", /*HasRules=*/true),
+        Select(Ctx.getFunction("select", 2)),
         Update(Ctx.getFunction("update", 3)) {}
 
   std::string name() const override { return "arrays"; }
@@ -43,35 +47,16 @@ public:
   bool ownsFunction(Symbol S) const override {
     return S == Select || S == Update;
   }
-  bool ownsPredicate(Symbol) const override { return false; }
-  bool ownsNumerals() const override { return false; }
 
   Symbol selectSym() const { return Select; }
   Symbol updateSym() const { return Update; }
 
-  Conjunction join(const Conjunction &A, const Conjunction &B) const override;
-  Conjunction existQuant(const Conjunction &E,
-                         const std::vector<Term> &Vars) const override;
-  bool entails(const Conjunction &E, const Atom &A) const override;
-  bool isUnsat(const Conjunction &E) const override { return E.isBottom(); }
-  std::vector<std::pair<Term, Term>>
-  impliedVarEqualities(const Conjunction &E) const override;
-  std::optional<Term> alternate(const Conjunction &E, Term Var,
-                                const std::vector<Term> &Avoid) const override;
-  std::vector<std::pair<Term, Term>>
-  alternateBatch(const Conjunction &E,
-                 const std::vector<Term> &Targets) const override;
-  Conjunction widen(const Conjunction &Old,
-                    const Conjunction &New) const override;
-
-  /// Runs the read-over-write rules to fixpoint on an existing closure
-  /// (exposed for tests).
-  void applyArrayRules(CongruenceClosure &CC) const;
-
 private:
-  /// Builds a closure of \p E with select-over-update facts materialized
-  /// and the rules applied.
-  CongruenceClosure closureOf(const Conjunction &E) const;
+  void countJoin() const override;
+  /// Adds the hit read select(u, i) for every update node u = update(a, i, v).
+  void materialize(CongruenceClosure &CC) const override;
+  /// Read-over-write (hit).
+  void applyRules(CongruenceClosure &CC) const override;
 
   Symbol Select, Update;
 };

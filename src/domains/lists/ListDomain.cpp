@@ -3,15 +3,27 @@
 #include "domains/lists/ListDomain.h"
 
 #include "obs/Metrics.h"
-#include "obs/Trace.h"
-
-#include "domains/uf/UFJoin.h"
-
-#include <algorithm>
 
 using namespace cai;
 
-void ListDomain::applyProjectionRules(CongruenceClosure &CC) const {
+void ListDomain::countJoin() const { CAI_METRIC_INC("domain.lists.joins"); }
+
+void ListDomain::materialize(CongruenceClosure &CC) const {
+  // Facts like car(p) = x are implied by p = cons(x, t) without the
+  // projection term occurring in the input.  Materialization adds no new
+  // cons nodes, so one pass is enough.
+  TermContext &Ctx = context();
+  unsigned Count = CC.numNodes();
+  for (unsigned N = 0; N < Count; ++N) {
+    if (!CC.isApp(N) || CC.symbolOf(N) != Cons)
+      continue;
+    Term ConsTerm = CC.termOf(N);
+    CC.addTerm(Ctx.mkApp(Car, {ConsTerm}));
+    CC.addTerm(Ctx.mkApp(Cdr, {ConsTerm}));
+  }
+}
+
+void ListDomain::applyRules(CongruenceClosure &CC) const {
   // For every car/cdr application whose argument's class contains a cons
   // node, merge the projection with the corresponding cons argument.
   // Quadratic scan to fixpoint; E-graphs here are small.
@@ -37,123 +49,4 @@ void ListDomain::applyProjectionRules(CongruenceClosure &CC) const {
       }
     }
   }
-}
-
-CongruenceClosure ListDomain::closureOf(const Conjunction &E) const {
-  CongruenceClosure CC(context());
-  CC.addConjunction(E);
-  for (Term V : E.vars())
-    CC.addTerm(V);
-  // Materialize car/cdr over every cons node: facts like car(p) = x are
-  // implied by p = cons(x, t) without the projection term occurring in the
-  // input, and join/projection/Alternate can only speak about terms with
-  // nodes.  (Materialization adds no new cons nodes, so one pass is
-  // enough.)
-  TermContext &Ctx = context();
-  unsigned Count = CC.numNodes();
-  for (unsigned N = 0; N < Count; ++N) {
-    if (!CC.isApp(N) || CC.symbolOf(N) != Cons)
-      continue;
-    Term ConsTerm = CC.termOf(N);
-    CC.addTerm(Ctx.mkApp(Car, {ConsTerm}));
-    CC.addTerm(Ctx.mkApp(Cdr, {ConsTerm}));
-  }
-  applyProjectionRules(CC);
-  return CC;
-}
-
-Conjunction ListDomain::join(const Conjunction &A, const Conjunction &B) const {
-  CAI_TRACE_SPAN("lists.join", "domain");
-  CAI_METRIC_INC("domain.lists.joins");
-  if (A.isBottom())
-    return B;
-  if (B.isBottom())
-    return A;
-  CongruenceClosure CC1 = closureOf(A);
-  CongruenceClosure CC2 = closureOf(B);
-  std::vector<Term> Shared = A.vars();
-  for (Term V : B.vars())
-    Shared.push_back(V);
-  std::sort(Shared.begin(), Shared.end(), TermStructLess());
-  Shared.erase(std::unique(Shared.begin(), Shared.end()), Shared.end());
-  return ufJoinClosed(context(), CC1, CC2, Shared);
-}
-
-Conjunction ListDomain::existQuant(const Conjunction &E,
-                                   const std::vector<Term> &Vars) const {
-  if (E.isBottom())
-    return E;
-  CongruenceClosure CC = closureOf(E);
-  return ufProjectClosed(context(), CC, Vars);
-}
-
-bool ListDomain::entails(const Conjunction &E, const Atom &A) const {
-  if (E.isBottom())
-    return true;
-  if (A.isTrivial(context()))
-    return true;
-  if (A.predicate() != context().eqSymbol())
-    return false;
-  CongruenceClosure CC = closureOf(E);
-  CC.addTerm(A.lhs());
-  CC.addTerm(A.rhs());
-  // New terms can enable new projections (car(cons(a, b)) appearing only
-  // in the query), so re-run the axioms before deciding.
-  applyProjectionRules(CC);
-  return CC.areEqual(A.lhs(), A.rhs());
-}
-
-std::vector<std::pair<Term, Term>>
-ListDomain::impliedVarEqualities(const Conjunction &E) const {
-  std::vector<std::pair<Term, Term>> Out;
-  if (E.isBottom())
-    return Out;
-  CongruenceClosure CC = closureOf(E);
-  for (const std::vector<unsigned> &Class : CC.allClasses()) {
-    Term Leader = nullptr;
-    for (unsigned N : Class) {
-      Term T = CC.termOf(N);
-      if (!T->isVariable())
-        continue;
-      if (!Leader)
-        Leader = T;
-      else
-        Out.emplace_back(Leader, T);
-    }
-  }
-  return Out;
-}
-
-std::optional<Term> ListDomain::alternate(const Conjunction &E, Term Var,
-                                          const std::vector<Term> &Avoid) const {
-  if (E.isBottom())
-    return std::nullopt;
-  CongruenceClosure CC = closureOf(E);
-  return ufAlternateClosed(context(), CC, Var, Avoid);
-}
-
-std::vector<std::pair<Term, Term>>
-ListDomain::alternateBatch(const Conjunction &E,
-                           const std::vector<Term> &Targets) const {
-  if (E.isBottom())
-    return {};
-  CongruenceClosure CC = closureOf(E);
-  return ufAlternateBatchClosed(context(), CC, Targets);
-}
-
-Conjunction ListDomain::widen(const Conjunction &Old,
-                              const Conjunction &New) const {
-  Conjunction Joined = join(Old, New);
-  if (Joined.isBottom())
-    return Joined;
-  // Same depth-capping discipline as the UF domain.
-  Conjunction Out;
-  for (const Atom &A : Joined.atoms()) {
-    bool TooDeep = false;
-    for (Term Arg : A.args())
-      TooDeep |= termDepth(Arg) > 16;
-    if (!TooDeep)
-      Out.add(A);
-  }
-  return Out;
 }

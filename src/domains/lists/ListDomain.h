@@ -6,63 +6,46 @@
 /// cdr(cons(x, y)) = y.  (The partial extensionality axiom of Nelson-Oppen
 /// lists is omitted to keep the theory convex and the closure Horn.)
 ///
-/// Implementation: congruence closure with the projection rules run to
-/// fixpoint, then the E-graph join / projection machinery shared with the
-/// UF domain.  Because a LogicalProduct of disjoint convex theories is
-/// itself a logical lattice, this domain lets products nest:
-/// (affine >< uf) >< lists is exercised by the tests.
+/// Implementation: an EGraphDomain whose closure materializes car and cdr
+/// over every cons node and runs the projection rules to fixpoint; join,
+/// projection and the other operators are the base's.  Because a
+/// LogicalProduct of disjoint convex theories is itself a logical lattice,
+/// this domain lets products nest: (affine >< uf) >< lists is exercised by
+/// the tests.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CAI_DOMAINS_LISTS_LISTDOMAIN_H
 #define CAI_DOMAINS_LISTS_LISTDOMAIN_H
 
-#include "domains/uf/CongruenceClosure.h"
-#include "theory/LogicalLattice.h"
+#include "domains/uf/EGraphDomain.h"
 
 namespace cai {
 
 /// The list (car/cdr/cons) domain.
-class ListDomain : public LogicalLattice {
+class ListDomain : public EGraphDomain {
 public:
   explicit ListDomain(TermContext &Ctx)
-      : LogicalLattice(Ctx), Car(Ctx.getFunction("car", 1)),
-        Cdr(Ctx.getFunction("cdr", 1)), Cons(Ctx.getFunction("cons", 2)) {}
+      : EGraphDomain(Ctx, "lists.join", /*HasRules=*/true),
+        Car(Ctx.getFunction("car", 1)), Cdr(Ctx.getFunction("cdr", 1)),
+        Cons(Ctx.getFunction("cons", 2)) {}
 
   std::string name() const override { return "lists"; }
 
   bool ownsFunction(Symbol S) const override {
     return S == Car || S == Cdr || S == Cons;
   }
-  bool ownsPredicate(Symbol) const override { return false; }
-  bool ownsNumerals() const override { return false; }
 
   Symbol carSym() const { return Car; }
   Symbol cdrSym() const { return Cdr; }
   Symbol consSym() const { return Cons; }
 
-  Conjunction join(const Conjunction &A, const Conjunction &B) const override;
-  Conjunction existQuant(const Conjunction &E,
-                         const std::vector<Term> &Vars) const override;
-  bool entails(const Conjunction &E, const Atom &A) const override;
-  bool isUnsat(const Conjunction &E) const override { return E.isBottom(); }
-  std::vector<std::pair<Term, Term>>
-  impliedVarEqualities(const Conjunction &E) const override;
-  std::optional<Term> alternate(const Conjunction &E, Term Var,
-                                const std::vector<Term> &Avoid) const override;
-  std::vector<std::pair<Term, Term>>
-  alternateBatch(const Conjunction &E,
-                 const std::vector<Term> &Targets) const override;
-  Conjunction widen(const Conjunction &Old,
-                    const Conjunction &New) const override;
-
-  /// Runs the projection axioms to fixpoint on an existing closure
-  /// (exposed for tests).
-  void applyProjectionRules(CongruenceClosure &CC) const;
-
 private:
-  /// Builds a congruence closure of \p E with the list axioms applied.
-  CongruenceClosure closureOf(const Conjunction &E) const;
+  void countJoin() const override;
+  /// Adds car(c) and cdr(c) for every cons node c.
+  void materialize(CongruenceClosure &CC) const override;
+  /// The projection axioms.
+  void applyRules(CongruenceClosure &CC) const override;
 
   Symbol Car, Cdr, Cons;
 };

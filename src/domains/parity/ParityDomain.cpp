@@ -2,15 +2,12 @@
 
 #include "domains/parity/ParityDomain.h"
 
+#include "domains/affine/EqualityKit.h"
+
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 
 using namespace cai;
-
-void ParityDomain::Env::add(Term T) {
-  if (Index.emplace(T, Columns.size()).second)
-    Columns.push_back(T);
-}
 
 /// True if every coefficient and the constant are integers.
 static bool isIntegral(const LinearExpr &L) {
@@ -20,7 +17,26 @@ static bool isIntegral(const LinearExpr &L) {
   return L.constant().isInteger();
 }
 
-void ParityDomain::addAtomIndeterminates(Env &Env, const Atom &A) const {
+/// The GF(2) row of even(L), or of odd(L) when \p Odd, for an integral L:
+/// with L = sum a_i x_i + c, even(L) is sum (a_i mod 2) x_i = c mod 2, and
+/// odd flips the constant.
+static LinRow<GF2> mod2Row(const LinearExpr &L, bool Odd,
+                           const ColumnSpace &Cols) {
+  auto IsOddInt = [](const Rational &R) {
+    assert(R.isInteger() && "parity row must be integral");
+    return !(R.numerator() % BigInt(2)).isZero();
+  };
+  size_t N = Cols.Columns.size();
+  LinRow<GF2> Row(N + 1);
+  for (const auto &[Col, C] : L.terms())
+    Row[Cols.Index.at(Col)] += GF2(IsOddInt(C));
+  bool CBit = IsOddInt(L.constant());
+  Row[N] = GF2(Odd ? !CBit : CBit);
+  return Row;
+}
+
+void ParityDomain::addAtomIndeterminates(ColumnSpace &Cols,
+                                         const Atom &A) const {
   const TermContext &Ctx = context();
   bool Relevant = A.predicate() == Ctx.eqSymbol() ||
                   A.predicate() == EvenPred || A.predicate() == OddPred;
@@ -31,14 +47,14 @@ void ParityDomain::addAtomIndeterminates(Env &Env, const Atom &A) const {
     if (!L)
       return;
     for (const auto &[T, C] : L->terms())
-      Env.add(T);
+      Cols.add(T);
   }
 }
 
-ParityDomain::Env
-ParityDomain::buildEnv(std::initializer_list<const Conjunction *> Es,
-                       const Atom *Extra) const {
-  Env Out;
+ColumnSpace
+ParityDomain::buildCols(std::initializer_list<const Conjunction *> Es,
+                        const Atom *Extra) const {
+  ColumnSpace Out;
   for (const Conjunction *E : Es) {
     if (E->isBottom())
       continue;
@@ -50,21 +66,21 @@ ParityDomain::buildEnv(std::initializer_list<const Conjunction *> Es,
   return Out;
 }
 
-std::optional<LinearExpr> ParityDomain::linearOf(Term T,
-                                                 const Env &Env) const {
+std::optional<LinearExpr>
+ParityDomain::linearOf(Term T, const ColumnSpace &Cols) const {
   std::optional<LinearExpr> L = LinearExpr::fromTerm(context(), T);
   if (!L)
     return std::nullopt;
   for (const auto &[Col, C] : L->terms())
-    if (!Env.Index.count(Col))
+    if (!Cols.Index.count(Col))
       return std::nullopt;
   return L;
 }
 
 ParityDomain::State ParityDomain::toState(const Conjunction &E,
-                                          const Env &Env) const {
+                                          const ColumnSpace &Cols) const {
   const TermContext &Ctx = context();
-  size_t N = Env.Columns.size();
+  size_t N = Cols.Columns.size();
   State S(N);
   if (E.isBottom()) {
     S.Exact = AffineSystem<Rational>::inconsistent(N);
@@ -72,74 +88,46 @@ ParityDomain::State ParityDomain::toState(const Conjunction &E,
     return S;
   }
 
-  auto IsOddInt = [](const Rational &R) {
-    assert(R.isInteger() && "parity row must be integral");
-    return !(R.numerator() % BigInt(2)).isZero();
-  };
-  auto Mod2Row = [&](const LinearExpr &L, bool Odd) {
-    // even(L) with L = sum a_i x_i + c becomes
-    // sum (a_i mod 2) x_i = c mod 2 over GF(2); odd flips the constant.
-    LinRow<GF2> Row(N + 1);
-    for (const auto &[Col, C] : L.terms())
-      Row[Env.Index.at(Col)] += GF2(IsOddInt(C));
-    bool CBit = IsOddInt(L.constant());
-    Row[N] = GF2(Odd ? !CBit : CBit);
-    S.Mod2.addRow(std::move(Row));
-  };
-
   for (const Atom &A : E.atoms()) {
     if (A.predicate() == Ctx.eqSymbol()) {
-      std::optional<LinearExpr> Lhs = linearOf(A.lhs(), Env);
-      std::optional<LinearExpr> Rhs = linearOf(A.rhs(), Env);
+      std::optional<LinearExpr> Lhs = linearOf(A.lhs(), Cols);
+      std::optional<LinearExpr> Rhs = linearOf(A.rhs(), Cols);
       if (!Lhs || !Rhs)
         continue;
       LinearExpr Diff = *Lhs - *Rhs;
-      LinRow<Rational> Row(N + 1);
-      for (const auto &[Col, C] : Diff.terms())
-        Row[Env.Index.at(Col)] = C;
-      Row[N] = -Diff.constant();
-      S.Exact.addRow(std::move(Row));
+      S.Exact.addRow(std::move(*equationRow(Diff, Cols)));
       // Shadow into GF(2): the difference is even (equal integers).
-      LinearExpr Shadow = Diff;
-      Shadow.normalizeIntegral(/*NormalizeSign=*/false);
-      Mod2Row(Shadow, /*Odd=*/false);
+      Diff.normalizeIntegral(/*NormalizeSign=*/false);
+      S.Mod2.addRow(mod2Row(Diff, /*Odd=*/false, Cols));
       continue;
     }
     if (A.predicate() == EvenPred || A.predicate() == OddPred) {
-      std::optional<LinearExpr> L = linearOf(A.args()[0], Env);
+      std::optional<LinearExpr> L = linearOf(A.args()[0], Cols);
       if (!L || !isIntegral(*L))
         continue; // Parity of a non-integral term is not modeled.
-      Mod2Row(*L, A.predicate() == OddPred);
+      S.Mod2.addRow(mod2Row(*L, A.predicate() == OddPred, Cols));
     }
   }
   return S;
 }
 
-Conjunction ParityDomain::fromState(const State &S, const Env &Env) const {
+Conjunction ParityDomain::fromState(const State &S,
+                                    const ColumnSpace &Cols) const {
   if (S.Exact.isInconsistent() || S.Mod2.isInconsistent())
     return Conjunction::bottom();
   TermContext &Ctx = context();
+  const std::vector<Term> &Columns = Cols.Columns;
   Conjunction Out;
-  for (const LinRow<Rational> &Row : S.Exact.rows()) {
-    LinearExpr Lhs;
-    for (size_t C = 0; C < Env.Columns.size(); ++C)
-      if (!Row[C].isZero())
-        Lhs.addTerm(Env.Columns[C], Row[C]);
-    LinearExpr Rhs(Row[Env.Columns.size()]);
-    LinearExpr Diff = Lhs - Rhs;
-    Rational Scale = Diff.normalizeIntegral(/*NormalizeSign=*/true);
-    Lhs = Lhs.scaled(Scale);
-    Rhs = Rhs.scaled(Scale);
-    Out.add(Atom::mkEq(Ctx, Lhs.toTerm(Ctx), Rhs.toTerm(Ctx)));
-  }
+  for (const LinRow<Rational> &Row : S.Exact.rows())
+    Out.add(eqAtom(Ctx, Row, Row[Columns.size()], Columns));
   for (const LinRow<GF2> &Row : S.Mod2.rows()) {
     LinearExpr L;
-    for (size_t C = 0; C < Env.Columns.size(); ++C)
+    for (size_t C = 0; C < Columns.size(); ++C)
       if (Row[C].isOne())
-        L.addTerm(Env.Columns[C], Rational(1));
+        L.addTerm(Columns[C], Rational(1));
     if (L.isConstant())
       continue; // 0 = 0 carries no information (inconsistency was checked).
-    Symbol Pred = Row[Env.Columns.size()].isOne() ? OddPred : EvenPred;
+    Symbol Pred = Row[Columns.size()].isOne() ? OddPred : EvenPred;
     Out.add(Atom(Pred, {L.toTerm(Ctx)}));
   }
   return Out;
@@ -153,31 +141,25 @@ Conjunction ParityDomain::join(const Conjunction &A,
     return B;
   if (B.isBottom() || isUnsat(B))
     return A;
-  Env Env = buildEnv({&A, &B});
-  State SA = toState(A, Env), SB = toState(B, Env);
-  State J(Env.Columns.size());
+  ColumnSpace Cols = buildCols({&A, &B});
+  State SA = toState(A, Cols), SB = toState(B, Cols);
+  State J(Cols.Columns.size());
   J.Exact = AffineSystem<Rational>::join(SA.Exact, SB.Exact);
   J.Mod2 = AffineSystem<GF2>::join(SA.Mod2, SB.Mod2);
-  return fromState(J, Env);
+  return fromState(J, Cols);
 }
 
 Conjunction ParityDomain::existQuant(const Conjunction &E,
                                      const std::vector<Term> &Vars) const {
   if (E.isBottom())
     return E;
-  Env Env = buildEnv({&E});
-  State S = toState(E, Env);
-  std::vector<bool> Mask(Env.Columns.size(), false);
-  for (size_t C = 0; C < Env.Columns.size(); ++C)
-    for (Term V : Vars)
-      if (occursIn(V, Env.Columns[C])) {
-        Mask[C] = true;
-        break;
-      }
-  State P(Env.Columns.size());
+  ColumnSpace Cols = buildCols({&E});
+  State S = toState(E, Cols);
+  std::vector<bool> Mask = columnsMentioning(Cols.Columns, Vars);
+  State P(Cols.Columns.size());
   P.Exact = S.Exact.project(Mask);
   P.Mod2 = S.Mod2.project(Mask);
-  return fromState(P, Env);
+  return fromState(P, Cols);
 }
 
 bool ParityDomain::entails(const Conjunction &E, const Atom &A) const {
@@ -186,33 +168,22 @@ bool ParityDomain::entails(const Conjunction &E, const Atom &A) const {
     return true;
   if (A.isTrivial(Ctx))
     return true;
-  Env Env = buildEnv({&E}, &A);
-  State S = toState(E, Env);
+  ColumnSpace Cols = buildCols({&E}, &A);
+  State S = toState(E, Cols);
   if (S.Exact.isInconsistent() || S.Mod2.isInconsistent())
     return true;
   if (A.predicate() == Ctx.eqSymbol()) {
-    std::optional<LinearExpr> Lhs = linearOf(A.lhs(), Env);
-    std::optional<LinearExpr> Rhs = linearOf(A.rhs(), Env);
+    std::optional<LinearExpr> Lhs = linearOf(A.lhs(), Cols);
+    std::optional<LinearExpr> Rhs = linearOf(A.rhs(), Cols);
     if (!Lhs || !Rhs)
       return false;
-    LinearExpr Diff = *Lhs - *Rhs;
-    LinRow<Rational> Row(Env.Columns.size() + 1);
-    for (const auto &[Col, C] : Diff.terms())
-      Row[Env.Index.at(Col)] = C;
-    Row[Env.Columns.size()] = -Diff.constant();
-    return S.Exact.entails(std::move(Row));
+    return S.Exact.entails(std::move(*equationRow(*Lhs - *Rhs, Cols)));
   }
   if (A.predicate() == EvenPred || A.predicate() == OddPred) {
-    std::optional<LinearExpr> L = linearOf(A.args()[0], Env);
+    std::optional<LinearExpr> L = linearOf(A.args()[0], Cols);
     if (!L || !isIntegral(*L))
       return false;
-    LinRow<GF2> Row(Env.Columns.size() + 1);
-    for (const auto &[Col, C] : L->terms())
-      Row[Env.Index.at(Col)] += GF2(!(C.numerator() % BigInt(2)).isZero());
-    bool CBit = !(L->constant().numerator() % BigInt(2)).isZero();
-    bool Odd = A.predicate() == OddPred;
-    Row[Env.Columns.size()] = GF2(Odd ? !CBit : CBit);
-    return S.Mod2.entails(std::move(Row));
+    return S.Mod2.entails(mod2Row(*L, A.predicate() == OddPred, Cols));
   }
   return false;
 }
@@ -220,30 +191,20 @@ bool ParityDomain::entails(const Conjunction &E, const Atom &A) const {
 bool ParityDomain::isUnsat(const Conjunction &E) const {
   if (E.isBottom())
     return true;
-  Env Env = buildEnv({&E});
-  State S = toState(E, Env);
+  ColumnSpace Cols = buildCols({&E});
+  State S = toState(E, Cols);
   return S.Exact.isInconsistent() || S.Mod2.isInconsistent();
 }
 
 std::vector<std::pair<Term, Term>>
 ParityDomain::impliedVarEqualities(const Conjunction &E) const {
-  std::vector<std::pair<Term, Term>> Out;
   if (E.isBottom())
-    return Out;
-  Env Env = buildEnv({&E});
-  State S = toState(E, Env);
+    return {};
+  ColumnSpace Cols = buildCols({&E});
+  State S = toState(E, Cols);
   if (S.Exact.isInconsistent())
-    return Out;
-  std::vector<LinRow<Rational>> Reps = S.Exact.varRepresentatives();
-  std::map<LinRow<Rational>, Term> Leader;
-  for (size_t C = 0; C < Env.Columns.size(); ++C) {
-    if (!Env.Columns[C]->isVariable())
-      continue;
-    auto [It, Inserted] = Leader.emplace(Reps[C], Env.Columns[C]);
-    if (!Inserted)
-      Out.emplace_back(It->second, Env.Columns[C]);
-  }
-  return Out;
+    return {};
+  return varEqualities(S.Exact, Cols.Columns);
 }
 
 std::optional<Term>
@@ -251,67 +212,23 @@ ParityDomain::alternate(const Conjunction &E, Term Var,
                         const std::vector<Term> &Avoid) const {
   if (E.isBottom())
     return std::nullopt;
-  Env Env = buildEnv({&E});
-  auto VarIt = Env.Index.find(Var);
-  if (VarIt == Env.Index.end())
-    return std::nullopt;
-  State S = toState(E, Env);
-  if (S.Exact.isInconsistent())
-    return std::nullopt;
-  std::vector<bool> Mask(Env.Columns.size(), false);
-  for (size_t C = 0; C < Env.Columns.size(); ++C) {
-    if (C == VarIt->second)
-      continue;
-    if (occursIn(Var, Env.Columns[C])) {
-      Mask[C] = true;
-      continue;
-    }
-    for (Term V : Avoid)
-      if (occursIn(V, Env.Columns[C])) {
-        Mask[C] = true;
-        break;
-      }
-  }
-  std::optional<LinRow<Rational>> Row =
-      S.Exact.solveFor(VarIt->second, Mask);
-  if (!Row)
-    return std::nullopt;
-  LinearExpr Expr((*Row)[Env.Columns.size()]);
-  for (size_t C = 0; C < Env.Columns.size(); ++C)
-    if (!(*Row)[C].isZero())
-      Expr.addTerm(Env.Columns[C], (*Row)[C]);
-  return Expr.toTerm(context());
+  ColumnSpace Cols = buildCols({&E});
+  State S(0);
+  return alternateIn(context(), Cols, Var, Avoid, [&] {
+    S = toState(E, Cols);
+    return S.Exact.isInconsistent() ? nullptr : &S.Exact;
+  });
 }
 
 std::vector<std::pair<Term, Term>>
 ParityDomain::alternateBatch(const Conjunction &E,
                              const std::vector<Term> &Targets) const {
-  std::vector<std::pair<Term, Term>> Out;
   if (E.isBottom())
-    return Out;
-  Env Env = buildEnv({&E});
-  State S = toState(E, Env);
-  if (S.Exact.isInconsistent())
-    return Out;
-  std::vector<bool> Mask(Env.Columns.size(), false);
-  bool AnyTarget = false;
-  for (size_t C = 0; C < Env.Columns.size(); ++C)
-    for (Term V : Targets)
-      if (occursIn(V, Env.Columns[C])) {
-        Mask[C] = true;
-        AnyTarget |= Env.Columns[C]->isVariable();
-        break;
-      }
-  if (!AnyTarget)
-    return Out;
-  for (auto &[Col, Row] : S.Exact.solveForMany(Mask)) {
-    if (!Env.Columns[Col]->isVariable())
-      continue;
-    LinearExpr Expr(Row[Env.Columns.size()]);
-    for (size_t C = 0; C < Env.Columns.size(); ++C)
-      if (!Row[C].isZero())
-        Expr.addTerm(Env.Columns[C], Row[C]);
-    Out.emplace_back(Env.Columns[Col], Expr.toTerm(context()));
-  }
-  return Out;
+    return {};
+  ColumnSpace Cols = buildCols({&E});
+  State S(0);
+  return alternateBatchIn(context(), Cols.Columns, Targets, [&] {
+    S = toState(E, Cols);
+    return S.Exact.isInconsistent() ? nullptr : &S.Exact;
+  });
 }

@@ -17,10 +17,9 @@
 
 #include "linalg/AffineSystem.h"
 #include "support/GF2.h"
+#include "term/ColumnSpace.h"
 #include "term/LinearExpr.h"
 #include "theory/LogicalLattice.h"
-
-#include <map>
 
 namespace cai {
 
@@ -56,11 +55,6 @@ public:
                  const std::vector<Term> &Targets) const override;
 
 private:
-  struct Env {
-    std::vector<Term> Columns;
-    std::map<Term, size_t, TermStructLess> Index;
-    void add(Term T);
-  };
   /// Both layers over one column space.
   struct State {
     AffineSystem<Rational> Exact;
@@ -68,14 +62,14 @@ private:
     State(size_t N) : Exact(N), Mod2(N) {}
   };
 
-  Env buildEnv(std::initializer_list<const Conjunction *> Es,
-               const Atom *Extra = nullptr) const;
-  void addAtomIndeterminates(Env &Env, const Atom &A) const;
-  State toState(const Conjunction &E, const Env &Env) const;
-  Conjunction fromState(const State &S, const Env &Env) const;
-  /// Linear view of an atom argument / equality difference over Env, made
-  /// integral; nullopt when not linear or containing unknown columns.
-  std::optional<LinearExpr> linearOf(Term T, const Env &Env) const;
+  ColumnSpace buildCols(std::initializer_list<const Conjunction *> Es,
+                        const Atom *Extra = nullptr) const;
+  void addAtomIndeterminates(ColumnSpace &Cols, const Atom &A) const;
+  State toState(const Conjunction &E, const ColumnSpace &Cols) const;
+  Conjunction fromState(const State &S, const ColumnSpace &Cols) const;
+  /// Linear view of an atom argument over Cols; nullopt when not linear
+  /// or containing unknown columns.
+  std::optional<LinearExpr> linearOf(Term T, const ColumnSpace &Cols) const;
 
   Symbol EvenPred, OddPred;
 };

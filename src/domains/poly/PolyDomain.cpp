@@ -2,6 +2,8 @@
 
 #include "domains/poly/PolyDomain.h"
 
+#include "domains/affine/EqualityKit.h"
+
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 
@@ -11,31 +13,7 @@ using namespace cai;
 
 namespace {
 
-/// Coefficients over \p Columns, then optionally a constant, as a linear
-/// expression.
-template <typename RowT>
-LinearExpr exprOf(const RowT &Coeffs, const std::vector<Term> &Columns,
-                  Rational Constant = Rational()) {
-  LinearExpr Expr(std::move(Constant));
-  for (size_t C = 0; C < Columns.size(); ++C)
-    if (!Coeffs[C].isZero())
-      Expr.addTerm(Columns[C], Coeffs[C]);
-  return Expr;
-}
-
-/// The equality C.Coeffs . x = C.Rhs, sign-normalized so both halves of an
-/// equality pair render as the same atom.
-Atom eqAtom(TermContext &Ctx, const LinearConstraint &C,
-            const std::vector<Term> &Columns) {
-  LinearExpr Lhs = exprOf(C.Coeffs, Columns);
-  LinearExpr Rhs(C.Rhs);
-  LinearExpr Diff = Lhs - Rhs;
-  Rational Scale = Diff.normalizeIntegral(/*NormalizeSign=*/true);
-  Lhs = Lhs.scaled(Scale);
-  Rhs = Rhs.scaled(Scale);
-  return Atom::mkEq(Ctx, Lhs.toTerm(Ctx), Rhs.toTerm(Ctx));
-}
-
+/// The inequality C.Coeffs . x <= C.Rhs.
 Atom leAtom(TermContext &Ctx, const LinearConstraint &C,
             const std::vector<Term> &Columns) {
   return Atom::mkLe(Ctx, exprOf(C.Coeffs, Columns).toTerm(Ctx),
@@ -142,7 +120,7 @@ Conjunction PolyDomain::fromPoly(const Polyhedron &P,
         }))
       Eqs.push_back(std::move(C));
   for (const LinearConstraint &C : Eqs)
-    Out.add(eqAtom(Ctx, C, Columns));
+    Out.add(eqAtom(Ctx, C.Coeffs, C.Rhs, Columns));
   // A projection or hull comes out minimal and is not minimized again.
   Polyhedron Min = P.minimized();
   for (const LinearConstraint &C : Min.constraints())
@@ -169,7 +147,7 @@ PolyDomain::fromRowsVerbatim(const Polyhedron &P,
         Mirror = J;
     if (Mirror != Rows.size()) {
       Consumed[Mirror] = true;
-      Out.add(eqAtom(Ctx, Rows[I], Columns));
+      Out.add(eqAtom(Ctx, Rows[I].Coeffs, Rows[I].Rhs, Columns));
       continue;
     }
     Out.add(leAtom(Ctx, Rows[I], Columns));
@@ -202,15 +180,8 @@ Conjunction PolyDomain::existQuant(const Conjunction &E,
   if (E.isBottom())
     return E;
   std::shared_ptr<const Canon> C = canon(E);
-  const std::vector<Term> &Columns = C->Cols.Columns;
-  std::vector<bool> Mask(Columns.size(), false);
-  for (size_t Col = 0; Col < Columns.size(); ++Col)
-    for (Term V : Vars)
-      if (occursIn(V, Columns[Col])) {
-        Mask[Col] = true;
-        break;
-      }
-  return fromPoly(C->Poly.project(Mask), Columns);
+  return fromPoly(C->Poly.project(columnsMentioning(C->Cols.Columns, Vars)),
+                  C->Cols.Columns);
 }
 
 bool PolyDomain::entails(const Conjunction &E, const Atom &A) const {
@@ -240,24 +211,12 @@ bool PolyDomain::isUnsat(const Conjunction &E) const {
 
 std::vector<std::pair<Term, Term>>
 PolyDomain::impliedVarEqualities(const Conjunction &E) const {
-  std::vector<std::pair<Term, Term>> Out;
   if (E.isBottom())
-    return Out;
+    return {};
   std::shared_ptr<const Canon> C = canon(E);
   if (C->empty())
-    return Out;
-  // The affine hull's canonical variable representatives.
-  const std::vector<Term> &Columns = C->Cols.Columns;
-  std::vector<LinRow<Rational>> Reps = C->equalities().varRepresentatives();
-  std::map<LinRow<Rational>, Term> Leader;
-  for (size_t Col = 0; Col < Columns.size(); ++Col) {
-    if (!Columns[Col]->isVariable())
-      continue;
-    auto [It, Inserted] = Leader.emplace(Reps[Col], Columns[Col]);
-    if (!Inserted)
-      Out.emplace_back(It->second, Columns[Col]);
-  }
-  return Out;
+    return {};
+  return varEqualities(C->equalities(), C->Cols.Columns);
 }
 
 std::optional<Term>
@@ -266,57 +225,20 @@ PolyDomain::alternate(const Conjunction &E, Term Var,
   if (E.isBottom())
     return std::nullopt;
   std::shared_ptr<const Canon> C = canon(E);
-  const std::vector<Term> &Columns = C->Cols.Columns;
-  auto VarIt = C->Cols.Index.find(Var);
-  if (VarIt == C->Cols.Index.end() || C->empty())
-    return std::nullopt;
-  std::vector<bool> Mask(Columns.size(), false);
-  for (size_t Col = 0; Col < Columns.size(); ++Col) {
-    if (Col == VarIt->second)
-      continue;
-    if (occursIn(Var, Columns[Col])) {
-      Mask[Col] = true;
-      continue;
-    }
-    for (Term V : Avoid)
-      if (occursIn(V, Columns[Col])) {
-        Mask[Col] = true;
-        break;
-      }
-  }
-  std::optional<LinRow<Rational>> Row =
-      C->equalities().solveFor(VarIt->second, Mask);
-  if (!Row)
-    return std::nullopt;
-  return exprOf(*Row, Columns, (*Row)[Columns.size()]).toTerm(context());
+  return alternateIn(context(), C->Cols, Var, Avoid, [&] {
+    return C->empty() ? nullptr : &C->equalities();
+  });
 }
 
 std::vector<std::pair<Term, Term>>
 PolyDomain::alternateBatch(const Conjunction &E,
                            const std::vector<Term> &Targets) const {
-  std::vector<std::pair<Term, Term>> Out;
   if (E.isBottom())
-    return Out;
+    return {};
   std::shared_ptr<const Canon> C = canon(E);
-  const std::vector<Term> &Columns = C->Cols.Columns;
-  std::vector<bool> Mask(Columns.size(), false);
-  bool AnyTarget = false;
-  for (size_t Col = 0; Col < Columns.size(); ++Col)
-    for (Term V : Targets)
-      if (occursIn(V, Columns[Col])) {
-        Mask[Col] = true;
-        AnyTarget |= Columns[Col]->isVariable();
-        break;
-      }
-  if (!AnyTarget || C->empty())
-    return Out;
-  for (auto &[Col, Row] : C->equalities().solveForMany(Mask)) {
-    if (!Columns[Col]->isVariable())
-      continue;
-    Term Def = exprOf(Row, Columns, Row[Columns.size()]).toTerm(context());
-    Out.emplace_back(Columns[Col], Def);
-  }
-  return Out;
+  return alternateBatchIn(context(), C->Cols.Columns, Targets, [&] {
+    return C->empty() ? nullptr : &C->equalities();
+  });
 }
 
 Conjunction PolyDomain::widen(const Conjunction &Old,

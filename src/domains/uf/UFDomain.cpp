@@ -3,113 +3,7 @@
 #include "domains/uf/UFDomain.h"
 
 #include "obs/Metrics.h"
-#include "obs/Trace.h"
-
-#include "domains/uf/CongruenceClosure.h"
-#include "domains/uf/UFJoin.h"
-
-#include <algorithm>
 
 using namespace cai;
 
-Conjunction UFDomain::join(const Conjunction &A, const Conjunction &B) const {
-  CAI_TRACE_SPAN("uf.join", "domain");
-  CAI_METRIC_INC("domain.uf.joins");
-  if (A.isBottom())
-    return B;
-  if (B.isBottom())
-    return A;
-  CongruenceClosure CC1(context()), CC2(context());
-  CC1.addConjunction(A);
-  CC2.addConjunction(B);
-  std::vector<Term> Shared = A.vars();
-  for (Term V : B.vars())
-    Shared.push_back(V);
-  std::sort(Shared.begin(), Shared.end(), TermStructLess());
-  Shared.erase(std::unique(Shared.begin(), Shared.end()), Shared.end());
-  return ufJoinClosed(context(), CC1, CC2, Shared);
-}
-
-Conjunction UFDomain::existQuant(const Conjunction &E,
-                                 const std::vector<Term> &Vars) const {
-  if (E.isBottom())
-    return E;
-  CongruenceClosure CC(context());
-  CC.addConjunction(E);
-  // Make sure every surviving variable is present so var = var facts are
-  // never lost just because a variable only occurred inside a killed term.
-  for (Term V : E.vars())
-    CC.addTerm(V);
-  return ufProjectClosed(context(), CC, Vars);
-}
-
-bool UFDomain::entails(const Conjunction &E, const Atom &A) const {
-  if (E.isBottom())
-    return true;
-  if (A.isTrivial(context()))
-    return true;
-  if (A.predicate() != context().eqSymbol())
-    return false;
-  CongruenceClosure CC(context());
-  CC.addConjunction(E);
-  return CC.areEqual(A.lhs(), A.rhs());
-}
-
-std::vector<std::pair<Term, Term>>
-UFDomain::impliedVarEqualities(const Conjunction &E) const {
-  std::vector<std::pair<Term, Term>> Out;
-  if (E.isBottom())
-    return Out;
-  CongruenceClosure CC(context());
-  CC.addConjunction(E);
-  for (const std::vector<unsigned> &Class : CC.allClasses()) {
-    Term Leader = nullptr;
-    for (unsigned N : Class) {
-      Term T = CC.termOf(N);
-      if (!T->isVariable())
-        continue;
-      if (!Leader)
-        Leader = T;
-      else
-        Out.emplace_back(Leader, T);
-    }
-  }
-  return Out;
-}
-
-std::optional<Term> UFDomain::alternate(const Conjunction &E, Term Var,
-                                        const std::vector<Term> &Avoid) const {
-  if (E.isBottom())
-    return std::nullopt;
-  CongruenceClosure CC(context());
-  CC.addConjunction(E);
-  return ufAlternateClosed(context(), CC, Var, Avoid);
-}
-
-std::vector<std::pair<Term, Term>>
-UFDomain::alternateBatch(const Conjunction &E,
-                         const std::vector<Term> &Targets) const {
-  if (E.isBottom())
-    return {};
-  CongruenceClosure CC(context());
-  CC.addConjunction(E);
-  return ufAlternateBatchClosed(context(), CC, Targets);
-}
-
-Conjunction UFDomain::widen(const Conjunction &Old,
-                            const Conjunction &New) const {
-  Conjunction Joined = join(Old, New);
-  if (Joined.isBottom())
-    return Joined;
-  // Drop equalities over terms deeper than the cap; the remaining chain is
-  // finite, so widening terminates even for loops like x := F(x).
-  Conjunction Out;
-  for (const Atom &A : Joined.atoms()) {
-    bool TooDeep = false;
-    for (Term Arg : A.args())
-      TooDeep |= termDepth(Arg) > WidenDepthCap;
-    if (!TooDeep)
-      Out.add(A);
-  }
-  return Out;
-}
+void UFDomain::countJoin() const { CAI_METRIC_INC("domain.uf.joins"); }

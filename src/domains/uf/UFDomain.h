@@ -4,7 +4,8 @@
 /// The logical lattice over the theory of uninterpreted functions /
 /// Herbrand equivalences (the global-value-numbering domain of the paper's
 /// examples).  Elements are conjunctions of equalities between terms built
-/// from variables and uninterpreted function applications.
+/// from variables and uninterpreted function applications; the operators
+/// are the E-graph ones of EGraphDomain over plain congruence closure.
 ///
 /// By default the domain claims every non-arithmetic function symbol; an
 /// exclusion list lets a nested product cede specific symbols (car, cdr,
@@ -15,24 +16,22 @@
 #ifndef CAI_DOMAINS_UF_UFDOMAIN_H
 #define CAI_DOMAINS_UF_UFDOMAIN_H
 
-#include "theory/LogicalLattice.h"
+#include "domains/uf/EGraphDomain.h"
 
 #include <set>
 
 namespace cai {
 
 /// The uninterpreted-function (Herbrand equivalence) domain.
-class UFDomain : public LogicalLattice {
+class UFDomain : public EGraphDomain {
 public:
   /// \p ExcludedFunctions are function symbols this instance does NOT
   /// claim (so another lattice in a product can own them).
-  /// \p WidenDepthCap bounds the depth of terms surviving widening; the UF
-  /// join alone does not force stabilization when a loop keeps growing
-  /// terms (x := F(x)), so widening prunes deep equalities.
+  /// \p WidenDepthCap is EGraphDomain's widening depth cap.
   explicit UFDomain(TermContext &Ctx, std::set<Symbol> ExcludedFunctions = {},
                     unsigned WidenDepthCap = 16)
-      : LogicalLattice(Ctx), Excluded(std::move(ExcludedFunctions)),
-        WidenDepthCap(WidenDepthCap) {}
+      : EGraphDomain(Ctx, "uf.join", /*HasRules=*/false, WidenDepthCap),
+        Excluded(std::move(ExcludedFunctions)) {}
 
   std::string name() const override { return "uf"; }
 
@@ -41,28 +40,11 @@ public:
       return false;
     return Excluded.count(S) == 0;
   }
-  bool ownsPredicate(Symbol) const override { return false; }
-  bool ownsNumerals() const override { return false; }
-
-  Conjunction join(const Conjunction &A, const Conjunction &B) const override;
-  Conjunction existQuant(const Conjunction &E,
-                         const std::vector<Term> &Vars) const override;
-  bool entails(const Conjunction &E, const Atom &A) const override;
-  /// Conjunctions of equalities are always satisfiable in UF.
-  bool isUnsat(const Conjunction &E) const override { return E.isBottom(); }
-  std::vector<std::pair<Term, Term>>
-  impliedVarEqualities(const Conjunction &E) const override;
-  std::optional<Term> alternate(const Conjunction &E, Term Var,
-                                const std::vector<Term> &Avoid) const override;
-  std::vector<std::pair<Term, Term>>
-  alternateBatch(const Conjunction &E,
-                 const std::vector<Term> &Targets) const override;
-  Conjunction widen(const Conjunction &Old,
-                    const Conjunction &New) const override;
 
 private:
+  void countJoin() const override;
+
   std::set<Symbol> Excluded;
-  unsigned WidenDepthCap;
 };
 
 } // namespace cai

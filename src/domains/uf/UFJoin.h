@@ -1,8 +1,8 @@
 //===- domains/uf/UFJoin.h - E-graph join and projection ---------*- C++ -*-===//
 ///
 /// \file
-/// The lattice operations of the uninterpreted-function logical lattice,
-/// phrased over congruence-closed E-graphs:
+/// The lattice operations of the E-graph theories (uninterpreted
+/// functions, lists, arrays), phrased over congruence-closed E-graphs:
 ///
 ///  * ufJoinClosed    -- the join via the product-automaton construction of
 ///                       Gulwani-Tiwari-Necula (FSTTCS'04) / the strong
@@ -14,9 +14,11 @@
 ///                       expressible without the eliminated variables.
 ///  * ufAlternateClosed -- Alternate_T for UF (a representative term for a
 ///                       variable's class avoiding a variable set).
+///  * ufAlternateBatchClosed -- the batched Alternate of QSaturation.
 ///
-/// The *Closed variants take prepared CongruenceClosure instances so the
-/// list domain can inject its projection axioms before reusing them.
+/// Each takes a prepared CongruenceClosure.  EGraphDomain is the one
+/// caller: it closes each E-graph under the theory's rules (the list
+/// projections, read-over-write) before handing it over.
 ///
 //===----------------------------------------------------------------------===//
 

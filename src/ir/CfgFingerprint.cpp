@@ -2,28 +2,14 @@
 
 #include "ir/CfgFingerprint.h"
 
+#include "support/Hash.h"
 #include "term/StateCodec.h"
 
 using namespace cai;
 
 namespace {
 
-/// FNV-1a accumulator over length-prefixed byte streams.
-struct Fnv {
-  uint64_t H = 1469598103934665603ull;
-  void byte(uint8_t B) { H = (H ^ B) * 1099511628211ull; }
-  void word(uint64_t W) {
-    for (int I = 0; I < 8; ++I)
-      byte(static_cast<uint8_t>(W >> (I * 8)));
-  }
-  void bytes(const std::string &S) {
-    word(S.size());
-    for (char C : S)
-      byte(static_cast<uint8_t>(C));
-  }
-};
-
-void hashAction(const TermContext &Ctx, const Action &Act, Fnv &F) {
+void hashAction(const TermContext &Ctx, const Action &Act, Fnv1a &F) {
   F.byte(static_cast<uint8_t>(Act.Kind));
   std::string Enc;
   switch (Act.Kind) {
@@ -64,11 +50,11 @@ ComponentFingerprints cai::fingerprintComponents(const TermContext &Ctx,
     }
   }
 
-  std::vector<Fnv> Local(FP.numElements());
+  std::vector<Fnv1a> Local(FP.numElements());
   for (size_t K = 0; K < FP.numElements(); ++K) {
     unsigned S = FP.Starts[K];
     unsigned E = Order.componentEnd(S);
-    Fnv &F = Local[K];
+    Fnv1a &F = Local[K];
     F.word(E - S);
     for (unsigned Pos = S; Pos < E; ++Pos) {
       NodeId N = Linear[Pos];
@@ -96,7 +82,7 @@ ComponentFingerprints cai::fingerprintComponents(const TermContext &Ctx,
   const std::vector<Edge> &Edges = P.edges();
   for (size_t Idx = 0; Idx < Edges.size(); ++Idx) {
     const Edge &Ed = Edges[Idx];
-    Fnv &F = Local[ElementOf[Ed.To]];
+    Fnv1a &F = Local[ElementOf[Ed.To]];
     F.word(Idx);
     F.word(ElementOf[Ed.From]);
     F.word(OffsetOf[Ed.From]);
@@ -108,11 +94,11 @@ ComponentFingerprints cai::fingerprintComponents(const TermContext &Ctx,
   FP.Chain.resize(FP.numElements());
   uint64_t Prev = 0x2545f4914f6cdd1dull; // Chain seed.
   for (size_t K = 0; K < FP.numElements(); ++K) {
-    FP.Local[K] = Local[K].H;
-    Fnv C;
+    FP.Local[K] = Local[K].value();
+    Fnv1a C;
     C.word(Prev);
     C.word(FP.Local[K]);
-    FP.Chain[K] = C.H;
+    FP.Chain[K] = C.value();
     Prev = FP.Chain[K];
   }
   return FP;

@@ -15,8 +15,7 @@
 /// compare) plus a 64-bit add -- no lookup, no lock (one analysis per
 /// thread, same contract as QueryCache).  Time histograms cost a clock
 /// read per sample and are therefore gated behind enableTiming(), which
-/// cai-analyze turns on with --metrics-out.  -DCAI_DISABLE_OBS compiles
-/// the probe macros out entirely.
+/// cai-analyze turns on with --metrics-out.
 ///
 /// Sharding: probes resolve through MetricsRegistry::current(), which is
 /// the registry installed on the calling thread (install()) or the
@@ -381,11 +380,6 @@ private:
 } // namespace obs
 } // namespace cai
 
-#ifdef CAI_DISABLE_OBS
-#define CAI_METRIC_INC(Name)
-#define CAI_METRIC_ADD(Name, N)
-#define CAI_METRIC_TIME(Name)
-#else
 #ifndef CAI_OBS_CONCAT
 #define CAI_OBS_CONCAT_(A, B) A##B
 #define CAI_OBS_CONCAT(A, B) CAI_OBS_CONCAT_(A, B)
@@ -417,6 +411,5 @@ private:
       ::cai::obs::detail::currentHistogram(                                    \
           CAI_OBS_CONCAT(CaiMR_, __LINE__), CAI_OBS_CONCAT(CaiHP_, __LINE__), \
           Name))
-#endif
 
 #endif // CAI_OBS_METRICS_H

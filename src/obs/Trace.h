@@ -12,8 +12,6 @@
 ///  * tracer disabled (the default): every span macro is a single load and
 ///    branch on a global pointer -- the bench_fixpoint E15 ablation pins
 ///    the overhead under 2%;
-///  * compiled out (-DCAI_DISABLE_OBS): the macros expand to nothing, for
-///    builds that want the branch gone too;
 ///  * null sink: a Tracer constructed with Sink::Discard runs the full
 ///    instrumentation path but buffers no events, isolating the probe cost
 ///    from the JSON-buffer cost in the ablation.
@@ -213,11 +211,6 @@ private:
 } // namespace obs
 } // namespace cai
 
-#ifdef CAI_DISABLE_OBS
-#define CAI_TRACE_SPAN(Name, Cat)
-#define CAI_TRACE_SPAN_ARGS(Name, Cat, ...)
-#define CAI_TRACE_INSTANT(Name, Cat, ...)
-#else
 #ifndef CAI_OBS_CONCAT
 #define CAI_OBS_CONCAT_(A, B) A##B
 #define CAI_OBS_CONCAT(A, B) CAI_OBS_CONCAT_(A, B)
@@ -239,6 +232,5 @@ private:
     if (::cai::obs::Tracer *CaiT = ::cai::obs::Tracer::active())               \
       CaiT->instant(Name, Cat, {__VA_ARGS__});                                 \
   } while (0)
-#endif
 
 #endif // CAI_OBS_TRACE_H

@@ -2,6 +2,8 @@
 
 #include "service/Fingerprint.h"
 
+#include "support/Hash.h"
+
 #include <cstdio>
 
 using namespace cai;
@@ -43,33 +45,7 @@ std::string cai::service::canonicalProgramText(const std::string &Text) {
 
 namespace {
 
-/// FNV-1a 64, the same recipe the obs fingerprints use; cache keys are
-/// compared in full so the hash only has to spread, not resist collisions
-/// adversarially.
-class Fnv {
-public:
-  explicit Fnv(uint64_t Seed) : H(Seed) {}
-  void bytes(const std::string &S) {
-    for (unsigned char C : S)
-      byte(C);
-    // Length-delimit so ("ab","c") never collides with ("a","bc").
-    word(S.size());
-  }
-  void word(uint64_t V) {
-    for (int I = 0; I < 8; ++I)
-      byte(static_cast<unsigned char>(V >> (I * 8)));
-  }
-  uint64_t value() const { return H; }
-
-private:
-  void byte(unsigned char C) {
-    H ^= C;
-    H *= 0x100000001b3ull;
-  }
-  uint64_t H;
-};
-
-void hashOptions(Fnv &F, const JobOptions &Opts) {
+void hashOptions(Fnv1a &F, const JobOptions &Opts) {
   F.word(CacheSchemaVersion);
   F.bytes(Opts.DomainSpec);
   F.bytes(Opts.Encode);
@@ -84,7 +60,7 @@ void hashOptions(Fnv &F, const JobOptions &Opts) {
 
 uint64_t hashKey(const JobSpec &Spec, const std::string &Canon,
                  uint64_t Seed) {
-  Fnv F(Seed);
+  Fnv1a F(Seed);
   F.bytes(Canon);
   hashOptions(F, Spec.Opts);
   return F.value();
@@ -94,7 +70,7 @@ uint64_t hashKey(const JobSpec &Spec, const std::string &Canon,
 
 std::string cai::service::fingerprintJob(const JobSpec &Spec) {
   std::string Canon = canonicalProgramText(Spec.ProgramText);
-  uint64_t Lo = hashKey(Spec, Canon, 0xcbf29ce484222325ull);
+  uint64_t Lo = hashKey(Spec, Canon, Fnv1a::OffsetBasis);
   uint64_t Hi = hashKey(Spec, Canon, 0x9e3779b97f4a7c15ull);
   char Buf[33];
   std::snprintf(Buf, sizeof(Buf), "%016llx%016llx",
@@ -104,7 +80,7 @@ std::string cai::service::fingerprintJob(const JobSpec &Spec) {
 }
 
 std::string cai::service::optionsFingerprint(const JobOptions &Opts) {
-  Fnv F(0xcbf29ce484222325ull);
+  Fnv1a F;
   hashOptions(F, Opts);
   char Buf[17];
   std::snprintf(Buf, sizeof(Buf), "%016llx",

@@ -2,7 +2,8 @@
 ///
 /// \file
 /// Small fingerprinting helpers shared by the memoization key types
-/// (conjunction fingerprints, LP constraint-system fingerprints).  The
+/// (conjunction fingerprints, LP constraint-system fingerprints), and the
+/// one FNV-1a accumulator behind the job and CFG fingerprints.  The
 /// mixing constants are the usual Fibonacci / FNV ones; none of this is
 /// cryptographic -- QueryCache stores keys in full and compares with
 /// operator==, so the hash only buys bucketing.
@@ -14,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 
 namespace cai {
 
@@ -31,6 +33,36 @@ template <typename Iter> uint64_t hashRange(Iter First, Iter Last) {
     H = hashCombine(H, First->hash());
   return H;
 }
+
+/// FNV-1a 64 over bytes, little-endian 64-bit words and strings.  A
+/// string is its bytes, then its length as a word, so ("ab", "c") never
+/// collides with ("a", "bc").  Job fingerprints (service/Fingerprint.h)
+/// are wire bytes and persist keys, so this recipe must not change.
+class Fnv1a {
+public:
+  /// The FNV-1a 64 offset basis.
+  static constexpr uint64_t OffsetBasis = 0xcbf29ce484222325ull;
+
+  explicit Fnv1a(uint64_t Seed = OffsetBasis) : H(Seed) {}
+
+  void byte(uint8_t B) {
+    H ^= B;
+    H *= 0x100000001b3ull;
+  }
+  void word(uint64_t V) {
+    for (int I = 0; I < 8; ++I)
+      byte(static_cast<uint8_t>(V >> (I * 8)));
+  }
+  void bytes(const std::string &S) {
+    for (unsigned char C : S)
+      byte(C);
+    word(S.size());
+  }
+  uint64_t value() const { return H; }
+
+private:
+  uint64_t H;
+};
 
 } // namespace cai
 

@@ -78,7 +78,7 @@ TEST(SimplexTest, WarmStartCountsOnlyPhaseTwoReentries) {
     auto It = Values.find("simplex.warmstart");
     return It == Values.end() ? uint64_t(0) : It->second;
   };
-  [[maybe_unused]] uint64_t Before = WarmStarts();
+  uint64_t Before = WarmStarts();
   SimplexSolver Empty({con({1}, 0), con({-1}, -1)}, 1);
   EXPECT_FALSE(Empty.feasible());
   EXPECT_EQ(Empty.maximize({Rational(1)}).Status, LPStatus::Infeasible);
@@ -88,9 +88,7 @@ TEST(SimplexTest, WarmStartCountsOnlyPhaseTwoReentries) {
   SimplexSolver Box({con({-1}, -2), con({1}, 5)}, 1);
   EXPECT_EQ(Box.maximize({Rational(1)}).Value, Rational(5)); // Phase 1.
   EXPECT_EQ(Box.maximize({Rational(-1)}).Value, Rational(-2));
-#ifndef CAI_DISABLE_OBS
   EXPECT_EQ(WarmStarts() - Before, 1u);
-#endif
 }
 
 TEST(SimplexTest, ExactRationalOptimum) {
@@ -345,11 +343,10 @@ TEST_F(PolyDomainTest, CanonListAgreesWithMemoOff) {
   uint64_t Hits0 = Counter("domain.poly.canon_hits");
   uint64_t Misses0 = Counter("domain.poly.canon_misses");
   Answers Warm = Run(D);
-  [[maybe_unused]] uint64_t Hits = Counter("domain.poly.canon_hits") - Hits0;
+  uint64_t Hits = Counter("domain.poly.canon_hits") - Hits0;
   uint64_t Misses = Counter("domain.poly.canon_misses") - Misses0;
   Answers Reference = Run(Cold);
-  [[maybe_unused]] uint64_t ColdBuilds =
-      Counter("domain.poly.canon_misses") - Misses0 - Misses;
+  uint64_t ColdBuilds = Counter("domain.poly.canon_misses") - Misses0 - Misses;
 
   EXPECT_EQ(Warm.Bools, Reference.Bools);
   EXPECT_EQ(Warm.Conjs, Reference.Conjs);
@@ -363,14 +360,12 @@ TEST_F(PolyDomainTest, CanonListAgreesWithMemoOff) {
   EXPECT_FALSE(D.entails(Es[0], Queries[3]));
   EXPECT_TRUE(D.entails(Es[1], Queries[5]));
 
-#ifndef CAI_DISABLE_OBS
   // Both runs ask for the same structured forms; with memoization off each
   // is built anew.  The list answers some, and the shuffled rounds bring
   // back conjunctions it has evicted, which are built a second time.
   EXPECT_EQ(Hits + Misses, ColdBuilds);
   EXPECT_GT(Hits, 0u);
   EXPECT_GT(Misses, Es.size());
-#endif
 }
 
 // Property sweep: the hull is an upper bound and is commutative.
