@@ -1,21 +1,25 @@
 //===- bench/bench_substrate.cpp - Substrate microbenchmarks ---------------===//
 ///
 /// Scaling of the substrates everything rests on: BigInt arithmetic,
-/// exact simplex, Fourier-Motzkin projection, congruence closure, and the
-/// affine hull.  These are the ablation counterpart to DESIGN.md decision
-/// 2 (exact arbitrary-precision arithmetic) -- the BigInt rows quantify
-/// what the exactness costs as coefficients grow.
+/// exact simplex, Fourier-Motzkin projection, congruence closure, the
+/// affine hull, and the term layer.  These are the ablation counterpart to
+/// DESIGN.md decision 2 (exact arbitrary-precision arithmetic) -- the
+/// BigInt rows quantify what the exactness costs as coefficients grow --
+/// and decision 6, whose inline term storage the term-layer rows (sum
+/// building, renaming and copying a conjunction) price.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "domains/poly/Polyhedron.h"
 #include "domains/uf/CongruenceClosure.h"
 #include "linalg/AffineSystem.h"
-#include "term/TermContext.h"
+#include "term/Conjunction.h"
 
 #include <benchmark/benchmark.h>
 
+#include <optional>
 #include <random>
+#include <string>
 
 using namespace cai;
 
@@ -210,6 +214,82 @@ void BM_ConvexHull(benchmark::State &State) {
   }
 }
 
+// Term-layer rungs.  The two builders start every iteration from a fresh
+// TermContext, made while the timer is paused, so every term they time is
+// interned cold.
+
+/// Variables v0 .. v(N-1) of \p Ctx.
+std::vector<Term> makeVars(TermContext &Ctx, int N) {
+  std::vector<Term> Vars;
+  for (int I = 0; I < N; ++I)
+    Vars.push_back(Ctx.mkVar(std::string("v").append(std::to_string(I))));
+  return Vars;
+}
+
+/// An N-atom conjunction over x and v0 .. v(N-1): vi = (i+1)*x + F(vi),
+/// alternating with vi <= x + 1.
+Conjunction makeConjunction(TermContext &Ctx, Term X,
+                            const std::vector<Term> &Vars) {
+  Symbol F = Ctx.getFunction("F", 1);
+  Conjunction C;
+  for (size_t I = 0; I < Vars.size(); ++I) {
+    if (I % 2 == 0)
+      C.add(Atom::mkEq(Ctx, Vars[I],
+                       Ctx.mkAdd(Ctx.mkMul(Rational(int64_t(I + 1)), X),
+                                 Ctx.mkApp(F, {Vars[I]}))));
+    else
+      C.add(Atom::mkLe(Ctx, Vars[I], Ctx.mkAdd(X, Ctx.mkNum(1))));
+  }
+  return C;
+}
+
+void BM_MkAddSum(benchmark::State &State) {
+  // 1 + 2*v0 + 3*v1 + ... folded left through mkAdd, the way
+  // LinearExpr::toTerm renders an N-variable row.
+  int N = static_cast<int>(State.range(0));
+  std::optional<TermContext> Ctx;
+  for (auto _ : State) {
+    State.PauseTiming();
+    Ctx.emplace();
+    std::vector<Term> Vars = makeVars(*Ctx, N);
+    State.ResumeTiming();
+    Term Sum = Ctx->mkNum(1);
+    for (int I = 0; I < N; ++I)
+      Sum = Ctx->mkAdd(Sum, Ctx->mkMul(Rational(I + 2), Vars[I]));
+    benchmark::DoNotOptimize(Sum);
+  }
+}
+
+void BM_SubstituteConjunction(benchmark::State &State) {
+  // Renames x to a fresh variable in an N-atom conjunction, as the
+  // analyzer's assignment transfer renames the assigned variable.
+  int N = static_cast<int>(State.range(0));
+  std::optional<TermContext> Ctx;
+  for (auto _ : State) {
+    State.PauseTiming();
+    Ctx.emplace();
+    Term X = Ctx->mkVar("x");
+    Conjunction C = makeConjunction(*Ctx, X, makeVars(*Ctx, N));
+    Substitution Rename{{X, Ctx->freshVar("x")}};
+    State.ResumeTiming();
+    Conjunction Renamed = C.substitute(*Ctx, Rename);
+    benchmark::DoNotOptimize(Renamed);
+  }
+}
+
+void BM_ConjunctionCopy(benchmark::State &State) {
+  // Copies an N-atom conjunction, as the product does for every operand it
+  // purifies, joins or saturates.
+  int N = static_cast<int>(State.range(0));
+  TermContext Ctx;
+  Term X = Ctx.mkVar("x");
+  Conjunction C = makeConjunction(Ctx, X, makeVars(Ctx, N));
+  for (auto _ : State) {
+    Conjunction Copy = C;
+    benchmark::DoNotOptimize(Copy);
+  }
+}
+
 } // namespace
 
 BENCHMARK(BM_BigIntMultiply)->RangeMultiplier(4)->Range(1, 256);
@@ -224,5 +304,8 @@ BENCHMARK(BM_SimplexFeasibility)->RangeMultiplier(2)->Range(2, 16)->Unit(benchma
 BENCHMARK(BM_FourierMotzkin)->RangeMultiplier(2)->Range(2, 8)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_CongruenceClosure)->RangeMultiplier(2)->Range(8, 128)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ConvexHull)->DenseRange(1, 3)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MkAddSum)->RangeMultiplier(2)->Range(2, 32)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_SubstituteConjunction)->RangeMultiplier(2)->Range(1, 16)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ConjunctionCopy)->RangeMultiplier(2)->Range(1, 16);
 
 BENCHMARK_MAIN();

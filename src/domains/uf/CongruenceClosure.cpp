@@ -5,15 +5,13 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 
-#include <map>
-
 using namespace cai;
 
 unsigned CongruenceClosure::addTermImpl(Term T) {
   auto It = NodeOf.find(T);
   if (It != NodeOf.end())
     return It->second;
-  std::vector<unsigned> ArgNodes;
+  NodeList ArgNodes;
   if (T->isApp()) {
     ArgNodes.reserve(T->args().size());
     for (Term Arg : T->args())
@@ -74,7 +72,7 @@ namespace {
 /// its arguments.
 struct NodeSig {
   uint32_t Symbol;
-  std::vector<unsigned> ArgReps;
+  CongruenceClosure::NodeList ArgReps;
   bool operator==(const NodeSig &RHS) const {
     return Symbol == RHS.Symbol && ArgReps == RHS.ArgReps;
   }
@@ -148,12 +146,18 @@ bool CongruenceClosure::areEqual(Term A, Term B) {
 }
 
 std::vector<std::vector<unsigned>> CongruenceClosure::allClasses() const {
-  std::map<unsigned, std::vector<unsigned>> ByRep;
-  for (unsigned N = 0; N < Terms.size(); ++N)
-    ByRep[find(N)].push_back(N);
+  // A representative is its class's smallest node, so walking the nodes in
+  // ascending order opens each class at its representative, before any
+  // other member arrives.
   std::vector<std::vector<unsigned>> Out;
-  Out.reserve(ByRep.size());
-  for (auto &[Rep, Members] : ByRep)
-    Out.push_back(std::move(Members));
+  std::vector<unsigned> ClassOf(Terms.size());
+  for (unsigned N = 0; N < Terms.size(); ++N) {
+    unsigned Rep = find(N);
+    if (Rep == N) {
+      ClassOf[N] = static_cast<unsigned>(Out.size());
+      Out.emplace_back();
+    }
+    Out[ClassOf[Rep]].push_back(N);
+  }
   return Out;
 }

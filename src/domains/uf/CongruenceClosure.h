@@ -12,6 +12,7 @@
 #ifndef CAI_DOMAINS_UF_CONGRUENCECLOSURE_H
 #define CAI_DOMAINS_UF_CONGRUENCECLOSURE_H
 
+#include "support/SmallVec.h"
 #include "term/Conjunction.h"
 
 #include <unordered_map>
@@ -25,6 +26,11 @@ namespace cai {
 /// queries (find/areEqual) are always exact for the facts added so far.
 class CongruenceClosure {
 public:
+  /// The argument nodes of one App node, inline up to three (an array
+  /// store's arity; most symbols take one or two, and a larger arity
+  /// spills to the heap).
+  using NodeList = SmallVec<unsigned, 3>;
+
   explicit CongruenceClosure(const TermContext &Ctx) : Ctx(Ctx) {}
 
   /// Adds \p T and all its subterms; returns T's node.
@@ -51,7 +57,7 @@ public:
   bool isApp(unsigned N) const { return Terms[N]->isApp(); }
   Symbol symbolOf(unsigned N) const { return Terms[N]->symbol(); }
   /// Argument nodes of an App node (original nodes, not class reps).
-  const std::vector<unsigned> &argsOf(unsigned N) const {
+  const NodeList &argsOf(unsigned N) const {
     assert(isApp(N) && "argsOf on a leaf node");
     return Args[N];
   }
@@ -61,8 +67,9 @@ public:
   /// extra merges).
   void merge(unsigned A, unsigned B);
 
-  /// All congruence classes: representative -> members, deterministically
-  /// ordered by node index.
+  /// All congruence classes, in ascending order of their representatives
+  /// (each class's smallest node), each listing its members in ascending
+  /// order.
   std::vector<std::vector<unsigned>> allClasses() const;
 
   const TermContext &context() const { return Ctx; }
@@ -84,7 +91,7 @@ private:
   const TermContext &Ctx;
   bool Pending = false;
   std::vector<Term> Terms;                 // Node -> term.
-  std::vector<std::vector<unsigned>> Args; // Node -> argument nodes.
+  std::vector<NodeList> Args;              // Node -> argument nodes.
   mutable std::vector<unsigned> Parent;    // Union-find.
   std::unordered_map<Term, unsigned> NodeOf;
 };

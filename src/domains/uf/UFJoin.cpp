@@ -59,8 +59,8 @@ public:
         for (unsigned U2 = 0; U2 < CC2.numNodes(); ++U2) {
           if (!CC2.isApp(U2) || CC2.symbolOf(U2) != CC1.symbolOf(U1))
             continue;
-          const std::vector<unsigned> &A1 = CC1.argsOf(U1);
-          const std::vector<unsigned> &A2 = CC2.argsOf(U2);
+          const CongruenceClosure::NodeList &A1 = CC1.argsOf(U1);
+          const CongruenceClosure::NodeList &A2 = CC2.argsOf(U2);
           if (A1.size() != A2.size())
             continue;
           std::vector<unsigned> Children;

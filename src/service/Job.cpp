@@ -102,14 +102,7 @@ void cai::service::runJob(const JobSpec &Spec, const JobHooks &Hooks,
       return;
     }
 
-    // Pre-intern the theory predicates so the parser recognizes them even
-    // if the chosen domains do not mention them.
     TermContext &Ctx = Run.Ctx;
-    Ctx.getPredicate("even", 1);
-    Ctx.getPredicate("odd", 1);
-    Ctx.getPredicate("positive", 1);
-    Ctx.getPredicate("negative", 1);
-
     LogicalLattice *Domain = Run.Factory.build(O.DomainSpec);
     if (!Domain) {
       R.Status = JobStatus::BadDomain;

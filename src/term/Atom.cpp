@@ -42,7 +42,7 @@ bool Atom::operator<(const Atom &RHS) const {
 }
 
 Atom Atom::substitute(TermContext &Ctx, const Substitution &Subst) const {
-  std::vector<Term> NewArgs;
+  ArgList NewArgs;
   NewArgs.reserve(Args.size());
   bool Changed = false;
   for (Term Arg : Args) {

@@ -11,6 +11,7 @@
 #ifndef CAI_TERM_ATOM_H
 #define CAI_TERM_ATOM_H
 
+#include "support/SmallVec.h"
 #include "term/TermContext.h"
 
 namespace cai {
@@ -19,8 +20,13 @@ namespace cai {
 /// smaller-id term is first, making syntactic dedup effective.
 class Atom {
 public:
+  /// Argument storage: every predicate of the library has arity 1 or 2, so
+  /// the arguments live inside the atom and copying one never allocates (a
+  /// larger arity spills to the heap).
+  using ArgList = SmallVec<Term, 2>;
+
   Atom() = default;
-  Atom(Symbol Pred, std::vector<Term> Args) : Pred(Pred), Args(std::move(Args)) {
+  Atom(Symbol Pred, ArgList Args) : Pred(Pred), Args(std::move(Args)) {
     assert(Pred.isValid() && "atom with invalid predicate");
   }
 
@@ -30,7 +36,7 @@ public:
   static Atom mkLe(TermContext &Ctx, Term A, Term B);
 
   Symbol predicate() const { return Pred; }
-  const std::vector<Term> &args() const { return Args; }
+  const ArgList &args() const { return Args; }
 
   bool isEq(const TermContext &Ctx) const {
     return Pred == Ctx.eqSymbol();
@@ -81,7 +87,7 @@ public:
 
 private:
   Symbol Pred;
-  std::vector<Term> Args;
+  ArgList Args;
 };
 
 struct AtomHash {

@@ -25,7 +25,7 @@ public:
   /// usually a handful of facts, so the first two live inline (DESIGN.md,
   /// "Three-tier exact arithmetic and small-vector rows").  Capacity 2,
   /// not more: conjunctions are hashtable values in the analyzer's memo
-  /// caches, and each extra inline Atom adds 32 bytes to every node.
+  /// caches, and each extra inline Atom adds 48 bytes to every node.
   using AtomList = SmallVec<Atom, 2>;
 
   /// Constructs "true" (the empty conjunction, lattice top).

@@ -2,6 +2,8 @@
 
 #include "term/LinearExpr.h"
 
+#include <algorithm>
+
 using namespace cai;
 
 static bool decompose(const TermContext &Ctx, Term T, const Rational &Factor,
@@ -44,9 +46,19 @@ std::optional<LinearExpr> LinearExpr::fromTerm(const TermContext &Ctx,
   return Out;
 }
 
+/// The first entry of \p Coeffs whose indeterminate is not structurally
+/// below \p T.
+template <typename ListT> static auto lowerBound(ListT &Coeffs, Term T) {
+  return std::lower_bound(Coeffs.begin(), Coeffs.end(), T,
+                          [](const auto &Entry, Term Key) {
+                            return structuralCompare(Entry.first, Key) < 0;
+                          });
+}
+
 Rational LinearExpr::coeff(Term Indeterminate) const {
-  auto It = Coeffs.find(Indeterminate);
-  return It == Coeffs.end() ? Rational() : It->second;
+  auto It = lowerBound(Coeffs, Indeterminate);
+  return It == Coeffs.end() || It->first != Indeterminate ? Rational()
+                                                          : It->second;
 }
 
 bool LinearExpr::allVars() const {
@@ -59,9 +71,11 @@ bool LinearExpr::allVars() const {
 void LinearExpr::addTerm(Term Indeterminate, const Rational &Coeff) {
   if (Coeff.isZero())
     return;
-  auto [It, Inserted] = Coeffs.emplace(Indeterminate, Coeff);
-  if (Inserted)
+  auto It = lowerBound(Coeffs, Indeterminate);
+  if (It == Coeffs.end() || It->first != Indeterminate) {
+    Coeffs.emplace(It, Indeterminate, Coeff);
     return;
+  }
   It->second += Coeff;
   if (It->second.isZero())
     Coeffs.erase(It);
@@ -83,8 +97,9 @@ LinearExpr LinearExpr::scaled(const Rational &Factor) const {
   LinearExpr Out;
   if (Factor.isZero())
     return Out;
+  Out.Coeffs.reserve(Coeffs.size());
   for (const auto &[T, C] : Coeffs)
-    Out.Coeffs.emplace(T, C * Factor);
+    Out.Coeffs.emplace_back(T, C * Factor);
   Out.Constant = Constant * Factor;
   return Out;
 }

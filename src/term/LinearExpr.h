@@ -13,9 +13,9 @@
 #ifndef CAI_TERM_LINEAREXPR_H
 #define CAI_TERM_LINEAREXPR_H
 
+#include "support/SmallVec.h"
 #include "term/TermContext.h"
 
-#include <map>
 #include <optional>
 
 namespace cai {
@@ -23,6 +23,11 @@ namespace cai {
 /// A linear combination of terms with rational coefficients.
 class LinearExpr {
 public:
+  /// The (indeterminate, coefficient) entries, sorted by TermStructLess on
+  /// the indeterminate, with no zero coefficients.  A view rarely has more
+  /// than a handful of indeterminates, so they live inline.
+  using TermList = SmallVec<std::pair<Term, Rational>, 4>;
+
   /// Constructs the zero expression.
   LinearExpr() = default;
   explicit LinearExpr(Rational Constant) : Constant(std::move(Constant)) {}
@@ -37,8 +42,8 @@ public:
   Rational coeff(Term Indeterminate) const;
   const Rational &constant() const { return Constant; }
 
-  /// Indeterminate -> coefficient, ordered by term id; no zero entries.
-  const std::map<Term, Rational, TermStructLess> &terms() const { return Coeffs; }
+  /// The entries, in TermStructLess order of their indeterminates.
+  const TermList &terms() const { return Coeffs; }
 
   bool isConstant() const { return Coeffs.empty(); }
   bool isZero() const { return Coeffs.empty() && Constant.isZero(); }
@@ -57,19 +62,19 @@ public:
     return Constant == RHS.Constant && Coeffs == RHS.Coeffs;
   }
 
-  /// Rebuilds the canonical term (indeterminates in id order, constant
-  /// last, unit coefficients folded).
+  /// Rebuilds the canonical term (indeterminates in structural order,
+  /// constant last, unit coefficients folded).
   Term toTerm(TermContext &Ctx) const;
 
   /// Multiplies through by the least common denominator and divides by the
   /// gcd of all numerators so every coefficient is an integer and their gcd
-  /// is 1.  The leading (smallest-id) coefficient is made positive when
-  /// \p NormalizeSign is set.  Returns the scale factor applied (always
-  /// positive unless the sign was flipped).
+  /// is 1.  The leading (structurally first) coefficient is made positive
+  /// when \p NormalizeSign is set.  Returns the scale factor applied
+  /// (always positive unless the sign was flipped).
   Rational normalizeIntegral(bool NormalizeSign);
 
 private:
-  std::map<Term, Rational, TermStructLess> Coeffs;
+  TermList Coeffs;
   Rational Constant;
 };
 

@@ -80,15 +80,6 @@ bool cai::occursIn(Term Var, Term T) {
   return false;
 }
 
-unsigned cai::termDepth(Term T) {
-  if (!T->isApp())
-    return 1;
-  unsigned Max = 0;
-  for (Term Arg : T->args())
-    Max = std::max(Max, termDepth(Arg));
-  return Max + 1;
-}
-
 unsigned cai::termSize(Term T) {
   if (!T->isApp())
     return 1;

@@ -74,6 +74,7 @@ public:
 
 private:
   friend class TermContext;
+  friend unsigned termDepth(const TermNode *T);
   TermNode() = default;
 
   TermKind Kind = TermKind::Variable;
@@ -81,6 +82,7 @@ private:
   std::string Name;                   // Variable
   Rational Value;                     // Number
   Symbol Sym;                         // App
+  uint32_t Depth = 1;                 // Recorded when interned.
   std::vector<const TermNode *> Args; // App
 };
 
@@ -101,8 +103,8 @@ void appendNewVars(Term T, std::unordered_set<Term> &Seen,
 bool occursIn(Term Var, Term T);
 
 /// Returns the maximum nesting depth of \p T (variables and numerals have
-/// depth 1).
-unsigned termDepth(Term T);
+/// depth 1), which its node recorded when it was interned.
+inline unsigned termDepth(Term T) { return T->Depth; }
 
 /// Returns the number of nodes in \p T counted as a tree.
 unsigned termSize(Term T);

@@ -2,6 +2,8 @@
 
 #include "term/TermContext.h"
 
+#include "support/SmallVec.h"
+
 #include <algorithm>
 #include <cstdio>
 
@@ -15,6 +17,10 @@ TermContext::TermContext() {
   SymMul = internSymbol("*", 2, SymbolKind::Function, true);
   SymEq = internSymbol("=", 2, SymbolKind::Predicate, false);
   SymLe = internSymbol("<=", 2, SymbolKind::Predicate, false);
+  // The theory predicates, so the parser reads even(x) as an atom whatever
+  // domains the context will serve.
+  for (const char *Name : {"even", "odd", "positive", "negative"})
+    internSymbol(Name, 1, SymbolKind::Predicate, false);
 }
 
 Symbol TermContext::internSymbol(const std::string &Name, unsigned Arity,
@@ -50,6 +56,8 @@ Symbol TermContext::findSymbol(const std::string &Name) const {
 
 Term TermContext::internNode(TermNode Node) {
   Node.Id = static_cast<uint32_t>(Nodes.size());
+  for (Term Arg : Node.Args)
+    Node.Depth = std::max(Node.Depth, termDepth(Arg) + 1);
   Nodes.push_back(std::move(Node));
   return &Nodes.back();
 }
@@ -89,39 +97,27 @@ Term TermContext::mkNum(Rational Value) {
   return T;
 }
 
-Term TermContext::mkApp(Symbol Fn, std::vector<Term> Args) {
+Term TermContext::mkApp(Symbol Fn, const Term *Args, size_t NumArgs) {
   assert(Fn.isValid() && "invalid symbol");
   assert(info(Fn).Kind == SymbolKind::Function && "not a function symbol");
-  assert((info(Fn).Arity == VariadicArity ||
-          info(Fn).Arity == Args.size()) &&
+  assert((info(Fn).Arity == VariadicArity || info(Fn).Arity == NumArgs) &&
          "arity mismatch");
-  AppKey Key{Fn.index(), Args};
-  auto It = AppByKey.find(Key);
-  if (It != AppByKey.end())
-    return It->second;
+  auto It = Apps.find(AppView{Fn.index(), Args, NumArgs});
+  if (It != Apps.end())
+    return *It;
   TermNode Node;
   Node.Kind = TermKind::App;
   Node.Sym = Fn;
-  Node.Args = std::move(Args);
+  Node.Args.assign(Args, Args + NumArgs);
   Term T = internNode(std::move(Node));
-  AppByKey.emplace(std::move(Key), T);
+  Apps.insert(T);
   return T;
 }
 
 Term TermContext::mkAdd(Term Left, Term Right) {
-  // Flatten nested sums and combine like terms: each addend contributes a
-  // (coefficient, base) pair, accumulated per base in first-seen order so
-  // x - x cancels and 2*x + x folds to 3*x.
-  std::vector<Term> Order;
-  std::unordered_map<Term, Rational> CoeffOf;
+  // Flatten nested sums into (base, coefficient) pieces and fold numerals.
+  SmallVec<std::pair<Term, Rational>, 8> Pieces;
   Rational Constant;
-  auto AddPiece = [&](Term Base, const Rational &Coeff) {
-    auto [It, Inserted] = CoeffOf.emplace(Base, Coeff);
-    if (Inserted)
-      Order.push_back(Base);
-    else
-      It->second += Coeff;
-  };
   auto Append = [&](Term T, auto &&Self) -> void {
     if (T->isNumber()) {
       Constant += T->number();
@@ -133,30 +129,37 @@ Term TermContext::mkAdd(Term Left, Term Right) {
       return;
     }
     if (T->isApp() && T->symbol() == SymMul && T->args()[0]->isNumber()) {
-      AddPiece(T->args()[1], T->args()[0]->number());
+      Pieces.emplace_back(T->args()[1], T->args()[0]->number());
       return;
     }
-    AddPiece(T, Rational(1));
+    Pieces.emplace_back(T, Rational(1));
   };
   Append(Left, Append);
   Append(Right, Append);
 
   // Canonical addend order (structural) so syntactically different builds
   // of the same sum hash-cons to one node (1 + a + b == 1 + b + a), in a
-  // form that does not depend on which addend was interned first.
-  std::sort(Order.begin(), Order.end(), TermStructLess());
+  // form that does not depend on which addend was interned first.  Sorting
+  // also makes like terms adjacent, so x - x cancels and 2*x + x folds to
+  // 3*x.
+  std::sort(Pieces.begin(), Pieces.end(), [](const auto &A, const auto &B) {
+    return structuralCompare(A.first, B.first) < 0;
+  });
 
-  std::vector<Term> Addends;
-  for (Term Base : Order) {
-    const Rational &Coeff = CoeffOf[Base];
+  SmallVec<Term, 8> Addends;
+  for (size_t I = 0; I < Pieces.size();) {
+    Term Base = Pieces[I].first;
+    Rational Coeff = std::move(Pieces[I].second);
+    for (++I; I < Pieces.size() && Pieces[I].first == Base; ++I)
+      Coeff += Pieces[I].second;
     if (!Coeff.isZero())
-      Addends.push_back(mkMul(Coeff, Base));
+      Addends.push_back(mkMul(std::move(Coeff), Base));
   }
   if (!Constant.isZero() || Addends.empty())
     Addends.push_back(mkNum(Constant));
   if (Addends.size() == 1)
     return Addends.front();
-  return mkApp(SymAdd, std::move(Addends));
+  return mkApp(SymAdd, Addends.data(), Addends.size());
 }
 
 Term TermContext::mkSub(Term Left, Term Right) {
@@ -180,7 +183,8 @@ Term TermContext::mkMul(Rational Coeff, Term T) {
       Sum = mkAdd(Sum, mkMul(Coeff, Arg));
     return Sum;
   }
-  return mkApp(SymMul, {mkNum(Coeff), T});
+  Term Args[] = {mkNum(Coeff), T};
+  return mkApp(SymMul, Args, 2);
 }
 
 Term TermContext::substitute(Term T, const Substitution &Subst) {
@@ -195,7 +199,7 @@ Term TermContext::substitute(Term T, const Substitution &Subst) {
     return T;
   case TermKind::App: {
     bool Changed = false;
-    std::vector<Term> NewArgs;
+    SmallVec<Term, 4> NewArgs;
     NewArgs.reserve(T->args().size());
     for (Term Arg : T->args()) {
       Term NewArg = substitute(Arg, Subst);
@@ -214,7 +218,7 @@ Term TermContext::substitute(Term T, const Substitution &Subst) {
     }
     if (T->symbol() == SymMul && NewArgs[0]->isNumber())
       return mkMul(NewArgs[0]->number(), NewArgs[1]);
-    return mkApp(T->symbol(), std::move(NewArgs));
+    return mkApp(T->symbol(), NewArgs.data(), NewArgs.size());
   }
   }
   assert(false && "unknown term kind");

@@ -2,9 +2,10 @@
 ///
 /// \file
 /// The TermContext owns all symbols and hash-consed terms used by one
-/// analysis.  It pre-interns the arithmetic function symbols (+, *) and the
-/// core predicates (=, <=) and provides builders that keep arithmetic terms
-/// in a lightly-normalized form.  All lattices, products and programs in a
+/// analysis.  It pre-interns the arithmetic function symbols (+, *), the
+/// core predicates (=, <=) and the theory predicates (even, odd, positive,
+/// negative), and provides builders that keep arithmetic terms in a
+/// lightly-normalized form.  All lattices, products and programs in a
 /// run must share one context.
 ///
 //===----------------------------------------------------------------------===//
@@ -14,8 +15,10 @@
 
 #include "term/Term.h"
 
+#include <algorithm>
 #include <deque>
 #include <unordered_map>
+#include <unordered_set>
 
 namespace cai {
 
@@ -73,7 +76,12 @@ public:
 
   /// Applies \p Fn to \p Args.  Asserts on arity mismatch for non-variadic
   /// symbols.
-  Term mkApp(Symbol Fn, std::vector<Term> Args);
+  Term mkApp(Symbol Fn, std::vector<Term> Args) {
+    return mkApp(Fn, Args.data(), Args.size());
+  }
+  /// Applies \p Fn to the \p NumArgs terms at \p Args.  The lookup borrows
+  /// the arguments; they are copied only into a newly interned node.
+  Term mkApp(Symbol Fn, const Term *Args, size_t NumArgs);
 
   /// Builds Left + Right, flattening nested sums and folding numerals.
   Term mkAdd(Term Left, Term Right);
@@ -106,20 +114,36 @@ private:
                       bool Arithmetic);
   Term internNode(TermNode Node);
 
-  struct AppKey {
+  /// A borrowed (symbol, arguments) view of an application: the key mkApp
+  /// looks an application up by before any node exists.
+  struct AppView {
     uint32_t Sym;
-    std::vector<const TermNode *> Args;
-    bool operator==(const AppKey &RHS) const {
-      return Sym == RHS.Sym && Args == RHS.Args;
-    }
+    const Term *Args;
+    size_t NumArgs;
   };
-  struct AppKeyHash {
-    size_t operator()(const AppKey &K) const {
+  static AppView viewOf(Term T) {
+    return {T->symbol().index(), T->args().data(), T->args().size()};
+  }
+  /// Hash and equality over interned App nodes that also accept an AppView
+  /// (C++20 heterogeneous lookup), so the table holds the nodes themselves.
+  struct AppHash {
+    using is_transparent = void;
+    size_t operator()(const AppView &K) const {
       size_t H = K.Sym;
-      for (const TermNode *Arg : K.Args)
-        H = H * 1099511628211ull ^ reinterpret_cast<size_t>(Arg);
+      for (size_t I = 0; I < K.NumArgs; ++I)
+        H = H * 1099511628211ull ^ reinterpret_cast<size_t>(K.Args[I]);
       return H;
     }
+    size_t operator()(Term T) const { return (*this)(viewOf(T)); }
+  };
+  struct AppEq {
+    using is_transparent = void;
+    bool operator()(Term A, Term B) const { return A == B; }
+    bool operator()(const AppView &K, Term T) const {
+      return K.Sym == T->symbol().index() && K.NumArgs == T->args().size() &&
+             std::equal(K.Args, K.Args + K.NumArgs, T->args().begin());
+    }
+    bool operator()(Term T, const AppView &K) const { return (*this)(K, T); }
   };
   struct RationalHash {
     size_t operator()(const Rational &R) const { return R.hash(); }
@@ -130,7 +154,7 @@ private:
   std::unordered_map<std::string, uint32_t> SymbolByName;
   std::unordered_map<std::string, Term> VarByName;
   std::unordered_map<Rational, Term, RationalHash> NumByValue;
-  std::unordered_map<AppKey, Term, AppKeyHash> AppByKey;
+  std::unordered_set<Term, AppHash, AppEq> Apps;
   uint64_t FreshCounter = 0;
 
   Symbol SymAdd, SymMul, SymEq, SymLe;

@@ -33,16 +33,6 @@ using namespace cai;
 
 namespace {
 
-/// Pre-interns the theory predicates as service::runJob does, so every
-/// checked-in program (fig8.imp speaks of even and positive) parses here
-/// the way the tools parse it.
-void registerTheoryPredicates(TermContext &Ctx) {
-  Ctx.getPredicate("even", 1);
-  Ctx.getPredicate("odd", 1);
-  Ctx.getPredicate("positive", 1);
-  Ctx.getPredicate("negative", 1);
-}
-
 /// Runs \p L over \p P twice -- memoization on and off -- and requires
 /// identical invariants, verdicts and convergence.
 void expectCacheEquivalent(const LogicalLattice &L, const Program &P,
@@ -170,7 +160,6 @@ TEST(AnalyzerCacheTest, DifferentialPolyOverTestdata) {
     Buffer << In.rdbuf();
     for (Spec S : {Spec::Poly, Spec::PolyUF, Spec::PolyAffine}) {
       TermContext Ctx;
-      registerTheoryPredicates(Ctx);
       std::string ParseError;
       std::optional<Program> P = parseProgram(Ctx, Buffer.str(), &ParseError);
       ASSERT_TRUE(P) << File << ": " << ParseError;
@@ -212,7 +201,6 @@ TEST(AnalyzerCacheTest, DifferentialTestdataUnderContractChecks) {
     Buffer << In.rdbuf();
     for (Spec S : {Spec::Poly, Spec::PolyUF, Spec::PolyAffine}) {
       TermContext Ctx;
-      registerTheoryPredicates(Ctx);
       std::string ParseError;
       std::optional<Program> P = parseProgram(Ctx, Buffer.str(), &ParseError);
       ASSERT_TRUE(P) << File << ": " << ParseError;

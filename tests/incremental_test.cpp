@@ -36,13 +36,6 @@ using namespace cai::service;
 
 namespace {
 
-void registerTheoryPredicates(TermContext &Ctx) {
-  Ctx.getPredicate("even", 1);
-  Ctx.getPredicate("odd", 1);
-  Ctx.getPredicate("positive", 1);
-  Ctx.getPredicate("negative", 1);
-}
-
 // A program whose WTO has several top-level elements: straight-line
 // prefix, two independent loops, straight-line suffix.
 const char *TwoLoops = R"(
@@ -98,7 +91,6 @@ assert(0 <= y);
 
 TEST(StateCodec, RoundTripsAcrossContexts) {
   TermContext A;
-  registerTheoryPredicates(A);
   std::string Error;
   std::optional<Program> P = parseProgram(A, R"(
 x := -3;
@@ -122,7 +114,6 @@ assert(y = F(x));
   // registered, re-encode, and require identical bytes: the encoding is
   // context-free and canonical.
   TermContext B;
-  registerTheoryPredicates(B);
   std::string E2;
   ASSERT_TRUE(parseProgram(B, R"(
 x := -3;
@@ -163,7 +154,6 @@ struct Fingerprinted {
   ComponentFingerprints FP;
 
   explicit Fingerprinted(const char *Text) {
-    registerTheoryPredicates(Ctx);
     std::string Error;
     P = parseProgram(Ctx, Text, &Error);
     EXPECT_TRUE(P) << Error;
@@ -239,7 +229,6 @@ void expectIdentical(const TermContext &CtxA, const AnalysisResult &A,
 AnalysisResult analyze(TermContext &Ctx, const char *Text,
                        const std::string &Spec, bool Memoize,
                        const FixpointSnapshot *In, FixpointSnapshot *Out) {
-  registerTheoryPredicates(Ctx);
   std::string Error;
   std::optional<Program> P = parseProgram(Ctx, Text, &Error);
   EXPECT_TRUE(P) << Error;

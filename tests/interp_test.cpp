@@ -21,13 +21,6 @@ using namespace cai::interp;
 
 namespace {
 
-void registerTheoryPredicates(TermContext &Ctx) {
-  Ctx.getPredicate("even", 1);
-  Ctx.getPredicate("odd", 1);
-  Ctx.getPredicate("positive", 1);
-  Ctx.getPredicate("negative", 1);
-}
-
 TEST(SplitMix64Test, DeterministicAndRangeRespecting) {
   SplitMix64 A(42), B(42), C(43);
   for (int I = 0; I < 100; ++I)
@@ -113,7 +106,6 @@ TEST(ConcreteModelTest, ReadOverWriteHolds) {
 
 TEST(ConcreteModelTest, TheoryPredicateSemantics) {
   TermContext Ctx;
-  registerTheoryPredicates(Ctx);
   ConcreteModel M(Ctx, 4);
   Env E;
   E.emplace(Ctx.mkVar("x"), Rational(4));
@@ -197,7 +189,6 @@ TEST(ProgramGenTest, GeneratedProgramsAlwaysParse) {
     Opts.Seed = Seed;
     std::string Text = generateProgram(Opts);
     TermContext Ctx;
-    registerTheoryPredicates(Ctx);
     std::string Error;
     std::optional<Program> P = parseProgram(Ctx, Text, &Error);
     ASSERT_TRUE(P) << "seed " << Seed << ": " << Error << "\n" << Text;
@@ -229,7 +220,6 @@ TEST(ProgramGenTest, ArrayKnobEmitsSelectAndUpdate) {
     if (Text.find("mem := update(mem, ") != std::string::npos)
       ++Updates;
     TermContext Ctx;
-    registerTheoryPredicates(Ctx);
     std::string Error;
     std::optional<Program> P = parseProgram(Ctx, Text, &Error);
     ASSERT_TRUE(P) << "seed " << Seed << ": " << Error << "\n" << Text;

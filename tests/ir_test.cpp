@@ -116,6 +116,38 @@ TEST_F(IRTest, AssertionsKeepSourceOrder) {
   EXPECT_LT(P->assertions()[0].Node, P->assertions()[1].Node);
 }
 
+TEST(ParserTheoryPredicates, FreshContextParsesTheoryAtoms) {
+  // No domain and no caller has interned a predicate: the context alone
+  // must make even(x) an atom rather than an application of a function.
+  const char *Programs[] = {"assert(even(x));", "assert(odd(x));",
+                            "assert(positive(x));", "assert(negative(x));"};
+  const char *Names[] = {"even", "odd", "positive", "negative"};
+  for (size_t I = 0; I < 4; ++I) {
+    TermContext Fresh;
+    std::string Error;
+    std::optional<Program> P = parseProgram(Fresh, Programs[I], &Error);
+    ASSERT_TRUE(P) << Programs[I] << ": " << Error;
+    ASSERT_EQ(P->assertions().size(), 1u);
+    const Atom &Fact = P->assertions()[0].Fact;
+    EXPECT_EQ(Fact.predicate(), Fresh.findSymbol(Names[I]));
+    EXPECT_EQ(Fresh.info(Fact.predicate()).Kind, SymbolKind::Predicate);
+    ASSERT_EQ(Fact.args().size(), 1u);
+    EXPECT_EQ(Fact.args()[0], Fresh.mkVar("x"));
+  }
+}
+
+TEST(ParserTheoryPredicates, InternedRightAfterTheCorePredicates) {
+  // Atoms order by predicate index, so the theory predicates keep indices
+  // 4-7, right after the core ones: atom order and output bytes depend on
+  // it.
+  TermContext Fresh;
+  const char *Names[] = {"+", "*", "=", "<=", "even", "odd", "positive",
+                         "negative"};
+  for (uint32_t I = 0; I < 8; ++I)
+    EXPECT_EQ(Fresh.findSymbol(Names[I]).index(), I) << Names[I];
+  EXPECT_EQ(Fresh.getPredicate("even", 1), Fresh.findSymbol("even"));
+}
+
 TEST_F(IRTest, ParserWhileNegatedParenCondition) {
   std::optional<Program> P =
       parseProgram(Ctx, "x := 0; while (!(x >= 3)) { x := x + 1; }");

@@ -36,13 +36,6 @@ using namespace cai::interp;
 
 namespace {
 
-void registerTheoryPredicates(TermContext &Ctx) {
-  Ctx.getPredicate("even", 1);
-  Ctx.getPredicate("odd", 1);
-  Ctx.getPredicate("positive", 1);
-  Ctx.getPredicate("negative", 1);
-}
-
 /// Builds the four audited domain specs over \p Ctx.  The instances live
 /// in \p Owned; the returned pointers borrow from it.  The arrays product
 /// is audited so the read-over-write rule faces generated select/update
@@ -106,7 +99,6 @@ TEST(SoundnessOracleTest, TestdataCleanUnderEverySpec) {
     std::stringstream Buffer;
     Buffer << In.rdbuf();
     TermContext Ctx;
-    registerTheoryPredicates(Ctx);
     std::string Error;
     std::optional<Program> P = parseProgram(Ctx, Buffer.str(), &Error);
     ASSERT_TRUE(P) << File << ": " << Error;
@@ -141,7 +133,6 @@ TEST(SoundnessOracleTest, GeneratedProgramSweep) {
     std::string Text = generateProgram(GOpts);
 
     TermContext Ctx;
-    registerTheoryPredicates(Ctx);
     std::string Error;
     std::optional<Program> P = parseProgram(Ctx, Text, &Error);
     ASSERT_TRUE(P) << "seed " << Seed << ": " << Error << "\n" << Text;

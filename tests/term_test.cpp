@@ -1,5 +1,6 @@
 //===- tests/term_test.cpp - Terms, atoms, conjunctions, parser ------------===//
 
+#include "domains/uf/CongruenceClosure.h"
 #include "term/Conjunction.h"
 #include "term/LinearExpr.h"
 #include "term/Parser.h"
@@ -310,4 +311,230 @@ TEST_F(TermTest, PrinterNegativeCoefficients) {
   std::optional<Term> Again = parseTerm(Ctx, toString(Ctx, *T));
   ASSERT_TRUE(Again);
   EXPECT_EQ(*T, *Again);
+}
+
+// Every node records its depth when it is interned; termDepth reads it.
+TEST_F(TermTest, StoredDepthMatchesRecursiveReference) {
+  std::mt19937 Rng(23);
+  Symbol F = Ctx.getFunction("F", 1), G = Ctx.getFunction("G", 2);
+  std::vector<Term> Pool = {Ctx.mkVar("x"), Ctx.mkVar("y"), Ctx.mkNum(2)};
+  std::function<unsigned(Term)> Reference = [&](Term T) -> unsigned {
+    unsigned Max = 0;
+    if (T->isApp())
+      for (Term Arg : T->args())
+        Max = std::max(Max, Reference(Arg));
+    return Max + 1;
+  };
+  for (int Step = 0; Step < 400; ++Step) {
+    Term A = Pool[Rng() % Pool.size()], B = Pool[Rng() % Pool.size()];
+    Term T;
+    switch (Rng() % 4) {
+    case 0:
+      T = Ctx.mkApp(F, {A});
+      break;
+    case 1:
+      T = Ctx.mkApp(G, {A, B});
+      break;
+    case 2:
+      T = Ctx.mkAdd(A, B);
+      break;
+    default:
+      T = Ctx.mkMul(Rational(static_cast<int64_t>(Rng() % 5) - 2), A);
+      break;
+    }
+    ASSERT_EQ(termDepth(T), Reference(T)) << toString(Ctx, T);
+    Pool.push_back(T);
+  }
+}
+
+namespace {
+
+/// A seeded random linear combination over a fixed pool of indeterminates
+/// (variables and F(...) terms), and the builders that must all agree on
+/// its one hash-consed node.
+struct SumFixture {
+  TermContext &Ctx;
+  std::mt19937 &Rng;
+  std::vector<Term> Pool;
+  std::vector<int64_t> Coeffs;
+  int64_t Constant = 0;
+
+  SumFixture(TermContext &Ctx, std::mt19937 &Rng) : Ctx(Ctx), Rng(Rng) {
+    Symbol F = Ctx.getFunction("F", 1);
+    Term X = Ctx.mkVar("x"), Y = Ctx.mkVar("y"), Z = Ctx.mkVar("z");
+    Pool = {X, Y, Z, Ctx.freshVar("a"), Ctx.mkApp(F, {X}),
+            Ctx.mkApp(F, {Ctx.mkAdd(Y, Ctx.mkNum(1))})};
+  }
+
+  void draw() {
+    Coeffs.clear();
+    for (size_t I = 0; I < Pool.size(); ++I)
+      Coeffs.push_back(static_cast<int64_t>(Rng() % 7) - 3);
+    Constant = static_cast<int64_t>(Rng() % 5) - 2;
+  }
+
+  /// The addends c_i * P_i, each coefficient split in two pieces so like
+  /// terms must combine, plus the constant, in a shuffled order.
+  std::vector<Term> pieces() {
+    std::vector<Term> Out;
+    for (size_t I = 0; I < Pool.size(); ++I) {
+      int64_t Part = static_cast<int64_t>(Rng() % 5) - 2;
+      Out.push_back(Ctx.mkMul(Rational(Part), Pool[I]));
+      Out.push_back(Ctx.mkMul(Rational(Coeffs[I] - Part), Pool[I]));
+    }
+    Out.push_back(Ctx.mkNum(Constant));
+    std::shuffle(Out.begin(), Out.end(), Rng);
+    return Out;
+  }
+
+  /// Sums \p Pieces[Lo, Hi) under a random association.
+  Term associate(const std::vector<Term> &Pieces, size_t Lo, size_t Hi) {
+    if (Hi - Lo == 1)
+      return Pieces[Lo];
+    size_t Mid = Lo + 1 + Rng() % (Hi - Lo - 1);
+    return Ctx.mkAdd(associate(Pieces, Lo, Mid), associate(Pieces, Mid, Hi));
+  }
+};
+
+} // namespace
+
+// Any order, association and mix of builders yields the same node.
+TEST_F(TermTest, SumsHashConsToOneNode) {
+  std::mt19937 Rng(29);
+  SumFixture S(Ctx, Rng);
+  Term Hole = Ctx.mkVar("hole");
+  for (int Trial = 0; Trial < 150; ++Trial) {
+    S.draw();
+    Term Left = Ctx.mkNum(S.Constant);
+    for (size_t I = 0; I < S.Pool.size(); ++I)
+      Left = Ctx.mkAdd(Left, Ctx.mkMul(Rational(S.Coeffs[I]), S.Pool[I]));
+
+    std::vector<Term> Pieces = S.pieces();
+    EXPECT_EQ(S.associate(Pieces, 0, Pieces.size()), Left);
+
+    Term Right = Ctx.mkNum(0);
+    for (Term P : S.pieces())
+      Right = Ctx.mkAdd(P, Right);
+    EXPECT_EQ(Right, Left);
+
+    // Subtracting negated pieces, and scaling there and back.
+    Term Sub = Ctx.mkNum(0);
+    for (Term P : S.pieces())
+      Sub = Ctx.mkSub(Sub, Ctx.mkNeg(P));
+    EXPECT_EQ(Sub, Left);
+    EXPECT_EQ(Ctx.mkMul(Rational(BigInt(1), BigInt(6)),
+                        Ctx.mkMul(Rational(6), Left)),
+              Left);
+
+    // One indeterminate built through a placeholder, then substituted.
+    size_t J = Rng() % S.Pool.size();
+    Term WithHole = Ctx.mkNum(S.Constant);
+    for (size_t I = 0; I < S.Pool.size(); ++I)
+      WithHole = Ctx.mkAdd(
+          WithHole, Ctx.mkMul(Rational(S.Coeffs[I]), I == J ? Hole : S.Pool[I]));
+    EXPECT_EQ(Ctx.substitute(WithHole, {{Hole, S.Pool[J]}}), Left);
+  }
+}
+
+// LinearExpr entries are strictly increasing under TermStructLess, and a
+// canonical term round-trips through its view.
+TEST_F(TermTest, LinearViewsAreSortedAndRoundTrip) {
+  std::mt19937 Rng(31);
+  SumFixture S(Ctx, Rng);
+  for (int Trial = 0; Trial < 150; ++Trial) {
+    S.draw();
+    std::vector<Term> Pieces = S.pieces();
+    Term T = S.associate(Pieces, 0, Pieces.size());
+    std::optional<LinearExpr> L = LinearExpr::fromTerm(Ctx, T);
+    ASSERT_TRUE(L) << toString(Ctx, T);
+    const LinearExpr::TermList &Entries = L->terms();
+    for (size_t I = 0; I < Entries.size(); ++I) {
+      EXPECT_FALSE(Entries[I].second.isZero());
+      if (I > 0) {
+        EXPECT_TRUE(TermStructLess()(Entries[I - 1].first, Entries[I].first))
+            << toString(Ctx, T);
+      }
+    }
+    size_t NonZero = 0;
+    for (int64_t C : S.Coeffs)
+      NonZero += C != 0;
+    EXPECT_EQ(Entries.size(), NonZero);
+    EXPECT_EQ(L->toTerm(Ctx), T) << toString(Ctx, T);
+    EXPECT_EQ((*L + L->scaled(Rational(-1))).terms().size(), 0u);
+  }
+}
+
+// The hash-consing table tells argument lists apart by order and length.
+TEST_F(TermTest, MkAppDistinguishesArgumentLists) {
+  std::mt19937 Rng(37);
+  Symbol Sum = Ctx.addSymbol(); // The one variadic symbol.
+  Symbol G = Ctx.getFunction("G", 2);
+  std::vector<Term> Pool = {Ctx.mkVar("x"), Ctx.mkVar("y"), Ctx.mkNum(1),
+                            Ctx.mkApp(Ctx.getFunction("F", 1), {Ctx.mkVar("x")})};
+  for (int Trial = 0; Trial < 300; ++Trial) {
+    std::vector<Term> Args;
+    for (size_t N = 1 + Rng() % 4; N > 0; --N)
+      Args.push_back(Pool[Rng() % Pool.size()]);
+    Term T = Ctx.mkApp(Sum, Args);
+    EXPECT_EQ(Ctx.mkApp(Sum, Args.data(), Args.size()), T);
+
+    std::vector<Term> Permuted = Args;
+    std::shuffle(Permuted.begin(), Permuted.end(), Rng);
+    if (Permuted != Args) {
+      EXPECT_NE(Ctx.mkApp(Sum, Permuted), T);
+    }
+    if (Args.size() > 1) {
+      EXPECT_NE(Ctx.mkApp(Sum, Args.data(), Args.size() - 1), T);
+    }
+    std::vector<Term> Longer = Args;
+    Longer.push_back(Pool[Rng() % Pool.size()]);
+    EXPECT_NE(Ctx.mkApp(Sum, Longer), T);
+
+    Term A = Pool[Rng() % Pool.size()], B = Pool[Rng() % Pool.size()];
+    if (A != B) {
+      EXPECT_NE(Ctx.mkApp(G, {A, B}), Ctx.mkApp(G, {B, A}));
+    }
+  }
+}
+
+// allClasses lists classes by ascending representative, members ascending,
+// and partitions the nodes exactly as find does.
+TEST_F(TermTest, CongruenceClassesAscending) {
+  std::mt19937 Rng(41);
+  Symbol F = Ctx.getFunction("F", 1), G = Ctx.getFunction("G", 2);
+  std::vector<Term> Leaves = {Ctx.mkVar("a"), Ctx.mkVar("b"), Ctx.mkVar("c"),
+                              Ctx.mkVar("d"), Ctx.mkNum(0)};
+  for (int Trial = 0; Trial < 100; ++Trial) {
+    CongruenceClosure CC(Ctx);
+    std::vector<Term> Terms = Leaves;
+    for (int I = 0; I < 8; ++I) {
+      Term A = Terms[Rng() % Terms.size()], B = Terms[Rng() % Terms.size()];
+      Terms.push_back(Rng() % 2 ? Ctx.mkApp(F, {A}) : Ctx.mkApp(G, {A, B}));
+    }
+    std::shuffle(Terms.begin(), Terms.end(), Rng);
+    for (Term T : Terms)
+      CC.addTerm(T);
+    for (int I = 0; I < 3; ++I)
+      CC.addEquality(Terms[Rng() % Terms.size()], Terms[Rng() % Terms.size()]);
+
+    std::vector<std::vector<unsigned>> Classes = CC.allClasses();
+    std::vector<unsigned> Seen(CC.numNodes(), 0);
+    for (size_t I = 0; I < Classes.size(); ++I) {
+      const std::vector<unsigned> &Members = Classes[I];
+      ASSERT_FALSE(Members.empty());
+      if (I > 0) {
+        EXPECT_LT(Classes[I - 1].front(), Members.front());
+      }
+      EXPECT_EQ(CC.find(Members.front()), Members.front());
+      for (size_t K = 0; K < Members.size(); ++K) {
+        if (K > 0) {
+          EXPECT_LT(Members[K - 1], Members[K]);
+        }
+        EXPECT_EQ(CC.find(Members[K]), Members.front());
+        ++Seen[Members[K]];
+      }
+    }
+    for (unsigned N = 0; N < CC.numNodes(); ++N)
+      EXPECT_EQ(Seen[N], 1u) << "node " << N;
+  }
 }
