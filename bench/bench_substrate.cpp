@@ -2,7 +2,8 @@
 ///
 /// Scaling of the substrates everything rests on: BigInt arithmetic,
 /// exact simplex, Fourier-Motzkin projection, congruence closure, the
-/// affine hull, and the term layer.  These are the ablation counterpart to
+/// affine hull and VE_T, and the term layer.  These are the ablation
+/// counterpart to
 /// DESIGN.md decision 2 (exact arbitrary-precision arithmetic) -- the
 /// BigInt rows quantify what the exactness costs as coefficients grow --
 /// and decision 6, whose inline term storage the term-layer rows (sum
@@ -10,6 +11,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "domains/affine/EqualityKit.h"
 #include "domains/poly/Polyhedron.h"
 #include "domains/uf/CongruenceClosure.h"
 #include "linalg/AffineSystem.h"
@@ -134,6 +136,49 @@ void BM_AffineHullJoin(benchmark::State &State) {
   }
 }
 
+/// Variables v0 .. v(N-1) of \p Ctx.
+std::vector<Term> makeVars(TermContext &Ctx, int N) {
+  std::vector<Term> Vars;
+  for (int I = 0; I < N; ++I)
+    Vars.push_back(Ctx.mkVar(std::string("v").append(std::to_string(I))));
+  return Vars;
+}
+
+void BM_VarEqualities(benchmark::State &State) {
+  // VE_T of an N-column consistent canonical system, as the affine domain
+  // answers it in every Nelson-Oppen round (there is no table in front of
+  // it).  The first half of the columns are pivots, the rest free; a third
+  // of the pivot rows read x_p = x_c for a free c, and the others define
+  // their pivot over two free columns and a constant, each form twice, so
+  // both kinds of class occur.
+  int N = static_cast<int>(State.range(0));
+  TermContext Ctx;
+  std::vector<Term> Columns = makeVars(Ctx, N);
+  size_t Pivots = N / 2, Free = N - Pivots;
+  AffineSystem<Rational> Sys(N);
+  for (size_t P = 0; P < Pivots; ++P) {
+    LinRow<Rational> Row(N + 1);
+    Row[P] = Rational(1);
+    size_t Form = P / 3;
+    if (P % 3 == 0) {
+      Row[Pivots + Form % Free] = Rational(-1);
+    } else {
+      Row[Pivots + Form % Free] = Rational(2);
+      Row[Pivots + (Form + 1) % Free] = Rational(-3);
+      Row[N] = Rational(int64_t(Form));
+    }
+    Sys.addRow(std::move(Row));
+  }
+  Sys.isInconsistent(); // Canonical before timing, as the domains keep it.
+  size_t Pairs = 0;
+  for (auto _ : State) {
+    std::vector<std::pair<Term, Term>> Eqs = varEqualities(Sys, Columns);
+    Pairs = Eqs.size();
+    benchmark::DoNotOptimize(Eqs);
+  }
+  State.counters["pairs"] = static_cast<double>(Pairs);
+}
+
 void BM_SimplexFeasibility(benchmark::State &State) {
   size_t N = static_cast<size_t>(State.range(0));
   std::mt19937 Rng(5);
@@ -218,14 +263,6 @@ void BM_ConvexHull(benchmark::State &State) {
 // TermContext, made while the timer is paused, so every term they time is
 // interned cold.
 
-/// Variables v0 .. v(N-1) of \p Ctx.
-std::vector<Term> makeVars(TermContext &Ctx, int N) {
-  std::vector<Term> Vars;
-  for (int I = 0; I < N; ++I)
-    Vars.push_back(Ctx.mkVar(std::string("v").append(std::to_string(I))));
-  return Vars;
-}
-
 /// An N-atom conjunction over x and v0 .. v(N-1): vi = (i+1)*x + F(vi),
 /// alternating with vi <= x + 1.
 Conjunction makeConjunction(TermContext &Ctx, Term X,
@@ -303,6 +340,7 @@ BENCHMARK(BM_AffineHullJoin)->RangeMultiplier(2)->Range(4, 32)->Unit(benchmark::
 BENCHMARK(BM_SimplexFeasibility)->RangeMultiplier(2)->Range(2, 16)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_FourierMotzkin)->RangeMultiplier(2)->Range(2, 8)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_CongruenceClosure)->RangeMultiplier(2)->Range(8, 128)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_VarEqualities)->RangeMultiplier(2)->Range(8, 128)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ConvexHull)->DenseRange(1, 3)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MkAddSum)->RangeMultiplier(2)->Range(2, 32)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_SubstituteConjunction)->RangeMultiplier(2)->Range(1, 16)->Unit(benchmark::kMicrosecond);

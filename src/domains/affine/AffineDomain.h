@@ -4,8 +4,8 @@
 /// The lattice of affine (linear) equalities between program variables --
 /// Karr's domain [Karr 76], the paper's running "linear arithmetic with
 /// only equality" logical lattice.  Join is the affine hull, existential
-/// quantification is Gaussian elimination, VE_T falls out of canonical
-/// variable representatives, and Alternate_T solves the projected system.
+/// quantification is Gaussian elimination, VE_T is read off the canonical
+/// rows, and Alternate_T solves the projected system.
 ///
 /// Maximal non-arithmetic subterms are treated as opaque indeterminates,
 /// which keeps the domain sound on impure input (and is exactly the

@@ -2,8 +2,6 @@
 
 #include "domains/affine/EqualityKit.h"
 
-#include <map>
-
 using namespace cai;
 
 std::vector<bool> cai::columnsMentioning(const std::vector<Term> &Columns,
@@ -22,10 +20,10 @@ std::optional<LinRow<Rational>> cai::equationRow(const LinearExpr &Diff,
                                                  const ColumnSpace &Space) {
   LinRow<Rational> Row(Space.Columns.size() + 1);
   for (const auto &[T, C] : Diff.terms()) {
-    auto It = Space.Index.find(T);
-    if (It == Space.Index.end())
+    const size_t *Col = Space.Index.find(T);
+    if (!Col)
       return std::nullopt; // Indeterminate unknown to this column space.
-    Row[It->second] = C;
+    Row[*Col] = C;
   }
   Row[Space.Columns.size()] = -Diff.constant();
   return Row;
@@ -40,14 +38,17 @@ std::vector<std::pair<Term, Term>>
 cai::varEqualities(const AffineSystem<Rational> &Sys,
                    const std::vector<Term> &Columns) {
   std::vector<std::pair<Term, Term>> Out;
-  std::vector<LinRow<Rational>> Reps = Sys.varRepresentatives();
-  std::map<LinRow<Rational>, Term> Leader;
+  std::vector<size_t> Leader = Sys.equalVarLeaders();
+  // The first variable column of each class, at the class's leader.
+  std::vector<Term> FirstVar(Columns.size(), nullptr);
   for (size_t Col = 0; Col < Columns.size(); ++Col) {
     if (!Columns[Col]->isVariable())
       continue;
-    auto [It, Inserted] = Leader.emplace(Reps[Col], Columns[Col]);
-    if (!Inserted)
-      Out.emplace_back(It->second, Columns[Col]);
+    Term &First = FirstVar[Leader[Col]];
+    if (!First)
+      First = Columns[Col];
+    else
+      Out.emplace_back(First, Columns[Col]);
   }
   return Out;
 }

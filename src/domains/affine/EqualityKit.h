@@ -64,8 +64,9 @@ Atom eqAtom(TermContext &Ctx, const RowT &Coeffs, const Rational &Rhs,
   return Atom::mkEq(Ctx, Lhs.toTerm(Ctx), RhsExpr.toTerm(Ctx));
 }
 
-/// VE_T of the consistent system \p Sys: variable columns with identical
-/// canonical representatives, each paired with the first of its group.
+/// VE_T of the consistent system \p Sys: each variable column equal to an
+/// earlier variable column, in ascending order, paired with the first
+/// variable column of its class.
 std::vector<std::pair<Term, Term>>
 varEqualities(const AffineSystem<Rational> &Sys,
               const std::vector<Term> &Columns);
@@ -79,17 +80,18 @@ template <typename SystemFn>
 std::optional<Term> alternateIn(TermContext &Ctx, const ColumnSpace &Cols,
                                 Term Var, const std::vector<Term> &Avoid,
                                 SystemFn &&System) {
-  auto VarIt = Cols.Index.find(Var);
-  if (VarIt == Cols.Index.end())
+  const size_t *VarCol = Cols.Index.find(Var);
+  if (!VarCol)
     return std::nullopt;
+  const size_t Col = *VarCol;
   const AffineSystem<Rational> *Sys = System();
   if (!Sys)
     return std::nullopt;
   std::vector<Term> Forbidden = Avoid;
   Forbidden.push_back(Var);
   std::vector<bool> Mask = columnsMentioning(Cols.Columns, Forbidden);
-  Mask[VarIt->second] = false; // The column solved for.
-  std::optional<LinRow<Rational>> Row = Sys->solveFor(VarIt->second, Mask);
+  Mask[Col] = false; // The column solved for.
+  std::optional<LinRow<Rational>> Row = Sys->solveFor(Col, Mask);
   if (!Row)
     return std::nullopt;
   return rowTerm(Ctx, *Row, Cols.Columns);

@@ -29,7 +29,7 @@ static LinRow<GF2> mod2Row(const LinearExpr &L, bool Odd,
   size_t N = Cols.Columns.size();
   LinRow<GF2> Row(N + 1);
   for (const auto &[Col, C] : L.terms())
-    Row[Cols.Index.at(Col)] += GF2(IsOddInt(C));
+    Row[*Cols.Index.find(Col)] += GF2(IsOddInt(C));
   bool CBit = IsOddInt(L.constant());
   Row[N] = GF2(Odd ? !CBit : CBit);
   return Row;
@@ -72,7 +72,7 @@ ParityDomain::linearOf(Term T, const ColumnSpace &Cols) const {
   if (!L)
     return std::nullopt;
   for (const auto &[Col, C] : L->terms())
-    if (!Cols.Index.count(Col))
+    if (!Cols.Index.find(Col))
       return std::nullopt;
   return L;
 }

@@ -26,11 +26,10 @@ LinearConstraint PolyDomain::rowOf(const LinearExpr &Diff,
                                    const ColumnSpace &Space, bool &Outside) {
   LinearConstraint R{CoeffVec(Space.Columns.size()), -Diff.constant()};
   for (const auto &[T, C] : Diff.terms()) {
-    auto It = Space.Index.find(T);
-    if (It == Space.Index.end())
-      Outside = true;
+    if (const size_t *Col = Space.Index.find(T))
+      R.Coeffs[*Col] = C;
     else
-      R.Coeffs[It->second] = C;
+      Outside = true;
   }
   return R;
 }

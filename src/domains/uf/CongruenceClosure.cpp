@@ -5,12 +5,13 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 
+#include <algorithm>
+
 using namespace cai;
 
 unsigned CongruenceClosure::addTermImpl(Term T) {
-  auto It = NodeOf.find(T);
-  if (It != NodeOf.end())
-    return It->second;
+  if (const unsigned *Node = NodeOf.find(T))
+    return *Node;
   NodeList ArgNodes;
   if (T->isApp()) {
     ArgNodes.reserve(T->args().size());
@@ -21,7 +22,7 @@ unsigned CongruenceClosure::addTermImpl(Term T) {
   Terms.push_back(T);
   Args.push_back(std::move(ArgNodes));
   Parent.push_back(N);
-  NodeOf.emplace(T, N);
+  NodeOf.insert(T, N);
   // A new App node may be congruent to an existing one right away.
   if (T->isApp())
     Pending = true;
@@ -67,52 +68,66 @@ void CongruenceClosure::flush() {
   propagate();
 }
 
-namespace {
-/// Signature of an App node: symbol index plus the class representatives of
-/// its arguments.
-struct NodeSig {
-  uint32_t Symbol;
-  CongruenceClosure::NodeList ArgReps;
-  bool operator==(const NodeSig &RHS) const {
-    return Symbol == RHS.Symbol && ArgReps == RHS.ArgReps;
+uint64_t CongruenceClosure::signatureHash(unsigned N) const {
+  uint64_t H = 0xcbf29ce484222325ull ^ symbolOf(N).index();
+  for (unsigned Arg : Args[N]) {
+    H ^= find(Arg);
+    H *= 0x100000001b3ull;
   }
-};
-struct NodeSigHash {
-  size_t operator()(const NodeSig &S) const {
-    uint64_t H = 0xcbf29ce484222325ull ^ S.Symbol;
-    for (unsigned R : S.ArgReps) {
-      H ^= R;
-      H *= 0x100000001b3ull;
-    }
-    return static_cast<size_t>(H);
-  }
-};
-} // namespace
+  return H;
+}
+
+bool CongruenceClosure::sameSignature(unsigned A, unsigned B) const {
+  if (symbolOf(A) != symbolOf(B) || Args[A].size() != Args[B].size())
+    return false;
+  for (size_t I = 0; I < Args[A].size(); ++I)
+    if (find(Args[A][I]) != find(Args[B][I]))
+      return false;
+  return true;
+}
 
 void CongruenceClosure::propagate() {
-  // Fixpoint: rebuild the signature table and union any two App nodes with
+  // Fixpoint: fill a signature table and union any two App nodes with
   // identical (symbol, class-of-args) signatures.  Quadratic in the worst
   // case but the E-graphs in this library are small; correctness and
   // determinism matter more here than asymptotics.
   CAI_TRACE_SPAN("cc.propagate", "uf");
   CAI_METRIC_INC("congruence_closure.propagations");
   CAI_METRIC_TIME("congruence_closure.propagate_us");
+  // The table is one open-addressing slot array of node indices, sized
+  // once for every App node at load at most 1/2 and emptied each round.
+  // A slot is compared by the signature its node has now, so a node placed
+  // before a merge in the same round may be missed, never wrongly matched;
+  // a merge starts another round, and the round that merges nothing sees
+  // every signature as it stands.  The partition the rounds reach is the
+  // unique congruence closure, whatever they miss on the way.
+  constexpr unsigned Empty = ~0u;
+  size_t NumApps = 0;
+  for (Term T : Terms)
+    NumApps += T->isApp();
+  if (NumApps < 2)
+    return; // No two nodes to be congruent.
+  size_t Size = 4, Shift = 62;
+  while (Size < 2 * NumApps) {
+    Size *= 2;
+    --Shift;
+  }
+  std::vector<unsigned> Table(Size);
   bool Changed = true;
-  std::unordered_map<NodeSig, unsigned, NodeSigHash> SigTable;
   while (Changed) {
     Changed = false;
-    SigTable.clear();
+    std::fill(Table.begin(), Table.end(), Empty);
     for (unsigned N = 0; N < Terms.size(); ++N) {
       if (!Terms[N]->isApp())
         continue;
-      NodeSig Sig{symbolOf(N).index(), {}};
-      Sig.ArgReps.reserve(Args[N].size());
-      for (unsigned Arg : Args[N])
-        Sig.ArgReps.push_back(find(Arg));
-      auto [It, Inserted] = SigTable.emplace(std::move(Sig), N);
-      if (Inserted)
-        continue;
-      Changed |= unionClasses(It->second, N);
+      size_t I = static_cast<size_t>(
+          (signatureHash(N) * 0x9e3779b97f4a7c15ull) >> Shift);
+      while (Table[I] != Empty && !sameSignature(Table[I], N))
+        I = (I + 1) & (Size - 1);
+      if (Table[I] == Empty)
+        Table[I] = N;
+      else
+        Changed |= unionClasses(Table[I], N);
     }
   }
 }
@@ -127,6 +142,13 @@ void CongruenceClosure::addEquality(Term A, Term B) {
 void CongruenceClosure::addConjunction(const Conjunction &E) {
   if (E.isBottom())
     return;
+  // Room for about three nodes per atom (x = F(y), x = y + 1), so the
+  // node tables do not grow one doubling at a time.
+  size_t Expected = Terms.size() + 3 * E.size();
+  Terms.reserve(Expected);
+  Args.reserve(Expected);
+  Parent.reserve(Expected);
+  NodeOf.reserve(Expected);
   // Batch: load every equality, then restore congruence once.  The final
   // partition is the congruence closure of the asserted equalities either
   // way; deferring saves one signature-table fixpoint per atom.

@@ -14,8 +14,7 @@
 
 #include "support/SmallVec.h"
 #include "term/Conjunction.h"
-
-#include <unordered_map>
+#include "term/TermMap.h"
 
 namespace cai {
 
@@ -43,7 +42,7 @@ public:
   /// the sound over-approximation for a theory that only speaks equality).
   void addConjunction(const Conjunction &E);
 
-  bool hasTerm(Term T) const { return NodeOf.count(T) != 0; }
+  bool hasTerm(Term T) const { return NodeOf.find(T) != nullptr; }
 
   /// Class representative of node \p N (path-compressing).
   unsigned find(unsigned N) const;
@@ -87,13 +86,19 @@ private:
   void flush();
   /// Restores congruence by fixpoint over the signature table.
   void propagate();
+  /// Hash of App node \p N's signature: its symbol and the current class
+  /// representatives of its arguments.
+  uint64_t signatureHash(unsigned N) const;
+  /// True if App nodes \p A and \p B have the same symbol and congruent
+  /// arguments under the current classes.
+  bool sameSignature(unsigned A, unsigned B) const;
 
   const TermContext &Ctx;
   bool Pending = false;
   std::vector<Term> Terms;                 // Node -> term.
   std::vector<NodeList> Args;              // Node -> argument nodes.
   mutable std::vector<unsigned> Parent;    // Union-find.
-  std::unordered_map<Term, unsigned> NodeOf;
+  TermMap<unsigned> NodeOf;
 };
 
 } // namespace cai

@@ -5,8 +5,8 @@
 /// kept in a canonical (reduced row echelon) form.  This is the engine
 /// behind the Karr affine-equality domain (field = Rational) and the
 /// parity-congruence domain (field = GF2): join is the affine hull,
-/// project is block elimination, and variable representatives give the
-/// VE_T operator of the paper in one pass.
+/// project is block elimination, and the classes of equal variables,
+/// read off the canonical rows, give the VE_T operator of the paper.
 ///
 /// Every operation runs one Gauss-Jordan kernel (reducedRowEchelon below)
 /// directly on the rows, with the column visit order as its parameter.
@@ -23,6 +23,7 @@
 
 #include "support/SmallVec.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <numeric>
@@ -169,11 +170,10 @@ public:
   /// the corresponding lattice elements).
   static AffineSystem join(const AffineSystem &A, const AffineSystem &B);
 
-  /// For each variable, a canonical representative vector of size
-  /// NumVars+1 expressing it over the free variables and a constant; two
-  /// variables are equal in every solution iff their representatives are
-  /// identical.  Empty when inconsistent.
-  std::vector<LinRow<F>> varRepresentatives() const;
+  /// For each variable, the smallest variable equal to it in every
+  /// solution (itself when there is none smaller).  Empty when
+  /// inconsistent.
+  std::vector<size_t> equalVarLeaders() const;
 
   /// Expresses variable \p Var as an affine function of variables for
   /// which \p Avoid is false (Var itself is always avoided).  Returns the
@@ -419,31 +419,59 @@ AffineSystem<F> AffineSystem<F>::join(const AffineSystem &A,
 }
 
 template <typename F>
-std::vector<LinRow<F>> AffineSystem<F>::varRepresentatives() const {
-  std::vector<LinRow<F>> Reps;
+std::vector<size_t> AffineSystem<F>::equalVarLeaders() const {
+  std::vector<size_t> Leader;
   if (isInconsistent())
-    return Reps;
-  // Pivot variables are rewritten over the free variables; free variables
-  // represent themselves.
-  std::vector<size_t> PivotRowOf(NumVars, ~size_t(0));
+    return Leader;
+  // Over the free variables and a constant, a free variable is itself and
+  // a pivot variable is its row negated off the pivot, constant kept; two
+  // variables are equal iff those expressions are.  So a pivot p equals a
+  // free variable c iff its row reads x_p - x_c = 0, and two other pivots
+  // are equal iff their rows agree off their own pivots, constant
+  // included (a canonical row is zero on every other pivot column).  The
+  // rows come in ascending pivot order.
+  Leader.resize(NumVars);
+  std::iota(Leader.begin(), Leader.end(), 0);
+  const F MinusOne = F() - F::one();
+  // Rows of the second kind that lead a class: (pivot, first column past
+  // the pivot with a non-zero entry, NumVars for the constant alone).
+  struct ClassRow {
+    size_t Row, Pivot, First;
+  };
+  std::vector<ClassRow> Classes;
   for (size_t R = 0; R < Rows.size(); ++R) {
+    const LinRow<F> &Row = Rows[R];
     size_t P = 0;
-    while (Rows[R][P].isZero())
+    while (Row[P].isZero())
       ++P;
-    PivotRowOf[P] = R;
-  }
-  Reps.resize(NumVars);
-  for (size_t V = 0; V < NumVars; ++V) {
-    if (PivotRowOf[V] == ~size_t(0)) {
-      LinRow<F> Rep(NumVars + 1);
-      Rep[V] = F::one();
-      Reps[V] = std::move(Rep);
-    } else {
-      // Row: x_V + sum f_j x_j = c  ==>  x_V = c - sum f_j x_j.
-      Reps[V] = definitionOf(Rows[PivotRowOf[V]], V);
+    size_t First = P + 1, NonZero = 0;
+    while (First < NumVars && Row[First].isZero())
+      ++First;
+    for (size_t C = First; C < NumVars && NonZero < 2; ++C)
+      NonZero += !Row[C].isZero();
+    if (NonZero == 1 && Row[First] == MinusOne && Row[NumVars].isZero()) {
+      // x_p = x_c with c free; c > p, so p is the first pivot c meets.
+      if (Leader[First] == First)
+        Leader[First] = P;
+      Leader[P] = Leader[First];
+      continue;
     }
+    auto Same = [&](const ClassRow &K) {
+      if (K.First != First)
+        return false;
+      const LinRow<F> &Lead = Rows[K.Row];
+      for (size_t C = First; C <= NumVars; ++C)
+        if (!(Lead[C] == Row[C]))
+          return false;
+      return true;
+    };
+    auto It = std::find_if(Classes.begin(), Classes.end(), Same);
+    if (It == Classes.end())
+      Classes.push_back({R, P, First});
+    else
+      Leader[P] = It->Pivot;
   }
-  return Reps;
+  return Leader;
 }
 
 template <typename F>

@@ -5,9 +5,9 @@
 #include "obs/Metrics.h"
 #include "obs/Provenance.h"
 #include "obs/Trace.h"
+#include "term/TermMap.h"
 
 #include <algorithm>
-#include <set>
 
 using namespace cai;
 
@@ -25,11 +25,11 @@ std::vector<Term> unionVars(std::vector<Term> A, const std::vector<Term> &B) {
 /// application -- the positions where alien terms can appear, and hence
 /// the only variables whose dummy pairs can name one.
 void collectInsideVars(const TermContext &Ctx, Term T, bool UnderApp,
-                       std::set<Term, TermStructLess> &Out) {
+                       TermMap<bool> &Out) {
   switch (T->kind()) {
   case TermKind::Variable:
     if (UnderApp)
-      Out.insert(T);
+      Out.insert(T, true);
     return;
   case TermKind::Number:
     return;
@@ -41,9 +41,8 @@ void collectInsideVars(const TermContext &Ctx, Term T, bool UnderApp,
     collectInsideVars(Ctx, Arg, NowUnder, Out);
 }
 
-std::set<Term, TermStructLess> insideVars(const TermContext &Ctx,
-                                      const Conjunction &E) {
-  std::set<Term, TermStructLess> Out;
+TermMap<bool> insideVars(const TermContext &Ctx, const Conjunction &E) {
+  TermMap<bool> Out;
   if (E.isBottom())
     return Out;
   for (const Atom &A : E.atoms())
@@ -71,11 +70,8 @@ LogicalProduct::purifySaturate(const Conjunction &E, bool UseCache) const {
     auto [S, Pure] = Entry->Pur.purifyAtom(A);
     Entry->Pur.addToSide(S, Pure);
   }
-  Entry->P.FreshVars = Entry->Pur.freshVars();
-  Entry->P.Side1 = Entry->Pur.side1();
-  Entry->P.Side2 = Entry->Pur.side2();
-  Entry->P.Definitions = Entry->Pur.definitions();
-  Entry->Sat = noSaturate(Ctx, L1, L2, Entry->P.Side1, Entry->P.Side2);
+  Entry->Sat =
+      noSaturate(Ctx, L1, L2, Entry->Pur.side1(), Entry->Pur.side2());
   SatRounds += Entry->Sat.Rounds;
   if (Memo)
     SatCache.insert(E, Entry);
@@ -101,8 +97,8 @@ Conjunction LogicalProduct::combine(const Conjunction &A, const Conjunction &B,
   // without the table, exactly as a cache miss would.
   std::shared_ptr<const SatEntry> EL = purifySaturate(A);
   std::shared_ptr<const SatEntry> ER = purifySaturate(B, /*UseCache=*/A != B);
-  const PurifyResult &PL = EL->P;
-  const PurifyResult &PR = ER->P;
+  const std::vector<Term> &FreshL = EL->Pur.freshVars();
+  const std::vector<Term> &FreshR = ER->Pur.freshVars();
   if (EL->Sat.Bottom)
     return B;
   if (ER->Sat.Bottom)
@@ -119,22 +115,23 @@ Conjunction LogicalProduct::combine(const Conjunction &A, const Conjunction &B,
     // component joins can name alien terms that occur semantically on both
     // sides.  Pairs with x == y are redundant (the shared variable itself
     // plays that role) and are skipped.
-    std::vector<Term> LeftVars = unionVars(A.vars(), PL.FreshVars);
-    std::vector<Term> RightVars = unionVars(B.vars(), PR.FreshVars);
+    std::vector<Term> LeftVars = unionVars(A.vars(), FreshL);
+    std::vector<Term> RightVars = unionVars(B.vars(), FreshR);
     if (Pairs == DummyPairs::Pruned) {
       // Keep only variables that can name an alien term: purification
       // variables (they name aliens by construction) and variables
       // occurring under a non-arithmetic application.
       auto Prune = [&](std::vector<Term> &Vars, const Conjunction &E,
                        const std::vector<Term> &Fresh) {
-        std::set<Term, TermStructLess> Keep = insideVars(Ctx, E);
-        Keep.insert(Fresh.begin(), Fresh.end());
+        TermMap<bool> Keep = insideVars(Ctx, E);
+        for (Term V : Fresh)
+          Keep.insert(V, true);
         Vars.erase(std::remove_if(Vars.begin(), Vars.end(),
-                                  [&](Term V) { return !Keep.count(V); }),
+                                  [&](Term V) { return !Keep.find(V); }),
                    Vars.end());
       };
-      Prune(LeftVars, A, PL.FreshVars);
-      Prune(RightVars, B, PR.FreshVars);
+      Prune(LeftVars, A, FreshL);
+      Prune(RightVars, B, FreshR);
     }
     for (Term X : LeftVars) {
       for (Term Y : RightVars) {
@@ -317,14 +314,13 @@ Conjunction LogicalProduct::existQuant(const Conjunction &E,
 
   // Lines 1-2 of Figure 7 (memoized).
   std::shared_ptr<const SatEntry> Entry = purifySaturate(E);
-  const PurifyResult &P = Entry->P;
   const SaturationResult &Sat = Entry->Sat;
   if (Sat.Bottom)
     return Conjunction::bottom();
 
   // Line 3: V1 is everything to eliminate -- the caller's variables plus
   // the purification variables.
-  std::vector<Term> V1 = unionVars(Vars, P.FreshVars);
+  std::vector<Term> V1 = unionVars(Vars, Entry->Pur.freshVars());
 
   // Line 4: in Logical mode, find Alternate definitions; the reduced
   // product takes V2 := V1.
@@ -366,21 +362,30 @@ bool LogicalProduct::entails(const Conjunction &E, const Atom &A) const {
   Purifier P = Entry->Pur;
   P.side1() = Entry->Sat.Side1;
   P.side2() = Entry->Sat.Side2;
+  const size_t Defined = P.numDefinitions();
   auto [FSide, FPure] = P.purifyAtom(A);
   if (FSide == Purifier::Side::Dropped)
     return false; // Neither theory can even express the fact.
 
-  SaturationResult Sat = noSaturate(Ctx, L1, L2, P.side1(), P.side2());
-  SatRounds += Sat.Rounds;
-  if (Sat.Bottom)
-    return true;
+  // A fact that named no new alien term left the sides as E's saturated
+  // ones, and saturating those again could only add equalities each side
+  // already implies; so the components answer from them directly.
+  const SaturationResult *Sat = &Entry->Sat;
+  SaturationResult WithFact;
+  if (P.numDefinitions() != Defined) {
+    WithFact = noSaturate(Ctx, L1, L2, P.side1(), P.side2());
+    SatRounds += WithFact.Rounds;
+    if (WithFact.Bottom)
+      return true;
+    Sat = &WithFact;
+  }
   switch (FSide) {
   case Purifier::Side::One:
-    return L1.entails(Sat.Side1, FPure);
+    return L1.entails(Sat->Side1, FPure);
   case Purifier::Side::Two:
-    return L2.entails(Sat.Side2, FPure);
+    return L2.entails(Sat->Side2, FPure);
   case Purifier::Side::Both:
-    return L1.entails(Sat.Side1, FPure) || L2.entails(Sat.Side2, FPure);
+    return L1.entails(Sat->Side1, FPure) || L2.entails(Sat->Side2, FPure);
   case Purifier::Side::Dropped:
     break;
   }
@@ -404,12 +409,15 @@ LogicalProduct::impliedVarEqualities(const Conjunction &E) const {
     return Out;
   // After saturation each side individually implies every shared variable
   // equality; take the union restricted to the input's own variables.
-  std::set<Term, TermStructLess> InputVars;
-  for (Term V : E.vars())
-    InputVars.insert(V);
+  // Only membership is asked, so the variables are not sorted.
+  TermMap<bool> InputVars;
+  std::vector<Term> InputVarList;
+  for (const Atom &At : E.atoms())
+    for (Term Arg : At.args())
+      appendNewVars(Arg, InputVars, InputVarList);
   auto Collect = [&](const std::vector<std::pair<Term, Term>> &Eqs) {
     for (const auto &[X, Y] : Eqs)
-      if (InputVars.count(X) && InputVars.count(Y))
+      if (InputVars.find(X) && InputVars.find(Y))
         Out.emplace_back(X, Y);
   };
   Collect(L1.impliedVarEqualitiesCached(Sat.Side1));
@@ -430,14 +438,13 @@ LogicalProduct::alternate(const Conjunction &E, Term Var,
     return std::nullopt;
   TermContext &Ctx = context();
   std::shared_ptr<const SatEntry> Entry = purifySaturate(E);
-  const PurifyResult &P = Entry->P;
   const SaturationResult &Sat = Entry->Sat;
   if (Sat.Bottom)
     return std::nullopt;
   // Eliminate Var, the avoided variables and the purification variables;
   // if QSaturation found a definition for Var, back-substitution yields a
   // term over permitted variables only.
-  std::vector<Term> V1 = unionVars(Avoid, P.FreshVars);
+  std::vector<Term> V1 = unionVars(Avoid, Entry->Pur.freshVars());
   V1 = unionVars(V1, {Var});
   QSaturationResult Q = qSaturate(Sat.Side1, Sat.Side2, V1);
   for (size_t I = 0; I < Q.Defs.size(); ++I) {

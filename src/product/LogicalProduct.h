@@ -133,12 +133,12 @@ public:
 private:
   /// One memoized purification + Nelson-Oppen saturation of a conjunction:
   /// the hot prefix of every product operation (join, existQuant, entails,
-  /// isUnsat, impliedVarEqualities, alternate).  The fed Purifier is kept
-  /// so entailment queries can purify the queried fact with the same
-  /// alien-term naming as the cached sides.
+  /// isUnsat, impliedVarEqualities, alternate).  The fed Purifier is kept:
+  /// its fresh variables are the purification's, its sides are the
+  /// unsaturated ones, and entailment queries purify the queried fact with
+  /// its alien-term naming.
   struct SatEntry {
     Purifier Pur;
-    PurifyResult P;
     SaturationResult Sat;
     explicit SatEntry(TermContext &Ctx, const LogicalLattice &L1,
                       const LogicalLattice &L2)

@@ -2,6 +2,8 @@
 
 #include "term/Atom.h"
 
+#include "term/TermMap.h"
+
 #include <algorithm>
 
 using namespace cai;
@@ -58,7 +60,9 @@ Atom Atom::substitute(TermContext &Ctx, const Substitution &Subst) const {
 }
 
 void Atom::collectVars(std::vector<Term> &Out) const {
-  std::unordered_set<Term> Seen(Out.begin(), Out.end());
+  TermMap<bool> Seen;
+  for (Term V : Out)
+    Seen.insert(V, true);
   for (Term Arg : Args)
     appendNewVars(Arg, Seen, Out);
   std::sort(Out.begin(), Out.end(), TermStructLess());

@@ -11,9 +11,8 @@
 #ifndef CAI_TERM_COLUMNSPACE_H
 #define CAI_TERM_COLUMNSPACE_H
 
-#include "term/Term.h"
+#include "term/TermMap.h"
 
-#include <map>
 #include <numeric>
 #include <vector>
 
@@ -22,11 +21,11 @@ namespace cai {
 /// Terms acting as indeterminates, with their column index.
 struct ColumnSpace {
   std::vector<Term> Columns;
-  std::map<Term, size_t, TermStructLess> Index;
+  TermMap<size_t> Index;
 
   /// Appends \p T as the next column unless it is one already.
   void add(Term T) {
-    if (Index.emplace(T, Columns.size()).second)
+    if (Index.insert(T, Columns.size()).second)
       Columns.push_back(T);
   }
 };
@@ -46,9 +45,8 @@ inline ColumnUnion uniteColumns(const ColumnSpace &A, const ColumnSpace &B) {
   std::iota(U.ACol.begin(), U.ACol.end(), 0);
   U.BCol.reserve(B.Columns.size());
   for (Term T : B.Columns) {
-    auto It = A.Index.find(T);
-    if (It != A.Index.end()) {
-      U.BCol.push_back(It->second);
+    if (const size_t *Col = A.Index.find(T)) {
+      U.BCol.push_back(*Col);
     } else {
       U.BCol.push_back(U.Columns.size());
       U.Columns.push_back(T);

@@ -2,6 +2,8 @@
 
 #include "term/Conjunction.h"
 
+#include "term/TermMap.h"
+
 #include <algorithm>
 
 using namespace cai;
@@ -69,7 +71,11 @@ std::vector<Term> Conjunction::vars() const {
   std::vector<Term> Out;
   if (Bottom)
     return Out;
-  std::unordered_set<Term> Seen;
+  size_t NumArgs = 0;
+  for (const Atom &A : Items)
+    NumArgs += A.args().size();
+  Out.reserve(NumArgs);
+  TermMap<bool> Seen;
   for (const Atom &A : Items)
     for (Term Arg : A.args())
       appendNewVars(Arg, Seen, Out);

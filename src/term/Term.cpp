@@ -2,14 +2,15 @@
 
 #include "term/Term.h"
 
+#include "term/TermMap.h"
+
 #include <algorithm>
 
 using namespace cai;
 
-void cai::appendNewVars(Term T, std::unordered_set<Term> &Seen,
-                        std::vector<Term> &Out) {
+void cai::appendNewVars(Term T, TermMap<bool> &Seen, std::vector<Term> &Out) {
   if (T->isVariable()) {
-    if (Seen.insert(T).second)
+    if (Seen.insert(T, true).second)
       Out.push_back(T);
     return;
   }
@@ -19,7 +20,9 @@ void cai::appendNewVars(Term T, std::unordered_set<Term> &Seen,
 }
 
 void cai::collectVars(Term T, std::vector<Term> &Out) {
-  std::unordered_set<Term> Seen(Out.begin(), Out.end());
+  TermMap<bool> Seen;
+  for (Term V : Out)
+    Seen.insert(V, true);
   appendNewVars(T, Seen, Out);
   std::sort(Out.begin(), Out.end(), TermStructLess());
 }

@@ -20,12 +20,12 @@
 #include "support/Rational.h"
 #include "term/Symbol.h"
 
-#include <unordered_set>
 #include <vector>
 
 namespace cai {
 
 class TermContext;
+template <typename V> class TermMap;
 
 /// The three structural kinds of term.
 enum class TermKind : uint8_t {
@@ -96,8 +96,7 @@ void collectVars(Term T, std::vector<Term> &Out);
 /// Appends to \p Out every variable of \p T not yet in \p Seen, and adds
 /// it to \p Seen; \p Out is left unsorted.  Callers gathering the
 /// variables of many terms share one \p Seen and sort once at the end.
-void appendNewVars(Term T, std::unordered_set<Term> &Seen,
-                   std::vector<Term> &Out);
+void appendNewVars(Term T, TermMap<bool> &Seen, std::vector<Term> &Out);
 
 /// Returns true if variable \p Var occurs in \p T.
 bool occursIn(Term Var, Term T);

@@ -4,8 +4,7 @@
 
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
-
-#include <unordered_map>
+#include "term/TermMap.h"
 
 using namespace cai;
 
@@ -16,26 +15,24 @@ namespace {
 class VarUnionFind {
 public:
   Term find(Term V) {
-    auto It = Parent.find(V);
-    if (It == Parent.end()) {
-      Parent.emplace(V, V);
+    auto [Slot, Inserted] = Parent.insert(V, V);
+    if (Inserted)
       return V;
-    }
     // Iterative two-pass find with full path compression: the scaling
     // workloads produce equality chains long enough that the recursive
     // version risked exhausting the stack.
-    Term Root = It->second;
+    Term Root = *Slot;
     while (true) {
-      Term Next = Parent.find(Root)->second;
+      Term Next = *Parent.find(Root);
       if (Next == Root)
         break;
       Root = Next;
     }
     Term Cur = V;
     while (Cur != Root) {
-      auto CurIt = Parent.find(Cur);
-      Term Next = CurIt->second;
-      CurIt->second = Root;
+      Term *CurParent = Parent.find(Cur);
+      Term Next = *CurParent;
+      *CurParent = Root;
       Cur = Next;
     }
     return Root;
@@ -49,12 +46,12 @@ public:
     // Deterministic representative: structurally smaller term wins.
     if (structuralCompare(RB, RA) < 0)
       std::swap(RA, RB);
-    Parent[RB] = RA;
+    *Parent.find(RB) = RA;
     return true;
   }
 
 private:
-  std::unordered_map<Term, Term> Parent;
+  TermMap<Term> Parent;
 };
 
 } // namespace

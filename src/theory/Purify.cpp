@@ -58,12 +58,10 @@ bool Purifier::ownedByFirst(Term T) const {
 }
 
 Term Purifier::nameAlien(Term Alien, bool AlienIsFirst) {
-  auto It = NameOf.find(Alien);
-  if (It != NameOf.end())
-    return It->second;
+  if (const Term *Name = NameOf.find(Alien))
+    return *Name;
   Term V = Ctx.freshVar("a");
-  NameOf.emplace(Alien, V);
-  Defs.emplace(V, Alien);
+  NameOf.insert(Alien, V);
   Fresh.push_back(V);
   Atom Def = Atom::mkEq(Ctx, V, Alien);
   (AlienIsFirst ? E1 : E2).add(Def);
@@ -214,7 +212,6 @@ PurifyResult cai::purify(TermContext &Ctx, const LogicalLattice &L1,
   Result.FreshVars = P.freshVars();
   Result.Side1 = P.side1();
   Result.Side2 = P.side2();
-  Result.Definitions = P.definitions();
   return Result;
 }
 

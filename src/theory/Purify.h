@@ -11,14 +11,13 @@
 #ifndef CAI_THEORY_PURIFY_H
 #define CAI_THEORY_PURIFY_H
 
+#include "term/TermMap.h"
 #include "theory/LogicalLattice.h"
-
-#include <unordered_map>
 
 namespace cai {
 
-/// Result of purifying one conjunction: hV, E1, E2i in the paper's
-/// notation, plus the definition map for the fresh variables.
+/// Result of purifying one conjunction: <V, E1, E2> in the paper's
+/// notation.
 struct PurifyResult {
   /// Fresh variables introduced, in introduction order.
   std::vector<Term> FreshVars;
@@ -26,8 +25,6 @@ struct PurifyResult {
   Conjunction Side1;
   /// Pure facts of theory 2 (plus shared var = var equalities).
   Conjunction Side2;
-  /// Fresh variable -> the (purified) term it names.
-  std::unordered_map<Term, Term> Definitions;
 };
 
 /// Incremental purifier.  Atoms can be fed one at a time (used by the
@@ -56,7 +53,9 @@ public:
   Conjunction &side1() { return E1; }
   Conjunction &side2() { return E2; }
   const std::vector<Term> &freshVars() const { return Fresh; }
-  const std::unordered_map<Term, Term> &definitions() const { return Defs; }
+  /// Number of alien terms named so far, each by one definition atom on
+  /// the side that owns it.
+  size_t numDefinitions() const { return NameOf.size(); }
 
   /// True if theory 1 owns the top symbol of \p T; numbers go to whichever
   /// side owns numerals (side 1 wins ties).
@@ -77,8 +76,7 @@ private:
   const LogicalLattice &L2;
   Conjunction E1, E2;
   std::vector<Term> Fresh;
-  std::unordered_map<Term, Term> Defs;     // fresh var -> pure alien term
-  std::unordered_map<Term, Term> NameOf;   // pure alien term -> fresh var
+  TermMap<Term> NameOf; // pure alien term -> fresh var
 };
 
 /// Purifies a whole conjunction: the paper's Purify_{T1,T2}(E).

@@ -14,8 +14,10 @@
 /// Each trial builds random small systems over Rational (fractions, zero,
 /// duplicate and contradictory rows) or GF2 and asks each query of a
 /// fresh, not yet canonicalized system, so a query that tests for
-/// inconsistency before canonicalizing is caught too.  Trials are seeded
-/// (the failing seed and trial are in the message).
+/// inconsistency before canonicalizing is caught too.  Two more seeds
+/// draw equality-rich systems and check the classes of equal variables
+/// (VE_T) against the oracle's variable representatives.  Trials are
+/// seeded (the failing seed and trial are in the message).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -298,6 +300,44 @@ template <typename F> Dense<F> drawRows(std::mt19937_64 &Rng, size_t N) {
   return Rows;
 }
 
+/// Rows x_i = S, each S one of one to three shared affine forms (half of
+/// them a single variable), so that variables fall into classes of equal
+/// ones: through a free variable, a constant, or a longer form.
+template <typename F>
+Dense<F> drawEqualities(std::mt19937_64 &Rng, size_t N) {
+  std::vector<DenseRow<F>> Forms(1 + Rng() % 3, DenseRow<F>(N + 1));
+  for (DenseRow<F> &Form : Forms) {
+    if (Rng() % 2) {
+      Form[Rng() % N] = F::one();
+      continue;
+    }
+    for (F &X : Form)
+      if (Rng() % 3 == 0)
+        X = drawEntry(Rng, F());
+  }
+  Dense<F> Rows;
+  for (size_t Count = Rng() % (N + 1); Count > 0; --Count) {
+    const DenseRow<F> &Form = Forms[Rng() % Forms.size()];
+    DenseRow<F> Row(N + 1);
+    for (size_t C = 0; C < N; ++C)
+      Row[C] = F() - Form[C];
+    Row[N] = Form[N];
+    size_t Var = Rng() % N;
+    Row[Var] = Row[Var] + F::one();
+    Rows.push_back(Row);
+  }
+  return Rows;
+}
+
+/// For each variable, the first one with the same oracle representative.
+template <typename F> std::vector<size_t> leadersOf(const Dense<F> &Reps) {
+  std::vector<size_t> Leader;
+  for (size_t V = 0; V < Reps.size(); ++V)
+    Leader.push_back(static_cast<size_t>(
+        std::find(Reps.begin(), Reps.end(), Reps[V]) - Reps.begin()));
+  return Leader;
+}
+
 std::vector<bool> drawMask(std::mt19937_64 &Rng, size_t N) {
   std::vector<bool> Mask(N);
   for (size_t I = 0; I < N; ++I)
@@ -379,8 +419,8 @@ template <typename F> void runTrial(std::mt19937_64 &Rng, const char *Tag) {
     ASSERT_EQ(systemOf(N, Input).entails(toLin(Row)), M.entails(Row));
   }
 
-  ASSERT_EQ(toDense(systemOf(N, Input).varRepresentatives()),
-            M.varRepresentatives());
+  ASSERT_EQ(systemOf(N, Input).equalVarLeaders(),
+            leadersOf(M.varRepresentatives()));
 
   // Embedding into a wider space: sorted targets keep the rows canonical
   // as they are, shuffled ones need a new elimination.
@@ -411,6 +451,19 @@ template <typename F> void runTrial(std::mt19937_64 &Rng, const char *Tag) {
   ASSERT_EQ(toDense(J.rows()), JM.Rows);
 }
 
+/// The classes of equal variables on equality-rich systems of up to eight
+/// variables, against the oracle's representatives.
+template <typename F> void runClassSeed(uint64_t Seed) {
+  std::mt19937_64 Rng(Seed);
+  for (unsigned T = 0; T < TrialsPerSeed; ++T) {
+    size_t N = 1 + Rng() % 8;
+    Dense<F> Input = drawEqualities<F>(Rng, N);
+    ASSERT_EQ(systemOf(N, Input).equalVarLeaders(),
+              leadersOf(Model<F>::of(N, Input).varRepresentatives()))
+        << "seed " << Seed << " trial " << T;
+  }
+}
+
 template <typename F> void runSeed(uint64_t Seed) {
   std::mt19937_64 Rng(Seed);
   for (unsigned T = 0; T < TrialsPerSeed; ++T) {
@@ -428,3 +481,5 @@ TEST(AffineSystemFuzz, RationalSeed1) { runSeed<Rational>(1); }
 TEST(AffineSystemFuzz, RationalSeed2) { runSeed<Rational>(2); }
 TEST(AffineSystemFuzz, GF2Seed1) { runSeed<GF2>(1); }
 TEST(AffineSystemFuzz, GF2Seed2) { runSeed<GF2>(2); }
+TEST(AffineSystemFuzz, EqualVarClassesRational) { runClassSeed<Rational>(3); }
+TEST(AffineSystemFuzz, EqualVarClassesGF2) { runClassSeed<GF2>(3); }

@@ -1,13 +1,16 @@
 //===- tests/alloc_test.cpp - Small term-layer objects stay off the heap ---===//
 //
 // Every join and quantification of the logical product copies atoms and
-// conjunctions and rebuilds terms it has built before.  This binary replaces
-// the global operator new and delete with counting versions and checks that
-// those copies and rebuilds allocate nothing.
+// conjunctions, rebuilds terms it has built before and fills per-call term
+// tables.  This binary replaces the global operator new and delete with
+// counting versions and checks that those copies and rebuilds allocate
+// nothing, and that the tables cost one allocation each.
 //
 //===----------------------------------------------------------------------===//
 
+#include "domains/uf/CongruenceClosure.h"
 #include "term/Conjunction.h"
+#include "term/TermMap.h"
 
 #include <gtest/gtest.h>
 
@@ -129,4 +132,46 @@ TEST_F(AllocTest, SubstituteThatChangesNothing) {
   EXPECT_EQ(allocationsIn([&] { keep(C.substitute(Ctx, S)); }), 0u);
   EXPECT_EQ(Ctx.substitute(Deep, S), Deep);
   EXPECT_TRUE(C.substitute(Ctx, S) == C);
+}
+
+TEST_F(AllocTest, CongruenceClosureLookups) {
+  Term Args[] = {X, FY};
+  Term App = Ctx.mkApp(G, Args, 2);
+  CongruenceClosure CC(Ctx);
+  CC.addEquality(X, FY);
+  CC.addTerm(App);
+  bool Equal = false, Has = false;
+  EXPECT_EQ(allocationsIn([&] {
+              keep(CC.addTerm(FY));
+              keep(CC.addTerm(App));
+              Has = CC.hasTerm(Y);
+              Equal = CC.areEqual(X, FY);
+            }),
+            0u);
+  EXPECT_TRUE(Has);
+  EXPECT_TRUE(Equal);
+}
+
+TEST_F(AllocTest, TermMapCopyIsOneAllocation) {
+  TermMap<size_t> Map;
+  for (size_t I = 0; I < 100; ++I)
+    Map.insert(Ctx.mkVar(std::string("m").append(std::to_string(I))), I);
+  size_t Size = 0;
+  EXPECT_EQ(allocationsIn([&] {
+              TermMap<size_t> Copy = Map;
+              keep(Copy);
+              Size = Copy.size();
+            }),
+            1u);
+  EXPECT_EQ(Size, 100u);
+}
+
+TEST_F(AllocTest, ConjunctionVarsAllocatesResultAndTable) {
+  Term W = Ctx.mkVar("w");
+  Conjunction C;
+  C.add(Eq);                      // x = F(y)
+  C.add(Atom::mkLe(Ctx, Z, W));   // z <= w
+  std::vector<Term> Vars;
+  EXPECT_LE(allocationsIn([&] { Vars = C.vars(); }), 2u);
+  EXPECT_EQ(Vars, (std::vector<Term>{W, X, Y, Z}));
 }

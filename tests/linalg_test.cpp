@@ -156,23 +156,19 @@ TEST(AffineSystemTest, JoinSoundnessRandomized) {
   }
 }
 
-TEST(AffineSystemTest, VarRepresentativesGroupEqualVars) {
-  // x = y, z free: x and y share a representative, z does not.
+TEST(AffineSystemTest, EqualVarLeadersGroupEqualVars) {
+  // x = y, z free: x and y share a class, z does not.
   AffineSystem<Rational> S(3);
   S.addRow(row({1, -1, 0, 0}));
-  std::vector<LinRow<Rational>> Reps = S.varRepresentatives();
-  ASSERT_EQ(Reps.size(), 3u);
-  EXPECT_EQ(Reps[0], Reps[1]);
-  EXPECT_NE(Reps[0], Reps[2]);
+  EXPECT_EQ(S.equalVarLeaders(), (std::vector<size_t>{0, 0, 2}));
 }
 
-TEST(AffineSystemTest, VarRepresentativesConstants) {
-  // x = 5, y = 5 implies x = y through the constant representative.
+TEST(AffineSystemTest, EqualVarLeadersConstants) {
+  // x = 5, y = 5 implies x = y through the constant.
   AffineSystem<Rational> S(2);
   S.addRow(row({1, 0, 5}));
   S.addRow(row({0, 1, 5}));
-  std::vector<LinRow<Rational>> Reps = S.varRepresentatives();
-  EXPECT_EQ(Reps[0], Reps[1]);
+  EXPECT_EQ(S.equalVarLeaders(), (std::vector<size_t>{0, 0}));
 }
 
 TEST(AffineSystemTest, SolveForBasic) {

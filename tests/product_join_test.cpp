@@ -235,3 +235,22 @@ TEST_F(ProductJoinTest, Figure1AffineSideGetsOnlyKeptPairs) {
   EXPECT_GT(Kept, 0u);
   EXPECT_LT(Kept, Offered);
 }
+
+// Entailment reuses E's saturated sides: once E's purification and
+// saturation are cached, a fact that names no new alien term runs no
+// Nelson-Oppen saturation; a fact that does still saturates, and is found.
+TEST_F(ProductJoinTest, EntailmentSaturatesOnlyForNewAliens) {
+  auto Rounds = [&] {
+    LatticeStats S;
+    Logical.collectStats(S);
+    return S.SaturationRounds;
+  };
+  Conjunction E = C(Ctx, "y = F(z) && z = x + 1 && w = G(y, x)");
+  ASSERT_FALSE(Logical.isUnsat(E)); // Caches E's entry.
+  unsigned long Before = Rounds();
+  EXPECT_TRUE(Logical.entailsAll(E, E));
+  EXPECT_EQ(Rounds() - Before, 0u);
+  Before = Rounds();
+  EXPECT_TRUE(Logical.entails(E, A(Ctx, "y = F(x + 1)")));
+  EXPECT_GT(Rounds() - Before, 0u);
+}

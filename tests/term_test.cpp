@@ -5,12 +5,14 @@
 #include "term/LinearExpr.h"
 #include "term/Parser.h"
 #include "term/Printer.h"
+#include "term/TermMap.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
 #include <random>
+#include <unordered_map>
 
 using namespace cai;
 
@@ -536,5 +538,64 @@ TEST_F(TermTest, CongruenceClassesAscending) {
     }
     for (unsigned N = 0; N < CC.numNodes(); ++N)
       EXPECT_EQ(Seen[N], 1u) << "node " << N;
+  }
+}
+
+// TermMap against std::unordered_map, seeded: a repeated insert keeps the
+// first value, absent keys are not found, values stay put while the table
+// doubles from 16 to 4096 slots, and a copy is independent of its original.
+// The keys are variables of a fresh context, so their ids are consecutive.
+TEST_F(TermTest, TermMapMatchesUnorderedMap) {
+  std::mt19937 Rng(25);
+  std::vector<Term> Keys;
+  for (int I = 0; I < 1500; ++I)
+    Keys.push_back(Ctx.mkVar(std::string("k").append(std::to_string(I))));
+  for (size_t I = 1; I < Keys.size(); ++I)
+    ASSERT_EQ(Keys[I]->id(), Keys[I - 1]->id() + 1);
+  TermMap<int> Map;
+  std::unordered_map<Term, int> Ref;
+  for (int Step = 0; Step < 6000; ++Step) {
+    Term K = Keys[Rng() % Keys.size()];
+    int V = static_cast<int>(Rng() % 1000);
+    if (Rng() % 4 == 0) {
+      // Overwrite through find, as the union-find does.
+      int *Found = Map.find(K);
+      auto It = Ref.find(K);
+      ASSERT_EQ(Found != nullptr, It != Ref.end());
+      if (Found) {
+        *Found = V;
+        It->second = V;
+      }
+      continue;
+    }
+    auto [Slot, Inserted] = Map.insert(K, V);
+    auto [It, RefInserted] = Ref.emplace(K, V);
+    ASSERT_EQ(Inserted, RefInserted) << "step " << Step;
+    ASSERT_EQ(*Slot, It->second) << "step " << Step;
+    ASSERT_EQ(Map.size(), Ref.size());
+  }
+  ASSERT_GT(Map.size(), 1024u); // Past five doublings of the 16 slots.
+  for (Term K : Keys) {
+    const int *Found = std::as_const(Map).find(K);
+    auto It = Ref.find(K);
+    ASSERT_EQ(Found != nullptr, It != Ref.end());
+    if (Found) {
+      EXPECT_EQ(*Found, It->second);
+    }
+  }
+  // Terms that are not variables, and an empty map, are absent.
+  EXPECT_EQ(Map.find(Ctx.mkNum(7)), nullptr);
+  EXPECT_EQ(TermMap<int>().find(Keys[0]), nullptr);
+
+  TermMap<int> Copy = Map;
+  for (Term K : Keys)
+    if (int *V = Copy.find(K))
+      *V = -1;
+  Copy.insert(Ctx.mkVar("only_in_copy"), 5);
+  EXPECT_EQ(Copy.size(), Map.size() + 1);
+  EXPECT_EQ(Map.find(Ctx.mkVar("only_in_copy")), nullptr);
+  for (const auto &[K, V] : Ref) {
+    ASSERT_NE(Map.find(K), nullptr);
+    EXPECT_EQ(*Map.find(K), V);
   }
 }

@@ -5,6 +5,11 @@
 
 #include "TestUtil.h"
 
+#include <algorithm>
+#include <functional>
+#include <numeric>
+#include <random>
+
 using namespace cai;
 using cai::test::A;
 using cai::test::C;
@@ -17,6 +22,48 @@ protected:
   TermContext Ctx;
   UFDomain D{Ctx};
 };
+
+/// The congruence closure of \p Eqs over the terms \p U (closed under
+/// subterms), by the textbook quadratic fixpoint: the label of each term
+/// is the smallest index of its class.
+std::vector<unsigned>
+naiveClosure(const std::vector<Term> &U,
+             const std::vector<std::pair<Term, Term>> &Eqs) {
+  std::vector<unsigned> Label(U.size());
+  std::iota(Label.begin(), Label.end(), 0);
+  auto IndexOf = [&](Term T) {
+    return static_cast<unsigned>(std::find(U.begin(), U.end(), T) - U.begin());
+  };
+  auto Merge = [&](unsigned A, unsigned B) {
+    unsigned Lo = std::min(Label[A], Label[B]);
+    unsigned Hi = std::max(Label[A], Label[B]);
+    if (Lo == Hi)
+      return false;
+    for (unsigned &L : Label)
+      if (L == Hi)
+        L = Lo;
+    return true;
+  };
+  for (const auto &[A, B] : Eqs)
+    Merge(IndexOf(A), IndexOf(B));
+  for (bool Changed = true; Changed;) {
+    Changed = false;
+    for (unsigned I = 0; I < U.size(); ++I)
+      for (unsigned J = I + 1; J < U.size(); ++J) {
+        if (!U[I]->isApp() || !U[J]->isApp() ||
+            U[I]->symbol() != U[J]->symbol() ||
+            U[I]->args().size() != U[J]->args().size())
+          continue;
+        bool Congruent = true;
+        for (size_t K = 0; K < U[I]->args().size() && Congruent; ++K)
+          Congruent = Label[IndexOf(U[I]->args()[K])] ==
+                      Label[IndexOf(U[J]->args()[K])];
+        if (Congruent)
+          Changed |= Merge(I, J);
+      }
+  }
+  return Label;
+}
 
 } // namespace
 
@@ -165,4 +212,77 @@ TEST_F(UFTest, NumbersActAsSharedConstants) {
   // But 1 and 2 are never conflated.
   Conjunction E3 = C(Ctx, "x = F(1) && y = F(2)");
   EXPECT_FALSE(D.entails(E3, A(Ctx, "x = y")));
+}
+
+// A seeded differential of the congruence closure against the quadratic
+// one above: random equalities among F/G terms of depth at most 3, then
+// areEqual queries, some on new applications congruent to existing nodes.
+// Every find, every query and allClasses must agree with the naive
+// partition over the closure's own nodes.
+TEST_F(UFTest, CongruenceClosureMatchesNaiveClosure) {
+  std::mt19937 Rng(31);
+  Symbol F = Ctx.getFunction("F", 1), G = Ctx.getFunction("G", 2);
+  std::vector<Term> Leaves = {T(Ctx, "a"), T(Ctx, "b"), T(Ctx, "c"),
+                              T(Ctx, "d")};
+  std::function<Term(int)> Draw = [&](int Depth) -> Term {
+    if (Depth == 1 || Rng() % 3 == 0)
+      return Leaves[Rng() % Leaves.size()];
+    if (Rng() % 2)
+      return Ctx.mkApp(F, {Draw(Depth - 1)});
+    return Ctx.mkApp(G, {Draw(Depth - 1), Draw(Depth - 1)});
+  };
+  for (int Trial = 0; Trial < 300; ++Trial) {
+    CongruenceClosure CC(Ctx);
+    std::vector<std::pair<Term, Term>> Eqs;
+    auto Nodes = [&] {
+      std::vector<Term> U;
+      for (unsigned N = 0; N < CC.numNodes(); ++N)
+        U.push_back(CC.termOf(N));
+      return U;
+    };
+    auto Check = [&] {
+      std::vector<Term> U = Nodes();
+      std::vector<unsigned> Label = naiveClosure(U, Eqs);
+      std::vector<std::vector<unsigned>> Expected;
+      for (unsigned N = 0; N < U.size(); ++N) {
+        ASSERT_EQ(CC.find(N), Label[N]) << "trial " << Trial << " node " << N;
+        if (Label[N] == N)
+          Expected.push_back({});
+        auto Class = std::find_if(Expected.begin(), Expected.end(),
+                                  [&](const std::vector<unsigned> &C) {
+                                    return C.empty() || C[0] == Label[N];
+                                  });
+        Class->push_back(N);
+      }
+      ASSERT_EQ(CC.allClasses(), Expected) << "trial " << Trial;
+    };
+    for (int I = 0, Count = 1 + Rng() % 6; I < Count; ++I) {
+      Term L = Draw(3), R = Draw(3);
+      Eqs.emplace_back(L, R);
+      if (Rng() % 2) {
+        CC.addEquality(L, R);
+      } else {
+        Conjunction E;
+        E.add(Atom::mkEq(Ctx, L, R));
+        CC.addConjunction(E);
+      }
+      Check();
+    }
+    for (int I = 0; I < 6; ++I) {
+      // Half the queries wrap an existing node in a new application.
+      Term L = Rng() % 2 ? Ctx.mkApp(F, {CC.termOf(Rng() % CC.numNodes())})
+                         : Draw(3);
+      Term R = Rng() % 2 ? Ctx.mkApp(F, {CC.termOf(Rng() % CC.numNodes())})
+                         : Draw(3);
+      bool Equal = CC.areEqual(L, R);
+      std::vector<Term> U = Nodes();
+      std::vector<unsigned> Label = naiveClosure(U, Eqs);
+      auto IndexOf = [&](Term X) {
+        return std::find(U.begin(), U.end(), X) - U.begin();
+      };
+      EXPECT_EQ(Equal, Label[IndexOf(L)] == Label[IndexOf(R)])
+          << "trial " << Trial;
+      Check();
+    }
+  }
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Byte-identity sweep: two builds over one corpus.
 
-    sweep_diff.py OLD NEW --specs S[,S...] [--jobs N] INPUT...
+    sweep_diff.py OLD NEW --specs S[,S...] [--stats] [--jobs N] INPUT...
     sweep_diff.py --serve OLD NEW [--jobs N] REQUESTS...
 
 OLD and NEW are cai-analyze binaries (say, a parent commit's build and a
@@ -9,7 +9,11 @@ change's).  Each INPUT is a `.imp` program or a JSON-lines request file
 such as the `requests.jsonl` that `pbtool gen` writes; every line of it
 with a "program" member is one program.  Every program runs under every
 spec as `BIN --domain=SPEC --invariants PROGRAM` on both binaries, and
-the two runs' stdout and exit code are compared byte for byte.
+the two runs' stdout and exit code are compared byte for byte.  With
+--stats the command line also carries `--stats`, so every registry
+counter the run prints (`congruence_closure.propagations`,
+`simplex.solves`, `domain.*.joins`, ...) is compared too: the two builds
+must do the same work, not only give the same answers.
 
 Prints, per spec, how many programs gave identical and different output,
 and the first differing program.  Exit code: 0 when every pair is
@@ -97,13 +101,15 @@ def split_specs(text):
     return specs
 
 
-def run(binary, spec, prog):
+def run(binary, spec, prog, stats=False):
     """(exit code, stdout bytes) of one analysis; a timeout reads as
     exit code None."""
+    cmd = [binary, "--domain=" + spec, "--invariants", prog]
+    if stats:
+        cmd.append("--stats")
     try:
-        p = subprocess.run([binary, "--domain=" + spec, "--invariants", prog],
-                           stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-                           timeout=TIMEOUT_S)
+        p = subprocess.run(cmd, stdout=subprocess.PIPE,
+                           stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
         return p.returncode, p.stdout
     except subprocess.TimeoutExpired:
         return None, b""
@@ -163,6 +169,8 @@ def main():
     ap.add_argument("--specs",
                     help="comma-separated domain specs; a spec's own commas "
                          "stay with it (poly,logical:poly,uf is two specs)")
+    ap.add_argument("--stats", action="store_true",
+                    help="also pass --stats, so the counters are compared")
     ap.add_argument("--serve", action="store_true",
                     help="OLD and NEW are cai-serve binaries and each INPUT "
                          "a JSON-lines request file")
@@ -172,6 +180,9 @@ def main():
     args = ap.parse_args()
     if args.serve == (args.specs is not None):
         print("sweep_diff: give either --specs or --serve", file=sys.stderr)
+        return 2
+    if args.serve and args.stats:
+        print("sweep_diff: --stats needs --specs", file=sys.stderr)
         return 2
     if args.serve:
         return serve_sweep(args)
@@ -192,8 +203,8 @@ def main():
             for spec in specs:
                 def compare(item):
                     _, prog = item
-                    return run(args.old, spec, prog) == run(args.new, spec,
-                                                            prog)
+                    return (run(args.old, spec, prog, args.stats) ==
+                            run(args.new, spec, prog, args.stats))
                 same = list(pool.map(compare, progs))
                 diff = [label for (label, _), ok in zip(progs, same) if not ok]
                 line = "%s: %d identical, %d different" % (
