@@ -2,8 +2,8 @@
 ///
 /// Scaling of the substrates everything rests on: BigInt arithmetic,
 /// exact simplex, Fourier-Motzkin projection, congruence closure, the
-/// affine hull and VE_T, and the term layer.  These are the ablation
-/// counterpart to
+/// affine hull and VE_T, Karr's domain cold (L2), and the term layer.
+/// These are the ablation counterpart to
 /// DESIGN.md decision 2 (exact arbitrary-precision arithmetic) -- the
 /// BigInt rows quantify what the exactness costs as coefficients grow --
 /// and decision 6, whose inline term storage the term-layer rows (sum
@@ -11,6 +11,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "domains/affine/AffineDomain.h"
 #include "domains/affine/EqualityKit.h"
 #include "domains/poly/Polyhedron.h"
 #include "domains/uf/CongruenceClosure.h"
@@ -19,6 +20,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <optional>
 #include <random>
 #include <string>
@@ -179,6 +181,61 @@ void BM_VarEqualities(benchmark::State &State) {
   State.counters["pairs"] = static_cast<double>(Pairs);
 }
 
+// L2 rungs of Karr's domain, cold: memoization is off, so every call
+// builds the structured form of its operand (columns, rows, one RREF)
+// from the atoms, as a cache miss does in the logical product.
+
+/// An N-atom purified affine side over w0 .. w(N-1) and v0 .. v(K-1):
+/// wi = vi' + (i+2)*vi'' + i - 1 (i' and i'' are two of the K base
+/// variables), with every third atom written the other way round.
+Conjunction makeAffineSide(TermContext &Ctx, int N) {
+  int K = std::max(2, N / 2);
+  std::vector<Term> Base = makeVars(Ctx, K);
+  Conjunction E;
+  for (int I = 0; I < N; ++I) {
+    Term W = Ctx.mkVar(std::string("w").append(std::to_string(I)));
+    Term Sum = Ctx.mkAdd(
+        Ctx.mkAdd(Base[I % K], Ctx.mkMul(Rational(I + 2), Base[(I + 1) % K])),
+        Ctx.mkNum(I - 1));
+    E.add(I % 3 == 2 ? Atom::mkEq(Ctx, Sum, W) : Atom::mkEq(Ctx, W, Sum));
+  }
+  return E;
+}
+
+void BM_AffineIsUnsat(benchmark::State &State) {
+  // One canon of an N-atom side per call: the two linear views of each
+  // atom, its row, and the canonical system.
+  int N = static_cast<int>(State.range(0));
+  TermContext Ctx;
+  AffineDomain D(Ctx);
+  D.setMemoization(false);
+  Conjunction E = makeAffineSide(Ctx, N);
+  for (auto _ : State) {
+    bool Unsat = D.isUnsat(E);
+    benchmark::DoNotOptimize(Unsat);
+  }
+}
+
+void BM_AffineExistQuant(benchmark::State &State) {
+  // Canon, project the even-numbered wi away, and render the projected
+  // rows back into atoms (fromSystem).
+  int N = static_cast<int>(State.range(0));
+  TermContext Ctx;
+  AffineDomain D(Ctx);
+  D.setMemoization(false);
+  Conjunction E = makeAffineSide(Ctx, N);
+  std::vector<Term> Eliminate;
+  for (int I = 0; I < N; I += 2)
+    Eliminate.push_back(Ctx.mkVar(std::string("w").append(std::to_string(I))));
+  size_t Atoms = 0;
+  for (auto _ : State) {
+    Conjunction Q = D.existQuant(E, Eliminate);
+    Atoms = Q.size();
+    benchmark::DoNotOptimize(Q);
+  }
+  State.counters["atoms"] = static_cast<double>(Atoms);
+}
+
 void BM_SimplexFeasibility(benchmark::State &State) {
   size_t N = static_cast<size_t>(State.range(0));
   std::mt19937 Rng(5);
@@ -281,8 +338,8 @@ Conjunction makeConjunction(TermContext &Ctx, Term X,
 }
 
 void BM_MkAddSum(benchmark::State &State) {
-  // 1 + 2*v0 + 3*v1 + ... folded left through mkAdd, the way
-  // LinearExpr::toTerm renders an N-variable row.
+  // 1 + 2*v0 + 3*v1 + ... folded left through mkAdd, interning every
+  // partial sum; a rendered row instead takes one mkSum.
   int N = static_cast<int>(State.range(0));
   std::optional<TermContext> Ctx;
   for (auto _ : State) {
@@ -337,6 +394,8 @@ BENCHMARK(BM_BigIntMul128)->Arg(60)->Arg(120)->Arg(250);
 BENCHMARK(BM_RationalNormalize)->Arg(40)->Arg(100)->Arg(180);
 BENCHMARK(BM_RationalReduce)->RangeMultiplier(4)->Range(4, 1024);
 BENCHMARK(BM_AffineHullJoin)->RangeMultiplier(2)->Range(4, 32)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_AffineIsUnsat)->RangeMultiplier(2)->Range(4, 16)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_AffineExistQuant)->RangeMultiplier(2)->Range(4, 16)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_SimplexFeasibility)->RangeMultiplier(2)->Range(2, 16)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_FourierMotzkin)->RangeMultiplier(2)->Range(2, 8)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_CongruenceClosure)->RangeMultiplier(2)->Range(8, 128)->Unit(benchmark::kMicrosecond);

@@ -40,8 +40,11 @@ AffineDomain::canon(const Conjunction &E) const {
   auto C = std::make_shared<Canon>();
   // Columns in order of first occurrence, left side before right side;
   // atoms that are not linear equalities are dropped (a sound
-  // over-approximation).
-  std::vector<LinearExpr> Diffs;
+  // over-approximation).  Each row is written as soon as its atom's
+  // columns exist, over the columns known so far; the constant then moves
+  // to the end once the column count is final.
+  std::vector<LinRow<Rational>> Rows;
+  Rows.reserve(E.size());
   for (const Atom &A : E.atoms()) {
     auto Sides = linearSides(context(), A);
     if (!Sides)
@@ -50,11 +53,20 @@ AffineDomain::canon(const Conjunction &E) const {
       C->Cols.add(T);
     for (const auto &[T, Coeff] : Sides->second.terms())
       C->Cols.add(T);
-    Diffs.push_back(Sides->first - Sides->second);
+    bool Outside = false;
+    Rows.push_back(equationRow(Sides->first, Sides->second, C->Cols, Outside));
+    assert(!Outside && "equation over a term that is not a column");
   }
-  C->Sys = AffineSystem<Rational>(C->Cols.Columns.size());
-  for (const LinearExpr &Diff : Diffs)
-    C->Sys.addRow(std::move(*equationRow(Diff, C->Cols)));
+  const size_t N = C->Cols.Columns.size();
+  for (LinRow<Rational> &Row : Rows) {
+    if (Row.size() == N + 1)
+      continue;
+    Rational Constant = std::move(Row.back());
+    Row.back() = Rational();
+    Row.resize(N + 1);
+    Row[N] = std::move(Constant);
+  }
+  C->Sys = AffineSystem<Rational>(N, std::move(Rows));
   C->Sys.isInconsistent(); // Canonicalize here, once.
   if (Memo)
     Recent.insert(E, C);
@@ -65,10 +77,12 @@ Conjunction AffineDomain::fromSystem(const AffineSystem<Rational> &S,
                                      const std::vector<Term> &Columns) const {
   if (S.isInconsistent())
     return Conjunction::bottom();
-  Conjunction Out;
+  Conjunction::AtomList Atoms;
+  Atoms.reserve(S.rows().size());
   for (const LinRow<Rational> &Row : S.rows())
-    Out.add(eqAtom(context(), Row, Row[Columns.size()], Columns));
-  return Out;
+    Atoms.push_back(
+        eqAtom(context(), Row.data(), Row[Columns.size()], Columns));
+  return Conjunction::of(std::move(Atoms));
 }
 
 Conjunction AffineDomain::join(const Conjunction &A,
@@ -115,9 +129,10 @@ bool AffineDomain::entails(const Conjunction &E, const Atom &A) const {
     return false; // Not a linear equality: not expressible here.
   // A term outside E's columns is unconstrained by the consistent E, so an
   // atom still mentioning one after cancellation is not entailed.
-  std::optional<LinRow<Rational>> Row =
-      equationRow(Sides->first - Sides->second, C->Cols);
-  return Row && C->Sys.entails(std::move(*Row));
+  bool Outside = false;
+  LinRow<Rational> Row =
+      equationRow(Sides->first, Sides->second, C->Cols, Outside);
+  return !Outside && C->Sys.entails(std::move(Row));
 }
 
 bool AffineDomain::isUnsat(const Conjunction &E) const {

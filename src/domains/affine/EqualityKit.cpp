@@ -16,22 +16,69 @@ std::vector<bool> cai::columnsMentioning(const std::vector<Term> &Columns,
   return Mask;
 }
 
-std::optional<LinRow<Rational>> cai::equationRow(const LinearExpr &Diff,
-                                                 const ColumnSpace &Space) {
-  LinRow<Rational> Row(Space.Columns.size() + 1);
-  for (const auto &[T, C] : Diff.terms()) {
-    const size_t *Col = Space.Index.find(T);
-    if (!Col)
-      return std::nullopt; // Indeterminate unknown to this column space.
-    Row[*Col] = C;
+Rational cai::addDifference(const LinearExpr &Lhs, const LinearExpr &Rhs,
+                            const ColumnSpace &Space, Rational *Coeffs,
+                            bool &Outside) {
+  // A term outside Space that occurs on both sides with one coefficient
+  // cancels, as it would in the difference Lhs - Rhs.
+  for (const auto &[T, C] : Lhs.terms()) {
+    if (const size_t *Col = Space.Index.find(T))
+      Coeffs[*Col] += C;
+    else if (Rhs.coeff(T) != C)
+      Outside = true;
   }
-  Row[Space.Columns.size()] = -Diff.constant();
+  for (const auto &[T, C] : Rhs.terms()) {
+    if (const size_t *Col = Space.Index.find(T))
+      Coeffs[*Col] -= C;
+    else if (Lhs.coeff(T) != C)
+      Outside = true;
+  }
+  return Rhs.constant() - Lhs.constant();
+}
+
+LinRow<Rational> cai::equationRow(const LinearExpr &Lhs,
+                                  const LinearExpr &Rhs,
+                                  const ColumnSpace &Space, bool &Outside) {
+  const size_t N = Space.Columns.size();
+  LinRow<Rational> Row(N + 1);
+  Row[N] = addDifference(Lhs, Rhs, Space, Row.data(), Outside);
   return Row;
+}
+
+SmallVec<TermCoeff, 8> cai::rowEntries(const Rational *Coeffs,
+                                       const std::vector<Term> &Columns) {
+  SmallVec<TermCoeff, 8> Entries;
+  for (size_t C = 0; C < Columns.size(); ++C)
+    if (!Coeffs[C].isZero())
+      Entries.emplace_back(Columns[C], Coeffs[C]);
+  sortByTerm(Entries.begin(), Entries.end());
+  return Entries;
 }
 
 Term cai::rowTerm(TermContext &Ctx, const LinRow<Rational> &Row,
                   const std::vector<Term> &Columns) {
-  return exprOf(Row, Columns, Row[Columns.size()]).toTerm(Ctx);
+  SmallVec<TermCoeff, 8> Entries = rowEntries(Row.data(), Columns);
+  return linearTerm(Ctx, Entries.data(), Entries.size(), Row[Columns.size()]);
+}
+
+Atom cai::eqAtom(TermContext &Ctx, const Rational *Coeffs, const Rational &Rhs,
+                 const std::vector<Term> &Columns) {
+  SmallVec<TermCoeff, 8> Entries = rowEntries(Coeffs, Columns);
+  Rational Scale = integralScale(Entries.data(), Entries.size(), -Rhs,
+                                 /*NormalizeSign=*/true);
+  for (TermCoeff &Entry : Entries)
+    Entry.second *= Scale;
+  return Atom::mkEq(Ctx,
+                    linearTerm(Ctx, Entries.data(), Entries.size(), Rational()),
+                    Ctx.mkNum(Rhs * Scale));
+}
+
+Atom cai::leAtom(TermContext &Ctx, const Rational *Coeffs, const Rational &Rhs,
+                 const std::vector<Term> &Columns) {
+  SmallVec<TermCoeff, 8> Entries = rowEntries(Coeffs, Columns);
+  return Atom::mkLe(Ctx,
+                    linearTerm(Ctx, Entries.data(), Entries.size(), Rational()),
+                    Ctx.mkNum(Rhs));
 }
 
 std::vector<std::pair<Term, Term>>

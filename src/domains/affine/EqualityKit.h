@@ -27,22 +27,25 @@ namespace cai {
 std::vector<bool> columnsMentioning(const std::vector<Term> &Columns,
                                     const std::vector<Term> &Vars);
 
-/// The row over \p Space of the equation Diff = 0 (coefficients, then the
-/// constant); nullopt when \p Diff mentions a term outside \p Space.
-std::optional<LinRow<Rational>> equationRow(const LinearExpr &Diff,
-                                            const ColumnSpace &Space);
+/// Adds the coefficients of \p Lhs - \p Rhs into \p Coeffs, at the
+/// columns of \p Space: a row's coefficient part, which the caller sized
+/// and zeroed.  The equation Lhs = Rhs then reads Coeffs . x = the
+/// returned Rhs.constant() - Lhs.constant().  Sets \p Outside when a term
+/// outside \p Space keeps a non-zero coefficient once the sides cancel.
+Rational addDifference(const LinearExpr &Lhs, const LinearExpr &Rhs,
+                       const ColumnSpace &Space, Rational *Coeffs,
+                       bool &Outside);
 
-/// Coefficients over \p Columns, then optionally a constant, as a linear
-/// expression.
-template <typename RowT>
-LinearExpr exprOf(const RowT &Coeffs, const std::vector<Term> &Columns,
-                  Rational Constant = Rational()) {
-  LinearExpr Expr(std::move(Constant));
-  for (size_t C = 0; C < Columns.size(); ++C)
-    if (!Coeffs[C].isZero())
-      Expr.addTerm(Columns[C], Coeffs[C]);
-  return Expr;
-}
+/// The equation Lhs = Rhs as a row over \p Space: the coefficients of
+/// Lhs - Rhs, then the constant (addDifference).
+LinRow<Rational> equationRow(const LinearExpr &Lhs, const LinearExpr &Rhs,
+                             const ColumnSpace &Space, bool &Outside);
+
+/// The non-zero entries of the coefficients \p Coeffs over \p Columns as
+/// (column term, coefficient) pairs, in the structural order of the
+/// column terms.
+SmallVec<TermCoeff, 8> rowEntries(const Rational *Coeffs,
+                                  const std::vector<Term> &Columns);
 
 /// A definition row (coefficients over \p Columns, then the constant) as
 /// a term.
@@ -50,19 +53,14 @@ Term rowTerm(TermContext &Ctx, const LinRow<Rational> &Row,
              const std::vector<Term> &Columns);
 
 /// The equality Coeffs . x = Rhs, scaled to integral coefficients with a
-/// normalized sign, so both halves of an equality pair render as the same
-/// atom.
-template <typename RowT>
-Atom eqAtom(TermContext &Ctx, const RowT &Coeffs, const Rational &Rhs,
-            const std::vector<Term> &Columns) {
-  LinearExpr Lhs = exprOf(Coeffs, Columns);
-  LinearExpr RhsExpr(Rhs);
-  LinearExpr Diff = Lhs - RhsExpr;
-  Rational Scale = Diff.normalizeIntegral(/*NormalizeSign=*/true);
-  Lhs = Lhs.scaled(Scale);
-  RhsExpr = RhsExpr.scaled(Scale);
-  return Atom::mkEq(Ctx, Lhs.toTerm(Ctx), RhsExpr.toTerm(Ctx));
-}
+/// normalized sign (integralScale of Coeffs . x - Rhs), so both halves of
+/// an equality pair render as the same atom.
+Atom eqAtom(TermContext &Ctx, const Rational *Coeffs, const Rational &Rhs,
+            const std::vector<Term> &Columns);
+
+/// The inequality Coeffs . x <= Rhs, unscaled.
+Atom leAtom(TermContext &Ctx, const Rational *Coeffs, const Rational &Rhs,
+            const std::vector<Term> &Columns);
 
 /// VE_T of the consistent system \p Sys: each variable column equal to an
 /// earlier variable column, in ascending order, paired with the first

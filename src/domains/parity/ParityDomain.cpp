@@ -17,22 +17,39 @@ static bool isIntegral(const LinearExpr &L) {
   return L.constant().isInteger();
 }
 
+static bool isOddInteger(const Rational &R) {
+  assert(R.isInteger() && "parity row must be integral");
+  return !(R.numerator() % BigInt(2)).isZero();
+}
+
 /// The GF(2) row of even(L), or of odd(L) when \p Odd, for an integral L:
 /// with L = sum a_i x_i + c, even(L) is sum (a_i mod 2) x_i = c mod 2, and
 /// odd flips the constant.
 static LinRow<GF2> mod2Row(const LinearExpr &L, bool Odd,
                            const ColumnSpace &Cols) {
-  auto IsOddInt = [](const Rational &R) {
-    assert(R.isInteger() && "parity row must be integral");
-    return !(R.numerator() % BigInt(2)).isZero();
-  };
   size_t N = Cols.Columns.size();
   LinRow<GF2> Row(N + 1);
   for (const auto &[Col, C] : L.terms())
-    Row[*Cols.Index.find(Col)] += GF2(IsOddInt(C));
-  bool CBit = IsOddInt(L.constant());
+    Row[*Cols.Index.find(Col)] += GF2(isOddInteger(C));
+  bool CBit = isOddInteger(L.constant());
   Row[N] = GF2(Odd ? !CBit : CBit);
   return Row;
+}
+
+/// The GF(2) shadow of the equation row \p Row over \p Columns: equal
+/// integers differ by an even number, so with the row scaled to integral
+/// coefficients of gcd 1 (integralScale, sign kept), each entry mod 2.
+static LinRow<GF2> mod2Shadow(const LinRow<Rational> &Row,
+                              const std::vector<Term> &Columns) {
+  const size_t N = Columns.size();
+  SmallVec<TermCoeff, 8> Entries = rowEntries(Row.data(), Columns);
+  Rational Scale = integralScale(Entries.data(), Entries.size(), Row[N],
+                                 /*NormalizeSign=*/false);
+  LinRow<GF2> Out(N + 1);
+  for (size_t C = 0; C <= N; ++C)
+    if (!Row[C].isZero())
+      Out[C] = GF2(isOddInteger(Row[C] * Scale));
+  return Out;
 }
 
 void ParityDomain::addAtomIndeterminates(ColumnSpace &Cols,
@@ -88,26 +105,30 @@ ParityDomain::State ParityDomain::toState(const Conjunction &E,
     return S;
   }
 
+  std::vector<LinRow<Rational>> Exact;
+  std::vector<LinRow<GF2>> Mod2;
+  Exact.reserve(E.size());
+  Mod2.reserve(E.size());
   for (const Atom &A : E.atoms()) {
     if (A.predicate() == Ctx.eqSymbol()) {
       std::optional<LinearExpr> Lhs = linearOf(A.lhs(), Cols);
       std::optional<LinearExpr> Rhs = linearOf(A.rhs(), Cols);
       if (!Lhs || !Rhs)
         continue;
-      LinearExpr Diff = *Lhs - *Rhs;
-      S.Exact.addRow(std::move(*equationRow(Diff, Cols)));
-      // Shadow into GF(2): the difference is even (equal integers).
-      Diff.normalizeIntegral(/*NormalizeSign=*/false);
-      S.Mod2.addRow(mod2Row(Diff, /*Odd=*/false, Cols));
+      bool Outside = false;
+      Exact.push_back(equationRow(*Lhs, *Rhs, Cols, Outside));
+      Mod2.push_back(mod2Shadow(Exact.back(), Cols.Columns));
       continue;
     }
     if (A.predicate() == EvenPred || A.predicate() == OddPred) {
       std::optional<LinearExpr> L = linearOf(A.args()[0], Cols);
       if (!L || !isIntegral(*L))
         continue; // Parity of a non-integral term is not modeled.
-      S.Mod2.addRow(mod2Row(*L, A.predicate() == OddPred, Cols));
+      Mod2.push_back(mod2Row(*L, A.predicate() == OddPred, Cols));
     }
   }
+  S.Exact = AffineSystem<Rational>(N, std::move(Exact));
+  S.Mod2 = AffineSystem<GF2>(N, std::move(Mod2));
   return S;
 }
 
@@ -117,20 +138,23 @@ Conjunction ParityDomain::fromState(const State &S,
     return Conjunction::bottom();
   TermContext &Ctx = context();
   const std::vector<Term> &Columns = Cols.Columns;
-  Conjunction Out;
+  Conjunction::AtomList Atoms;
+  Atoms.reserve(S.Exact.rows().size() + S.Mod2.rows().size());
   for (const LinRow<Rational> &Row : S.Exact.rows())
-    Out.add(eqAtom(Ctx, Row, Row[Columns.size()], Columns));
+    Atoms.push_back(eqAtom(Ctx, Row.data(), Row[Columns.size()], Columns));
   for (const LinRow<GF2> &Row : S.Mod2.rows()) {
-    LinearExpr L;
+    SmallVec<TermCoeff, 8> Entries;
     for (size_t C = 0; C < Columns.size(); ++C)
       if (Row[C].isOne())
-        L.addTerm(Columns[C], Rational(1));
-    if (L.isConstant())
+        Entries.emplace_back(Columns[C], Rational(1));
+    if (Entries.empty())
       continue; // 0 = 0 carries no information (inconsistency was checked).
+    sortByTerm(Entries.begin(), Entries.end());
     Symbol Pred = Row[Columns.size()].isOne() ? OddPred : EvenPred;
-    Out.add(Atom(Pred, {L.toTerm(Ctx)}));
+    Atoms.push_back(Atom(
+        Pred, {linearTerm(Ctx, Entries.data(), Entries.size(), Rational())}));
   }
-  return Out;
+  return Conjunction::of(std::move(Atoms));
 }
 
 Conjunction ParityDomain::join(const Conjunction &A,
@@ -177,7 +201,8 @@ bool ParityDomain::entails(const Conjunction &E, const Atom &A) const {
     std::optional<LinearExpr> Rhs = linearOf(A.rhs(), Cols);
     if (!Lhs || !Rhs)
       return false;
-    return S.Exact.entails(std::move(*equationRow(*Lhs - *Rhs, Cols)));
+    bool Outside = false;
+    return S.Exact.entails(equationRow(*Lhs, *Rhs, Cols, Outside));
   }
   if (A.predicate() == EvenPred || A.predicate() == OddPred) {
     std::optional<LinearExpr> L = linearOf(A.args()[0], Cols);

@@ -11,26 +11,11 @@
 
 using namespace cai;
 
-namespace {
-
-/// The inequality C.Coeffs . x <= C.Rhs.
-Atom leAtom(TermContext &Ctx, const LinearConstraint &C,
-            const std::vector<Term> &Columns) {
-  return Atom::mkLe(Ctx, exprOf(C.Coeffs, Columns).toTerm(Ctx),
-                    Ctx.mkNum(C.Rhs));
-}
-
-} // namespace
-
-LinearConstraint PolyDomain::rowOf(const LinearExpr &Diff,
+LinearConstraint PolyDomain::rowOf(const LinearExpr &Lhs,
+                                   const LinearExpr &Rhs,
                                    const ColumnSpace &Space, bool &Outside) {
-  LinearConstraint R{CoeffVec(Space.Columns.size()), -Diff.constant()};
-  for (const auto &[T, C] : Diff.terms()) {
-    if (const size_t *Col = Space.Index.find(T))
-      R.Coeffs[*Col] = C;
-    else
-      Outside = true;
-  }
+  LinearConstraint R{CoeffVec(Space.Columns.size()), Rational()};
+  R.Rhs = addDifference(Lhs, Rhs, Space, R.Coeffs.data(), Outside);
   return R;
 }
 
@@ -68,8 +53,11 @@ PolyDomain::canon(const Conjunction &E) const {
   // Columns in order of first occurrence, left side before right side.
   // Atoms that are not linear (in)equalities are dropped (a sound
   // over-approximation), but a linear left side still contributes its
-  // columns when the right side is not linear.
-  std::vector<std::pair<LinearExpr, bool>> Diffs;
+  // columns when the right side is not linear.  Each row is written as
+  // soon as its atom's columns exist and widened once the column count is
+  // final.
+  std::vector<std::pair<LinearConstraint, bool>> Rows;
+  Rows.reserve(E.size());
   for (const Atom &A : E.atoms()) {
     bool IsEq = A.isEq(Ctx);
     if (!IsEq && !A.isLe(Ctx))
@@ -84,12 +72,14 @@ PolyDomain::canon(const Conjunction &E) const {
       continue;
     for (const auto &[T, Coeff] : Rhs->terms())
       C->Cols.add(T);
-    Diffs.emplace_back(*Lhs - *Rhs, IsEq);
-  }
-  C->Poly = Polyhedron(C->Cols.Columns.size());
-  for (const auto &[Diff, IsEq] : Diffs) {
     bool Outside = false;
-    LinearConstraint R = rowOf(Diff, C->Cols, Outside);
+    Rows.emplace_back(rowOf(*Lhs, *Rhs, C->Cols, Outside), IsEq);
+    assert(!Outside && "constraint over a term that is not a column");
+  }
+  const size_t N = C->Cols.Columns.size();
+  C->Poly = Polyhedron(N);
+  for (auto &[R, IsEq] : Rows) {
+    R.Coeffs.resize(N);
     if (IsEq)
       C->Poly.addEq(R.Coeffs, R.Rhs);
     else
@@ -107,7 +97,6 @@ Conjunction PolyDomain::fromPoly(const Polyhedron &P,
     return Conjunction::bottom();
   std::vector<LinearConstraint> HullRows = P.affineHull(Solver);
   TermContext &Ctx = context();
-  Conjunction Out;
   // Emit the affine hull as equalities, then the irredundant inequalities
   // that are not already implied equalities.  Both halves of an equality
   // pair are tight, so the hull lists each equality twice with opposite
@@ -118,16 +107,19 @@ Conjunction PolyDomain::fromPoly(const Polyhedron &P,
           return E.negates(C);
         }))
       Eqs.push_back(std::move(C));
+  Conjunction::AtomList Atoms;
+  Atoms.reserve(Eqs.size());
   for (const LinearConstraint &C : Eqs)
-    Out.add(eqAtom(Ctx, C.Coeffs, C.Rhs, Columns));
+    Atoms.push_back(eqAtom(Ctx, C.Coeffs.data(), C.Rhs, Columns));
   // A projection or hull comes out minimal and is not minimized again.
   Polyhedron Min = P.minimized();
+  Atoms.reserve(Atoms.size() + Min.constraints().size());
   for (const LinearConstraint &C : Min.constraints())
     if (std::none_of(Eqs.begin(), Eqs.end(), [&](const LinearConstraint &E) {
           return E == C || E.negates(C);
         }))
-      Out.add(leAtom(Ctx, C, Columns));
-  return Out;
+      Atoms.push_back(leAtom(Ctx, C.Coeffs.data(), C.Rhs, Columns));
+  return Conjunction::of(std::move(Atoms));
 }
 
 Conjunction
@@ -135,7 +127,8 @@ PolyDomain::fromRowsVerbatim(const Polyhedron &P,
                              const std::vector<Term> &Columns) const {
   TermContext &Ctx = context();
   const std::vector<LinearConstraint> &Rows = P.constraints();
-  Conjunction Out;
+  Conjunction::AtomList Atoms;
+  Atoms.reserve(Rows.size());
   std::vector<bool> Consumed(Rows.size(), false);
   for (size_t I = 0; I < Rows.size(); ++I) {
     if (Consumed[I])
@@ -146,12 +139,12 @@ PolyDomain::fromRowsVerbatim(const Polyhedron &P,
         Mirror = J;
     if (Mirror != Rows.size()) {
       Consumed[Mirror] = true;
-      Out.add(eqAtom(Ctx, Rows[I].Coeffs, Rows[I].Rhs, Columns));
+      Atoms.push_back(eqAtom(Ctx, Rows[I].Coeffs.data(), Rows[I].Rhs, Columns));
       continue;
     }
-    Out.add(leAtom(Ctx, Rows[I], Columns));
+    Atoms.push_back(leAtom(Ctx, Rows[I].Coeffs.data(), Rows[I].Rhs, Columns));
   }
-  return Out;
+  return Conjunction::of(std::move(Atoms));
 }
 
 Conjunction PolyDomain::join(const Conjunction &A, const Conjunction &B) const {
@@ -198,7 +191,7 @@ bool PolyDomain::entails(const Conjunction &E, const Atom &A) const {
     return false;
   std::shared_ptr<const Canon> C = canon(E);
   bool Outside = false;
-  LinearConstraint R = rowOf(*Lhs - *Rhs, C->Cols, Outside);
+  LinearConstraint R = rowOf(*Lhs, *Rhs, C->Cols, Outside);
   // A term outside E's columns is unconstrained, so only an empty E
   // bounds a row that still mentions one.
   return Outside ? C->empty() : C->entails(R, IsEq);

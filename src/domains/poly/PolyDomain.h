@@ -91,9 +91,9 @@ private:
   /// to see to keep them stable.  \p P must be nonempty.
   Conjunction fromRowsVerbatim(const Polyhedron &P,
                                const std::vector<Term> &Columns) const;
-  /// Diff <= 0 as a row over \p Space; sets \p Outside if a term of Diff is
-  /// not a column.
-  static LinearConstraint rowOf(const LinearExpr &Diff,
+  /// Lhs - Rhs <= 0 as a row over \p Space; sets \p Outside if a term
+  /// of the difference is not a column.
+  static LinearConstraint rowOf(const LinearExpr &Lhs, const LinearExpr &Rhs,
                                 const ColumnSpace &Space, bool &Outside);
 
   mutable CanonList<Canon> Recent;

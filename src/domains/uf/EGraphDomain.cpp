@@ -116,13 +116,10 @@ Conjunction EGraphDomain::widen(const Conjunction &Old,
     return Joined;
   // Drop equalities over terms deeper than the cap; the remaining chain is
   // finite, so widening terminates even for loops like x := F(x).
-  Conjunction Out;
-  for (const Atom &A : Joined.atoms()) {
-    bool TooDeep = false;
+  return Joined.filter([&](const Atom &A) {
     for (Term Arg : A.args())
-      TooDeep |= termDepth(Arg) > WidenDepthCap;
-    if (!TooDeep)
-      Out.add(A);
-  }
-  return Out;
+      if (termDepth(Arg) > WidenDepthCap)
+        return false;
+    return true;
+  });
 }

@@ -126,23 +126,23 @@ public:
   /// Emits the joined facts: every naming of a node equals its
   /// representative.
   Conjunction emit() {
-    Conjunction Out;
+    Conjunction::AtomList Atoms;
     for (ProductNode &P : Nodes) {
       if (!P.Rep)
         continue;
       for (Term V : P.Vars)
         if (V != P.Rep)
-          Out.add(Atom::mkEq(Ctx, V, P.Rep));
+          Atoms.push_back(Atom::mkEq(Ctx, V, P.Rep));
       for (const auto &[Sym, Children] : P.Defs) {
         std::vector<Term> ArgReps;
         if (!childReps(Children, ArgReps))
           continue;
         Term T = Ctx.mkApp(Sym, std::move(ArgReps));
         if (T != P.Rep)
-          Out.add(Atom::mkEq(Ctx, T, P.Rep));
+          Atoms.push_back(Atom::mkEq(Ctx, T, P.Rep));
       }
     }
-    return Out;
+    return Conjunction::of(std::move(Atoms));
   }
 
 private:
@@ -273,16 +273,16 @@ private:
 Conjunction cai::ufProjectClosed(TermContext &Ctx, CongruenceClosure &CC,
                                  const std::vector<Term> &Eliminate) {
   Extractor X(Ctx, CC, Eliminate);
-  Conjunction Out;
+  Conjunction::AtomList Atoms;
   for (unsigned N = 0; N < CC.numNodes(); ++N) {
     Term Rep = X.repOfClass(N);
     if (!Rep)
       continue;
     Term Mine = X.extractionOf(N);
     if (Mine && Mine != Rep)
-      Out.add(Atom::mkEq(Ctx, Mine, Rep));
+      Atoms.push_back(Atom::mkEq(Ctx, Mine, Rep));
   }
-  return Out;
+  return Conjunction::of(std::move(Atoms));
 }
 
 std::optional<Term> cai::ufAlternateClosed(TermContext &Ctx,

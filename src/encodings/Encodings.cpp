@@ -31,12 +31,8 @@ Term TermEncoder::encode(Term T) {
     Args.reserve(T->args().size());
     for (Term Arg : T->args())
       Args.push_back(encode(Arg));
-    if (T->symbol() == Ctx.addSymbol()) {
-      Term Sum = Ctx.mkNum(0);
-      for (Term Arg : Args)
-        Sum = Ctx.mkAdd(Sum, Arg);
-      return Sum;
-    }
+    if (T->symbol() == Ctx.addSymbol())
+      return Ctx.mkSum(Args.data(), Args.size());
     if (T->symbol() == Ctx.mulSymbol() && Args[0]->isNumber())
       return Ctx.mkMul(Args[0]->number(), Args[1]);
     return Ctx.mkApp(T->symbol(), std::move(Args));
@@ -46,7 +42,7 @@ Term TermEncoder::encode(Term T) {
     return T; // Already in the target signature.
 
   int64_t Index = indexOf(T->symbol());
-  Term Arg = Ctx.mkNum(Index);
+  std::vector<Term> Sum{Ctx.mkNum(Index)};
   switch (S) {
   case Scheme::Commutative:
     if (T->args().size() != 2)
@@ -56,7 +52,7 @@ Term TermEncoder::encode(Term T) {
     // i + M(t1) + M(t2): addition's commutativity models the source
     // symbol's.
     for (Term Sub : T->args())
-      Arg = Ctx.mkAdd(Arg, encode(Sub));
+      Sum.push_back(encode(Sub));
     break;
   case Scheme::ArityReduction: {
     if (T->args().empty())
@@ -66,13 +62,13 @@ Term TermEncoder::encode(Term T) {
     // order significant.
     int64_t Weight = 2;
     for (Term Sub : T->args()) {
-      Arg = Ctx.mkAdd(Arg, Ctx.mkMul(Rational(Weight), encode(Sub)));
+      Sum.push_back(Ctx.mkMul(Rational(Weight), encode(Sub)));
       Weight *= 2;
     }
     break;
   }
   }
-  return Ctx.mkApp(F, {Arg});
+  return Ctx.mkApp(F, {Ctx.mkSum(Sum.data(), Sum.size())});
 }
 
 Atom TermEncoder::encode(const Atom &A) {

@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <initializer_list>
 #include <numeric>
 #include <optional>
 #include <utility>
@@ -39,6 +40,29 @@ namespace cai {
 /// nullspace extraction stay off the allocator.
 template <typename F> using LinRow = SmallVec<F, 8>;
 
+/// The pivot columns of an echelon form, inline up to eight like a row.
+using PivotList = SmallVec<size_t, 8>;
+
+/// A column visit order for reducedRowEchelon, borrowed for the call: the
+/// listed columns, or columns 0..size()-1 in index order (identity()),
+/// which needs no list at all.
+class ColumnOrder {
+public:
+  ColumnOrder(const size_t *Cols, size_t Size) : Cols(Cols), Size(Size) {}
+  ColumnOrder(const std::vector<size_t> &Cols)
+      : ColumnOrder(Cols.data(), Cols.size()) {}
+  ColumnOrder(std::initializer_list<size_t> Cols)
+      : ColumnOrder(Cols.begin(), Cols.size()) {}
+  static ColumnOrder identity(size_t Size) { return {nullptr, Size}; }
+
+  size_t size() const { return Size; }
+  size_t operator[](size_t I) const { return Cols ? Cols[I] : I; }
+
+private:
+  const size_t *Cols;
+  size_t Size;
+};
+
 /// Gauss-Jordan elimination in place.  Visits the columns of \p Order in
 /// turn; for each, swaps a row with a non-zero entry there into the next
 /// pivot position, scales it to a unit pivot and clears the column from
@@ -47,16 +71,16 @@ template <typename F> using LinRow = SmallVec<F, 8>;
 /// column in \p Order this is the reduced row echelon form for that
 /// column order, which is unique for a given row space.
 template <typename F>
-std::vector<size_t> reducedRowEchelon(std::vector<LinRow<F>> &Rows,
-                                      const std::vector<size_t> &Order) {
-  std::vector<size_t> Pivots;
+PivotList reducedRowEchelon(std::vector<LinRow<F>> &Rows, ColumnOrder Order) {
+  PivotList Pivots;
   const size_t NumRows = Rows.size();
   if (NumRows == 0)
     return Pivots;
   const size_t NumCols = Rows[0].size();
   for (const LinRow<F> &Row : Rows)
     assert(Row.size() == NumCols && "ragged row");
-  for (size_t Col : Order) {
+  for (size_t I = 0; I < Order.size(); ++I) {
+    const size_t Col = Order[I];
     const size_t PivotRow = Pivots.size();
     if (PivotRow == NumRows)
       break;
@@ -100,7 +124,7 @@ std::vector<size_t> reducedRowEchelon(std::vector<LinRow<F>> &Rows,
 /// order) with \p Pivots as returned by reducedRowEchelon.
 template <typename F>
 std::vector<LinRow<F>> nullspaceBasis(const std::vector<LinRow<F>> &Rows,
-                                      const std::vector<size_t> &Pivots,
+                                      const PivotList &Pivots,
                                       size_t NumCols) {
   std::vector<bool> IsPivot(NumCols, false);
   for (size_t P : Pivots)
@@ -126,6 +150,13 @@ std::vector<LinRow<F>> nullspaceBasis(const std::vector<LinRow<F>> &Rows,
 template <typename F> class AffineSystem {
 public:
   explicit AffineSystem(size_t NumVars) : NumVars(NumVars) {}
+  /// The system of \p Rows (each NumVars coefficients then the constant),
+  /// canonicalized lazily on the first query.
+  AffineSystem(size_t NumVars, std::vector<LinRow<F>> Rows)
+      : NumVars(NumVars), Dirty(!Rows.empty()), Rows(std::move(Rows)) {
+    for (const LinRow<F> &Row : this->Rows)
+      assert(Row.size() == NumVars + 1 && "row size mismatch");
+  }
 
   /// The inconsistent system over \p NumVars variables.
   static AffineSystem inconsistent(size_t NumVars) {
@@ -203,7 +234,7 @@ private:
   /// then column \p Lead (if any), then the others, each block in index
   /// order; and their pivot columns.  The system must be canonical and
   /// consistent.
-  std::pair<std::vector<LinRow<F>>, std::vector<size_t>>
+  std::pair<std::vector<LinRow<F>>, PivotList>
   echelonMaskedFirst(const std::vector<bool> &Mask,
                      std::optional<size_t> Lead = std::nullopt) const;
   /// \p Row (a canonical row of a consistent system) solved for its
@@ -230,9 +261,7 @@ template <typename F> void AffineSystem<F>::canonicalize() const {
   if (!Dirty || Inconsistent)
     return;
   Dirty = false;
-  std::vector<size_t> Identity(NumVars);
-  std::iota(Identity.begin(), Identity.end(), 0);
-  size_t Rank = reducedRowEchelon(Rows, Identity).size();
+  size_t Rank = reducedRowEchelon(Rows, ColumnOrder::identity(NumVars)).size();
   // Rows past the rank are zero on every variable; a non-zero constant
   // there reads 0 = c.
   for (size_t R = Rank; R < Rows.size(); ++R)
@@ -251,12 +280,13 @@ const std::vector<LinRow<F>> &AffineSystem<F>::rows() const {
 }
 
 template <typename F>
-std::pair<std::vector<LinRow<F>>, std::vector<size_t>>
+std::pair<std::vector<LinRow<F>>, PivotList>
 AffineSystem<F>::echelonMaskedFirst(const std::vector<bool> &Mask,
                                     std::optional<size_t> Lead) const {
   assert(Mask.size() == NumVars && "mask size mismatch");
   assert(!Dirty && !Inconsistent && "needs a canonical consistent system");
-  std::vector<size_t> Order;
+  SmallVec<size_t, 8> Order;
+  Order.reserve(NumVars);
   for (size_t I = 0; I < NumVars; ++I)
     if (Mask[I])
       Order.push_back(I);
@@ -266,7 +296,8 @@ AffineSystem<F>::echelonMaskedFirst(const std::vector<bool> &Mask,
     if (!Mask[I] && I != Lead)
       Order.push_back(I);
   std::vector<LinRow<F>> Echelon = Rows;
-  std::vector<size_t> Pivots = reducedRowEchelon(Echelon, Order);
+  PivotList Pivots =
+      reducedRowEchelon(Echelon, ColumnOrder(Order.data(), Order.size()));
   // A consistent system has full row rank: every row got a pivot.
   assert(Pivots.size() == Echelon.size() && "rank dropped on re-echelon");
   return {std::move(Echelon), std::move(Pivots)};
@@ -360,7 +391,7 @@ AffineSystem<F> AffineSystem<F>::join(const AffineSystem &A,
   auto PointAndBasis = [N](const AffineSystem &S, LinRow<F> &Point,
                            std::vector<LinRow<F>> &Basis) {
     // S.Rows is already RREF with pivot per row in column order.
-    std::vector<size_t> Pivots;
+    PivotList Pivots;
     for (const LinRow<F> &Row : S.Rows) {
       size_t P = 0;
       while (Row[P].isZero())
@@ -408,9 +439,8 @@ AffineSystem<F> AffineSystem<F>::join(const AffineSystem &A,
     Row[N] = F() - F::one();
     Constraints.push_back(std::move(Row));
   }
-  std::vector<size_t> AllColumns(N + 1);
-  std::iota(AllColumns.begin(), AllColumns.end(), 0);
-  std::vector<size_t> Pivots = reducedRowEchelon(Constraints, AllColumns);
+  PivotList Pivots =
+      reducedRowEchelon(Constraints, ColumnOrder::identity(N + 1));
 
   AffineSystem Out(N);
   for (LinRow<F> &Eq : nullspaceBasis(Constraints, Pivots, N + 1))

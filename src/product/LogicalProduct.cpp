@@ -108,7 +108,8 @@ Conjunction LogicalProduct::combine(const Conjunction &A, const Conjunction &B,
   Conjunction Right1 = ER->Sat.Side1, Right2 = ER->Sat.Side2;
 
   std::vector<Term> DummyVars;
-  std::vector<std::pair<Atom, Atom>> DummyDefs; // Left and right, per dummy.
+  // Each dummy's definitions, the left one at I and the right one at I.
+  Conjunction::AtomList LeftDefs, RightDefs;
   if (M == Mode::Logical) {
     // Lines 5-7: one fresh dummy variable per <x, y> pair of left/right
     // variables, defined as x on the left and as y on the right, so the
@@ -139,11 +140,12 @@ Conjunction LogicalProduct::combine(const Conjunction &A, const Conjunction &B,
           continue;
         Term P = Ctx.freshVar("p");
         DummyVars.push_back(P);
-        DummyDefs.emplace_back(Atom::mkEq(Ctx, X, P), Atom::mkEq(Ctx, Y, P));
-        Left2.add(DummyDefs.back().first);
-        Right2.add(DummyDefs.back().second);
+        LeftDefs.push_back(Atom::mkEq(Ctx, X, P));
+        RightDefs.push_back(Atom::mkEq(Ctx, Y, P));
       }
     }
+    Left2 = Left2.meet(Conjunction::of(LeftDefs));
+    Right2 = Right2.meet(Conjunction::of(RightDefs));
   }
 
   // Lines 8-9: component-wise join or widening (Section 4.3), the second
@@ -166,17 +168,17 @@ Conjunction LogicalProduct::combine(const Conjunction &A, const Conjunction &B,
         if (std::binary_search(Mentioned.begin(), Mentioned.end(),
                                DummyVars[I], TermStructLess())) {
           DummyVars[Kept] = DummyVars[I];
-          DummyDefs[Kept] = DummyDefs[I];
+          LeftDefs[Kept] = LeftDefs[I];
+          RightDefs[Kept] = RightDefs[I];
           ++Kept;
         }
       DummyVars.resize(Kept);
-      DummyDefs.resize(Kept);
+      LeftDefs.resize(Kept);
+      RightDefs.resize(Kept);
     }
     CAI_METRIC_ADD("product.pairs.kept", DummyVars.size());
-  }
-  for (const auto &[LeftDef, RightDef] : DummyDefs) {
-    Left1.add(LeftDef);
-    Right1.add(RightDef);
+    Left1 = Left1.meet(Conjunction::of(std::move(LeftDefs)));
+    Right1 = Right1.meet(Conjunction::of(std::move(RightDefs)));
   }
   Conjunction E1 =
       UseWiden ? L1.widen(Left1, Right1) : L1.join(Left1, Right1);
@@ -295,14 +297,19 @@ LogicalProduct::qSaturate(const Conjunction &E1, const Conjunction &E2,
 
 Conjunction LogicalProduct::backSubstitute(
     Conjunction E, const std::vector<std::pair<Term, Term>> &Defs) const {
-  // Definitions found later may mention variables defined earlier but not
-  // vice versa, so substituting in reverse removal order resolves chains.
-  for (auto It = Defs.rbegin(); It != Defs.rend(); ++It) {
-    Substitution S;
-    S.emplace(It->first, It->second);
-    E = E.substitute(context(), S);
-  }
-  return E;
+  // A definition mentions only variables removed before it (each avoids
+  // every variable still unresolved when it was found), never later ones.
+  // So resolving each definition against the earlier, already resolved
+  // ones and substituting all of them at once gives what substituting one
+  // at a time, most recent first, gives.
+  if (Defs.empty())
+    return E;
+  TermContext &Ctx = context();
+  Substitution S;
+  S.reserve(Defs.size());
+  for (const auto &[Var, Def] : Defs)
+    S.emplace(Var, Ctx.substitute(Def, S));
+  return E.substitute(Ctx, S);
 }
 
 Conjunction LogicalProduct::existQuant(const Conjunction &E,

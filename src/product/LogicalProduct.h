@@ -111,6 +111,14 @@ public:
   QSaturationResult qSaturate(const Conjunction &E1, const Conjunction &E2,
                               const std::vector<Term> &V1) const;
 
+  /// Substitutes QSaturation's definitions \p Defs (in removal order, each
+  /// over variables removed before it) into \p E, resolving chains
+  /// (Section 4.2): one substitution of every definition, each resolved
+  /// against the earlier ones.  Exposed for tests.
+  Conjunction backSubstitute(Conjunction E,
+                             const std::vector<std::pair<Term, Term>> &Defs)
+      const;
+
   void setMemoization(bool Enabled) const override {
     LogicalLattice::setMemoization(Enabled);
     L1.setMemoization(Enabled);
@@ -164,12 +172,6 @@ private:
                            const Conjunction &B, const SatEntry &ER,
                            const Conjunction &E1, const Conjunction &E2,
                            const Conjunction &Result, bool UseWiden) const;
-
-  /// Applies the accumulated definitions in reverse removal order so
-  /// chained definitions resolve (Section 4.2).
-  Conjunction backSubstitute(Conjunction E,
-                             const std::vector<std::pair<Term, Term>> &Defs)
-      const;
 
   const LogicalLattice &L1;
   const LogicalLattice &L2;

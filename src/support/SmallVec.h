@@ -272,7 +272,10 @@ private:
       ::operator delete(Ptr);
   }
 
-  void grow(size_t NewCap) {
+  /// The cold path of every push and reserve.  Out of line, so each of
+  /// the many push sites stays a compare and a store (DESIGN.md
+  /// decision 9).
+  __attribute__((noinline)) void grow(size_t NewCap) {
     NewCap = std::max(NewCap, Cap * 2);
     T *NewData = allocate(NewCap);
     std::uninitialized_move(Data, Data + Count, NewData);

@@ -8,7 +8,9 @@
 
 using namespace cai;
 
-Conjunction Conjunction::of(std::vector<Atom> Atoms) {
+Conjunction Conjunction::of(AtomList Atoms) {
+  // Sorting then dropping adjacent duplicates gives the list that sorted
+  // insertion with dedup would (Atom::operator< is a strict total order).
   Conjunction C;
   std::sort(Atoms.begin(), Atoms.end());
   Atoms.erase(std::unique(Atoms.begin(), Atoms.end()), Atoms.end());
@@ -45,9 +47,27 @@ uint64_t Conjunction::fingerprint() const {
 Conjunction Conjunction::meet(const Conjunction &RHS) const {
   if (Bottom || RHS.Bottom)
     return bottom();
-  Conjunction Result = *this;
-  for (const Atom &A : RHS.Items)
-    Result.add(A);
+  if (RHS.Items.empty())
+    return *this;
+  if (Items.empty())
+    return RHS;
+  // Merge the two sorted lists, an atom on both sides once.
+  Conjunction Result;
+  Result.Items.reserve(Items.size() + RHS.Items.size());
+  const Atom *L = Items.begin(), *LEnd = Items.end();
+  const Atom *R = RHS.Items.begin(), *REnd = RHS.Items.end();
+  while (L != LEnd || R != REnd) {
+    const Atom *Next;
+    if (R == REnd || (L != LEnd && *L < *R)) {
+      Next = L++;
+    } else if (L == LEnd || *R < *L) {
+      Next = R++;
+    } else {
+      Next = L++;
+      ++R;
+    }
+    Result.Items.push_back(*Next);
+  }
   return Result;
 }
 
@@ -61,10 +81,11 @@ Conjunction Conjunction::substitute(TermContext &Ctx,
                                     const Substitution &Subst) const {
   if (Bottom || Subst.empty())
     return *this;
-  Conjunction Result;
+  AtomList Atoms;
+  Atoms.reserve(Items.size());
   for (const Atom &A : Items)
-    Result.add(A.substitute(Ctx, Subst));
-  return Result;
+    Atoms.push_back(A.substitute(Ctx, Subst));
+  return of(std::move(Atoms));
 }
 
 std::vector<Term> Conjunction::vars() const {
@@ -84,11 +105,5 @@ std::vector<Term> Conjunction::vars() const {
 }
 
 Conjunction Conjunction::simplified(TermContext &Ctx) const {
-  if (Bottom)
-    return *this;
-  Conjunction Result;
-  for (const Atom &A : Items)
-    if (!A.isTrivial(Ctx))
-      Result.add(A);
-  return Result;
+  return filter([&](const Atom &A) { return !A.isTrivial(Ctx); });
 }

@@ -37,7 +37,10 @@ public:
     C.Bottom = true;
     return C;
   }
-  static Conjunction of(std::vector<Atom> Atoms);
+  /// The conjunction of \p Atoms, in any order and with duplicates: one
+  /// sort and one dedup.  Build a conjunction this way, not by add() in a
+  /// loop, which shifts the list once per atom.
+  static Conjunction of(AtomList Atoms);
 
   bool isBottom() const { return Bottom; }
   bool isTop() const { return !Bottom && Items.empty(); }
@@ -54,7 +57,8 @@ public:
   /// Adds one atom, keeping the sorted/dedup invariant.  No-op on bottom.
   void add(const Atom &A);
 
-  /// Conjoins another conjunction (the lattice meet at the syntactic level).
+  /// Conjoins another conjunction (the lattice meet at the syntactic
+  /// level): one merge of the two sorted lists.
   Conjunction meet(const Conjunction &RHS) const;
 
   bool contains(const Atom &A) const;
@@ -87,6 +91,18 @@ public:
 
   /// Removes trivially valid atoms (t = t and friends).
   Conjunction simplified(TermContext &Ctx) const;
+
+  /// The atoms for which \p Keep holds, in order.  Bottom stays bottom.
+  template <typename PredT> Conjunction filter(PredT &&Keep) const {
+    if (Bottom)
+      return *this;
+    Conjunction Result;
+    Result.Items.reserve(Items.size());
+    for (const Atom &A : Items)
+      if (Keep(A))
+        Result.Items.push_back(A);
+    return Result;
+  }
 
 private:
   bool Bottom = false;

@@ -81,66 +81,55 @@ void LinearExpr::addTerm(Term Indeterminate, const Rational &Coeff) {
     Coeffs.erase(It);
 }
 
-LinearExpr LinearExpr::operator+(const LinearExpr &RHS) const {
-  LinearExpr Out = *this;
-  for (const auto &[T, C] : RHS.Coeffs)
-    Out.addTerm(T, C);
-  Out.Constant += RHS.Constant;
-  return Out;
-}
-
-LinearExpr LinearExpr::operator-(const LinearExpr &RHS) const {
-  return *this + RHS.scaled(Rational(-1));
-}
-
-LinearExpr LinearExpr::scaled(const Rational &Factor) const {
-  LinearExpr Out;
-  if (Factor.isZero())
-    return Out;
-  Out.Coeffs.reserve(Coeffs.size());
-  for (const auto &[T, C] : Coeffs)
-    Out.Coeffs.emplace_back(T, C * Factor);
-  Out.Constant = Constant * Factor;
-  return Out;
-}
-
 Term LinearExpr::toTerm(TermContext &Ctx) const {
-  Term Sum = Ctx.mkNum(0);
-  for (const auto &[T, C] : Coeffs)
-    Sum = Ctx.mkAdd(Sum, Ctx.mkMul(C, T));
-  if (!Constant.isZero() || Coeffs.empty())
-    Sum = Ctx.mkAdd(Sum, Ctx.mkNum(Constant));
-  return Sum;
+  return linearTerm(Ctx, Coeffs.data(), Coeffs.size(), Constant);
 }
 
 Rational LinearExpr::normalizeIntegral(bool NormalizeSign) {
-  if (Coeffs.empty() && Constant.isZero())
+  Rational Scale =
+      integralScale(Coeffs.data(), Coeffs.size(), Constant, NormalizeSign);
+  for (auto &[T, C] : Coeffs)
+    C *= Scale;
+  Constant *= Scale;
+  return Scale;
+}
+
+Term cai::linearTerm(TermContext &Ctx, const TermCoeff *Entries,
+                     size_t NumEntries, const Rational &Constant) {
+  SmallVec<Term, 8> Addends;
+  Addends.reserve(NumEntries + 1);
+  for (size_t I = 0; I < NumEntries; ++I)
+    Addends.push_back(Ctx.mkMul(Entries[I].second, Entries[I].first));
+  if (!Constant.isZero())
+    Addends.push_back(Ctx.mkNum(Constant));
+  return Ctx.mkSum(Addends.data(), Addends.size());
+}
+
+Rational cai::integralScale(const TermCoeff *Entries, size_t NumEntries,
+                            const Rational &Constant, bool NormalizeSign) {
+  if (NumEntries == 0 && Constant.isZero())
     return Rational(1);
   // Least common multiple of all denominators.
   BigInt Lcm(1);
-  for (const auto &[T, C] : Coeffs)
-    Lcm = BigInt::lcm(Lcm, C.denominator());
+  for (size_t I = 0; I < NumEntries; ++I)
+    Lcm = BigInt::lcm(Lcm, Entries[I].second.denominator());
   Lcm = BigInt::lcm(Lcm, Constant.denominator());
   // Gcd of the resulting integer numerators.
   BigInt Gcd;
   auto FoldGcd = [&](const Rational &C) {
     Gcd = BigInt::gcd(Gcd, (C * Rational(Lcm)).numerator());
   };
-  for (const auto &[T, C] : Coeffs)
-    FoldGcd(C);
-  if (Coeffs.empty())
+  for (size_t I = 0; I < NumEntries; ++I)
+    FoldGcd(Entries[I].second);
+  if (NumEntries == 0)
     FoldGcd(Constant);
   if (Gcd.isZero())
     Gcd = BigInt(1);
   Rational Scale = Rational(Lcm) / Rational(Gcd);
   if (NormalizeSign) {
-    const Rational &Lead =
-        Coeffs.empty() ? Constant : Coeffs.begin()->second;
+    const Rational &Lead = NumEntries == 0 ? Constant : Entries[0].second;
     if ((Lead * Scale).sign() < 0)
       Scale = -Scale;
   }
-  for (auto &[T, C] : Coeffs)
-    C *= Scale;
-  Constant *= Scale;
   return Scale;
 }

@@ -26,7 +26,7 @@ public:
   /// The (indeterminate, coefficient) entries, sorted by TermStructLess on
   /// the indeterminate, with no zero coefficients.  A view rarely has more
   /// than a handful of indeterminates, so they live inline.
-  using TermList = SmallVec<std::pair<Term, Rational>, 4>;
+  using TermList = SmallVec<TermCoeff, 4>;
 
   /// Constructs the zero expression.
   LinearExpr() = default;
@@ -45,7 +45,6 @@ public:
   /// The entries, in TermStructLess order of their indeterminates.
   const TermList &terms() const { return Coeffs; }
 
-  bool isConstant() const { return Coeffs.empty(); }
   bool isZero() const { return Coeffs.empty() && Constant.isZero(); }
 
   /// True if every indeterminate is a variable.
@@ -53,10 +52,6 @@ public:
 
   void addTerm(Term Indeterminate, const Rational &Coeff);
   void addConstant(const Rational &Value) { Constant += Value; }
-
-  LinearExpr operator+(const LinearExpr &RHS) const;
-  LinearExpr operator-(const LinearExpr &RHS) const;
-  LinearExpr scaled(const Rational &Factor) const;
 
   bool operator==(const LinearExpr &RHS) const {
     return Constant == RHS.Constant && Coeffs == RHS.Coeffs;
@@ -77,6 +72,23 @@ private:
   TermList Coeffs;
   Rational Constant;
 };
+
+/// The canonical term of the sum of the \p NumEntries addends C * T at
+/// \p Entries (distinct indeterminates, non-zero coefficients) and
+/// \p Constant: one mkSum of the scaled indeterminates and, unless zero,
+/// the constant.
+Term linearTerm(TermContext &Ctx, const TermCoeff *Entries, size_t NumEntries,
+                const Rational &Constant);
+
+/// The factor normalizeIntegral scales by, for the \p NumEntries
+/// coefficients at \p Entries plus \p Constant: the least common multiple
+/// of all denominators over the gcd of the scaled coefficients (of the
+/// constant when there are none), negated when \p NormalizeSign is set and
+/// the lead coefficient (the first entry's, else the constant) would come
+/// out negative.  With \p NormalizeSign the entries must be in
+/// TermStructLess order.  1 for the zero expression.
+Rational integralScale(const TermCoeff *Entries, size_t NumEntries,
+                       const Rational &Constant, bool NormalizeSign);
 
 } // namespace cai
 

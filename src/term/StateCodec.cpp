@@ -213,7 +213,7 @@ std::optional<Conjunction> codec::decodeConjunction(TermContext &Ctx,
   std::optional<size_t> Count = readCount(Text, Pos);
   if (!Count)
     return std::nullopt;
-  std::vector<Atom> Atoms;
+  Conjunction::AtomList Atoms;
   Atoms.reserve(*Count);
   for (size_t I = 0; I < *Count; ++I) {
     std::optional<Atom> A = decodeAtom(Ctx, Text, Pos);

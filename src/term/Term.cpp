@@ -72,6 +72,12 @@ int cai::structuralCompare(Term A, Term B) {
   return 0;
 }
 
+void cai::sortByTerm(TermCoeff *First, TermCoeff *Last) {
+  std::sort(First, Last, [](const TermCoeff &A, const TermCoeff &B) {
+    return structuralCompare(A.first, B.first) < 0;
+  });
+}
+
 bool cai::occursIn(Term Var, Term T) {
   if (T == Var)
     return true;

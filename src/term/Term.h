@@ -20,6 +20,7 @@
 #include "support/Rational.h"
 #include "term/Symbol.h"
 
+#include <utility>
 #include <vector>
 
 namespace cai {
@@ -124,6 +125,14 @@ int structuralCompare(Term A, Term B);
 struct TermStructLess {
   bool operator()(Term A, Term B) const { return structuralCompare(A, B) < 0; }
 };
+
+/// One addend c * t of a linear sum: a term and its rational coefficient.
+using TermCoeff = std::pair<Term, Rational>;
+
+/// Sorts [\p First, \p Last) by TermStructLess on the terms.  Every sort of
+/// linear addends (sum building, row rendering) goes through this one
+/// instantiation.
+void sortByTerm(TermCoeff *First, TermCoeff *Last);
 
 } // namespace cai
 

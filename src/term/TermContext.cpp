@@ -114,9 +114,9 @@ Term TermContext::mkApp(Symbol Fn, const Term *Args, size_t NumArgs) {
   return T;
 }
 
-Term TermContext::mkAdd(Term Left, Term Right) {
+Term TermContext::mkSum(const Term *Addends, size_t NumAddends) {
   // Flatten nested sums into (base, coefficient) pieces and fold numerals.
-  SmallVec<std::pair<Term, Rational>, 8> Pieces;
+  SmallVec<TermCoeff, 8> Pieces;
   Rational Constant;
   auto Append = [&](Term T, auto &&Self) -> void {
     if (T->isNumber()) {
@@ -134,32 +134,30 @@ Term TermContext::mkAdd(Term Left, Term Right) {
     }
     Pieces.emplace_back(T, Rational(1));
   };
-  Append(Left, Append);
-  Append(Right, Append);
+  for (size_t I = 0; I < NumAddends; ++I)
+    Append(Addends[I], Append);
 
   // Canonical addend order (structural) so syntactically different builds
   // of the same sum hash-cons to one node (1 + a + b == 1 + b + a), in a
   // form that does not depend on which addend was interned first.  Sorting
   // also makes like terms adjacent, so x - x cancels and 2*x + x folds to
   // 3*x.
-  std::sort(Pieces.begin(), Pieces.end(), [](const auto &A, const auto &B) {
-    return structuralCompare(A.first, B.first) < 0;
-  });
+  sortByTerm(Pieces.begin(), Pieces.end());
 
-  SmallVec<Term, 8> Addends;
+  SmallVec<Term, 8> Sum;
   for (size_t I = 0; I < Pieces.size();) {
     Term Base = Pieces[I].first;
     Rational Coeff = std::move(Pieces[I].second);
     for (++I; I < Pieces.size() && Pieces[I].first == Base; ++I)
       Coeff += Pieces[I].second;
     if (!Coeff.isZero())
-      Addends.push_back(mkMul(std::move(Coeff), Base));
+      Sum.push_back(mkMul(std::move(Coeff), Base));
   }
-  if (!Constant.isZero() || Addends.empty())
-    Addends.push_back(mkNum(Constant));
-  if (Addends.size() == 1)
-    return Addends.front();
-  return mkApp(SymAdd, Addends.data(), Addends.size());
+  if (!Constant.isZero() || Sum.empty())
+    Sum.push_back(mkNum(Constant));
+  if (Sum.size() == 1)
+    return Sum.front();
+  return mkApp(SymAdd, Sum.data(), Sum.size());
 }
 
 Term TermContext::mkSub(Term Left, Term Right) {
@@ -178,10 +176,11 @@ Term TermContext::mkMul(Rational Coeff, Term T) {
     return mkMul(Coeff * T->args()[0]->number(), T->args()[1]);
   // Distribute over sums so -(a+b) stays flat.
   if (T->isApp() && T->symbol() == SymAdd) {
-    Term Sum = mkNum(0);
+    SmallVec<Term, 8> Scaled;
+    Scaled.reserve(T->args().size());
     for (Term Arg : T->args())
-      Sum = mkAdd(Sum, mkMul(Coeff, Arg));
-    return Sum;
+      Scaled.push_back(mkMul(Coeff, Arg));
+    return mkSum(Scaled.data(), Scaled.size());
   }
   Term Args[] = {mkNum(Coeff), T};
   return mkApp(SymMul, Args, 2);
@@ -210,12 +209,8 @@ Term TermContext::substitute(Term T, const Substitution &Subst) {
       return T;
     // Rebuild through the normalizing constructors so substituted sums and
     // products stay flat.
-    if (T->symbol() == SymAdd) {
-      Term Sum = mkNum(0);
-      for (Term Arg : NewArgs)
-        Sum = mkAdd(Sum, Arg);
-      return Sum;
-    }
+    if (T->symbol() == SymAdd)
+      return mkSum(NewArgs.data(), NewArgs.size());
     if (T->symbol() == SymMul && NewArgs[0]->isNumber())
       return mkMul(NewArgs[0]->number(), NewArgs[1]);
     return mkApp(T->symbol(), NewArgs.data(), NewArgs.size());

@@ -83,8 +83,16 @@ public:
   /// the arguments; they are copied only into a newly interned node.
   Term mkApp(Symbol Fn, const Term *Args, size_t NumArgs);
 
-  /// Builds Left + Right, flattening nested sums and folding numerals.
-  Term mkAdd(Term Left, Term Right);
+  /// Builds the sum of the \p NumAddends terms at \p Addends, flattening
+  /// nested sums, merging like addends and folding numerals; the empty sum
+  /// is 0.  The addends end in structural order, so every build of one sum
+  /// interns the same node, and only that node: no partial sums.
+  Term mkSum(const Term *Addends, size_t NumAddends);
+  /// Builds Left + Right (mkSum of two addends).
+  Term mkAdd(Term Left, Term Right) {
+    Term Addends[] = {Left, Right};
+    return mkSum(Addends, 2);
+  }
   /// Builds Left - Right.
   Term mkSub(Term Left, Term Right);
   /// Builds Coeff * T, folding the trivial cases 0*t and 1*t.

@@ -99,9 +99,7 @@ Term Purifier::purifyTerm(Term T, bool WantFirst) {
     Args.push_back(purifyTerm(Arg, IsFirst));
   Term Pure;
   if (T->symbol() == Ctx.addSymbol()) {
-    Pure = Ctx.mkNum(0);
-    for (Term Arg : Args)
-      Pure = Ctx.mkAdd(Pure, Arg);
+    Pure = Ctx.mkSum(Args.data(), Args.size());
   } else if (T->symbol() == Ctx.mulSymbol() && Args[0]->isNumber()) {
     Pure = Ctx.mkMul(Args[0]->number(), Args[1]);
   } else {

@@ -377,8 +377,9 @@ template <typename F> void runTrial(std::mt19937_64 &Rng, const char *Tag) {
     for (const DenseRow<F> &Row : Input)
       Rows.push_back(toLin(Row));
     Dense<F> Oracle = Input;
-    std::vector<size_t> Pivots = reducedRowEchelon(Rows, Order);
-    ASSERT_EQ(Pivots, oracleRref(Oracle, Order));
+    PivotList Pivots = reducedRowEchelon(Rows, Order);
+    ASSERT_EQ(std::vector<size_t>(Pivots.begin(), Pivots.end()),
+              oracleRref(Oracle, Order));
     for (size_t R = 0; R < Rows.size(); ++R) {
       if (R < Pivots.size()) {
         ASSERT_EQ(toDense(Rows[R]), Oracle[R]) << "row " << R;

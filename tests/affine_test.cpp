@@ -1,6 +1,7 @@
 //===- tests/affine_test.cpp - The Karr affine-equality domain -------------===//
 
 #include "domains/affine/AffineDomain.h"
+#include "domains/affine/EqualityKit.h"
 #include "obs/Metrics.h"
 #include "service/DomainFactory.h"
 
@@ -329,4 +330,131 @@ TEST_F(AffineTest, CanonListAgreesWithMemoOff) {
   EXPECT_EQ(Hits + Misses, ColdBuilds);
   EXPECT_GT(Hits, 0u);
   EXPECT_GT(Misses, Es.size());
+}
+
+namespace {
+
+/// The rendering before rows went straight to atoms, kept as the oracle:
+/// a LinearExpr built entry by entry, the integral scale of its difference
+/// with the right side, and terms folded with mkAdd.
+struct LinearExprRenderer {
+  TermContext &Ctx;
+
+  LinearExpr exprOf(const LinRow<Rational> &Coeffs,
+                    const std::vector<Term> &Columns,
+                    Rational Constant = Rational()) const {
+    LinearExpr Expr(std::move(Constant));
+    for (size_t C = 0; C < Columns.size(); ++C)
+      if (!Coeffs[C].isZero())
+        Expr.addTerm(Columns[C], Coeffs[C]);
+    return Expr;
+  }
+  Term toTerm(const LinearExpr &E) const {
+    Term Sum = Ctx.mkNum(0);
+    for (const auto &[T, C] : E.terms())
+      Sum = Ctx.mkAdd(Sum, Ctx.mkMul(C, T));
+    if (!E.constant().isZero() || E.terms().empty())
+      Sum = Ctx.mkAdd(Sum, Ctx.mkNum(E.constant()));
+    return Sum;
+  }
+  LinearExpr scaled(const LinearExpr &E, const Rational &Factor) const {
+    LinearExpr Out(E.constant() * Factor);
+    for (const auto &[T, C] : E.terms())
+      Out.addTerm(T, C * Factor);
+    return Out;
+  }
+  Atom eqAtom(const LinRow<Rational> &Coeffs, const Rational &Rhs,
+              const std::vector<Term> &Columns) const {
+    LinearExpr Lhs = exprOf(Coeffs, Columns);
+    LinearExpr Diff = Lhs;
+    Diff.addConstant(-Rhs);
+    Rational Scale = Diff.normalizeIntegral(/*NormalizeSign=*/true);
+    return Atom::mkEq(Ctx, toTerm(scaled(Lhs, Scale)),
+                      toTerm(LinearExpr(Rhs * Scale)));
+  }
+  Atom leAtom(const LinRow<Rational> &Coeffs, const Rational &Rhs,
+              const std::vector<Term> &Columns) const {
+    return Atom::mkLe(Ctx, toTerm(exprOf(Coeffs, Columns)), Ctx.mkNum(Rhs));
+  }
+  Term rowTerm(const LinRow<Rational> &Row,
+               const std::vector<Term> &Columns) const {
+    return toTerm(exprOf(Row, Columns, Row[Columns.size()]));
+  }
+};
+
+} // namespace
+
+// eqAtom, leAtom and rowTerm render a row exactly as the LinearExpr path
+// did: fractional and negative coefficients, constant-only rows, a negative
+// structurally first coefficient, columns out of structural order.
+TEST_F(AffineTest, RowRenderingMatchesLinearExprPath) {
+  std::mt19937 Rng(47);
+  Symbol F = Ctx.getFunction("F", 1);
+  // Columns deliberately out of structural order: opaque terms first,
+  // variables in reverse name order.
+  std::vector<Term> Pool = {Ctx.mkApp(F, {Ctx.mkVar("b")}), Ctx.mkVar("z"),
+                            Ctx.mkVar("y"), Ctx.freshVar("a"), Ctx.mkVar("x"),
+                            Ctx.mkVar("c"), Ctx.mkApp(F, {Ctx.mkVar("a")})};
+  LinearExprRenderer Old{Ctx};
+  auto Coeff = [&] {
+    if (Rng() % 3 == 0)
+      return Rational();
+    int64_t Num = static_cast<int64_t>(Rng() % 13) - 6;
+    int64_t Den = 1 + static_cast<int64_t>(Rng() % 4);
+    return Rational(BigInt(Num), BigInt(Den));
+  };
+  for (int Trial = 0; Trial < 500; ++Trial) {
+    std::vector<Term> Columns = Pool;
+    std::shuffle(Columns.begin(), Columns.end(), Rng);
+    Columns.resize(Rng() % (Pool.size() + 1));
+    LinRow<Rational> Row(Columns.size() + 1);
+    // Every fourth row is constant-only.
+    if (Trial % 4 != 0)
+      for (size_t C = 0; C < Columns.size(); ++C)
+        Row[C] = Coeff();
+    Row[Columns.size()] = Coeff();
+    const Rational &Rhs = Row[Columns.size()];
+    EXPECT_EQ(eqAtom(Ctx, Row.data(), Rhs, Columns),
+              Old.eqAtom(Row, Rhs, Columns));
+    EXPECT_EQ(leAtom(Ctx, Row.data(), Rhs, Columns),
+              Old.leAtom(Row, Rhs, Columns));
+    EXPECT_EQ(rowTerm(Ctx, Row, Columns), Old.rowTerm(Row, Columns));
+  }
+  // A negative structurally first coefficient flips the sign: x comes
+  // before y structurally although y is column 0.  The gcd is taken over
+  // the coefficients only, so the constant may stay fractional.
+  Term X = Ctx.mkVar("x"), Y = Ctx.mkVar("y");
+  LinRow<Rational> Row(3);
+  Row[0] = Rational(BigInt(1), BigInt(2));
+  Row[1] = Rational(BigInt(-3), BigInt(2));
+  Row[2] = Rational(BigInt(5), BigInt(4));
+  std::vector<Term> Columns = {Y, X};
+  Atom Eq = eqAtom(Ctx, Row.data(), Row[2], Columns);
+  EXPECT_EQ(Eq, Old.eqAtom(Row, Row[2], Columns));
+  EXPECT_EQ(toString(Ctx, Eq), "3*x - y = -5/2");
+}
+
+// Rendering an n-column row interns its sum once: beside the scaled
+// addends and numerals, exactly one + node, and no partial sums.
+TEST(RowRenderingTest, OneSumNodePerRenderedRow) {
+  for (size_t N = 2; N <= 7; ++N) {
+    TermContext Ctx;
+    std::vector<Term> Columns;
+    LinRow<Rational> Row(N + 1);
+    for (size_t C = 0; C < N; ++C) {
+      Columns.push_back(
+          Ctx.mkVar(std::string("v").append(std::to_string(C))));
+      Row[C] = Rational(static_cast<int64_t>(C + 1));
+    }
+    Row[N] = Rational(7);
+    // The scaled addends (with their numerals) and the right side exist.
+    for (size_t C = 0; C < N; ++C)
+      Ctx.mkMul(Row[C], Columns[C]);
+    Ctx.mkNum(Row[N]);
+    size_t Before = Ctx.numTerms();
+    Atom Eq = eqAtom(Ctx, Row.data(), Row[N], Columns);
+    EXPECT_EQ(Ctx.numTerms(), Before + 1) << N << " columns";
+    EXPECT_EQ(termSize(Eq.lhs()) + termSize(Eq.rhs()),
+              1 + N + (N - 1) * 2 + 1);
+  }
 }

@@ -1,13 +1,16 @@
 //===- tests/alloc_test.cpp - Small term-layer objects stay off the heap ---===//
 //
 // Every join and quantification of the logical product copies atoms and
-// conjunctions, rebuilds terms it has built before and fills per-call term
-// tables.  This binary replaces the global operator new and delete with
-// counting versions and checks that those copies and rebuilds allocate
-// nothing, and that the tables cost one allocation each.
+// conjunctions, rebuilds terms it has built before, fills per-call term
+// tables, canonicalizes small equality systems and renders their rows back
+// into atoms.  This binary replaces the global operator new and delete
+// with counting versions and checks that those copies, rebuilds,
+// eliminations and renderings allocate nothing, and that the tables and
+// merges cost one allocation each.
 //
 //===----------------------------------------------------------------------===//
 
+#include "domains/affine/EqualityKit.h"
 #include "domains/uf/CongruenceClosure.h"
 #include "term/Conjunction.h"
 #include "term/TermMap.h"
@@ -27,8 +30,15 @@ void *operator new(size_t Size) {
     return P;
   throw std::bad_alloc();
 }
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete(void *P, size_t) noexcept { std::free(P); }
+// Out of line, as the library's own are: inlined into a caller, the free()
+// would sit beside the operator new call that made the pointer, which
+// GCC 12's -Wmismatched-new-delete reports as a mismatch.
+__attribute__((noinline)) void operator delete(void *P) noexcept {
+  std::free(P);
+}
+__attribute__((noinline)) void operator delete(void *P, size_t) noexcept {
+  std::free(P);
+}
 
 using namespace cai;
 
@@ -174,4 +184,65 @@ TEST_F(AllocTest, ConjunctionVarsAllocatesResultAndTable) {
   std::vector<Term> Vars;
   EXPECT_LE(allocationsIn([&] { Vars = C.vars(); }), 2u);
   EXPECT_EQ(Vars, (std::vector<Term>{W, X, Y, Z}));
+}
+
+namespace {
+
+/// Seven columns: a row with its constant is eight entries, all inline.
+constexpr size_t SmallCols = 7;
+
+LinRow<Rational> smallRow(size_t Seed) {
+  LinRow<Rational> Row(SmallCols + 1);
+  for (size_t C = 0; C <= SmallCols; ++C)
+    Row[C] = Rational(BigInt(static_cast<int64_t>((Seed * 5 + C * 3) % 7) - 3),
+                      BigInt(static_cast<int64_t>(1 + (Seed + C) % 2)));
+  return Row;
+}
+
+} // namespace
+
+TEST_F(AllocTest, CanonicalizingASmallSystem) {
+  AffineSystem<Rational> Sys(SmallCols);
+  for (size_t R = 0; R < 5; ++R)
+    Sys.addRow(smallRow(R));
+  size_t Rank = 0;
+  EXPECT_EQ(allocationsIn([&] { Rank = Sys.rank(); }), 0u);
+  EXPECT_GT(Rank, 0u);
+}
+
+TEST_F(AllocTest, RenderingARowWhoseTermsExist) {
+  std::vector<Term> Columns;
+  for (size_t C = 0; C < SmallCols; ++C)
+    Columns.push_back(Ctx.mkVar(std::string("c").append(std::to_string(C))));
+  Columns[2] = FY; // One opaque column.
+  LinRow<Rational> Row = smallRow(3);
+  const Rational &Rhs = Row[SmallCols];
+  Atom FirstEq = eqAtom(Ctx, Row.data(), Rhs, Columns);
+  Atom FirstLe = leAtom(Ctx, Row.data(), Rhs, Columns);
+  Term FirstTerm = rowTerm(Ctx, Row, Columns);
+  Atom Eq2, Le2;
+  Term Term2 = nullptr;
+  EXPECT_EQ(allocationsIn([&] {
+              Eq2 = eqAtom(Ctx, Row.data(), Rhs, Columns);
+              Le2 = leAtom(Ctx, Row.data(), Rhs, Columns);
+              Term2 = rowTerm(Ctx, Row, Columns);
+            }),
+            0u);
+  EXPECT_EQ(Eq2, FirstEq);
+  EXPECT_EQ(Le2, FirstLe);
+  EXPECT_EQ(Term2, FirstTerm);
+}
+
+TEST_F(AllocTest, MeetOfThreeAtomConjunctionsIsOneAllocation) {
+  Term W = Ctx.mkVar("w");
+  Conjunction A, B;
+  A.add(Eq);
+  A.add(Le);
+  A.add(Even);
+  B.add(Atom::mkEq(Ctx, W, Ctx.mkNum(1)));
+  B.add(Atom::mkLe(Ctx, W, X));
+  B.add(Atom(Ctx.findSymbol("even"), {W}));
+  Conjunction M;
+  EXPECT_EQ(allocationsIn([&] { M = A.meet(B); }), 1u);
+  EXPECT_EQ(M.size(), 6u);
 }

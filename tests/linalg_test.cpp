@@ -24,7 +24,7 @@ LinRow<Rational> row(std::initializer_list<int64_t> Values) {
 TEST(RowKernelTest, RrefIdentifiesPivots) {
   std::vector<LinRow<Rational>> Rows{row({1, 2, 3}), row({2, 4, 6}),
                                      row({1, 0, 1})};
-  std::vector<size_t> Pivots = reducedRowEchelon(Rows, {0, 1, 2});
+  PivotList Pivots = reducedRowEchelon(Rows, {0, 1, 2});
   ASSERT_EQ(Pivots.size(), 2u);
   EXPECT_EQ(Pivots[0], 0u);
   EXPECT_EQ(Pivots[1], 1u);
@@ -36,7 +36,7 @@ TEST(RowKernelTest, RrefIdentifiesPivots) {
 TEST(RowKernelTest, NullspaceSatisfiesSystem) {
   std::vector<LinRow<Rational>> Rows{row({1, 1, -1, 0}), row({0, 1, 1, -2})};
   std::vector<LinRow<Rational>> Copy = Rows;
-  std::vector<size_t> Pivots = reducedRowEchelon(Rows, {0, 1, 2, 3});
+  PivotList Pivots = reducedRowEchelon(Rows, {0, 1, 2, 3});
   std::vector<LinRow<Rational>> Basis = nullspaceBasis(Rows, Pivots, 4);
   EXPECT_EQ(Basis.size(), 2u); // 4 columns, rank 2.
   for (const auto &V : Basis)

@@ -254,3 +254,63 @@ TEST_F(ProductJoinTest, EntailmentSaturatesOnlyForNewAliens) {
   EXPECT_TRUE(Logical.entails(E, A(Ctx, "y = F(x + 1)")));
   EXPECT_GT(Rounds() - Before, 0u);
 }
+
+// Substituting QSaturation's definitions at once, each resolved against
+// the earlier ones, gives what substituting them one at a time, most
+// recent first, gives: definition I mentions only variables defined
+// before it.
+TEST_F(ProductJoinTest, OnePassBackSubstitutionMatchesSequential) {
+  std::mt19937 Rng(53);
+  Symbol F = Ctx.getFunction("F", 1);
+  Symbol G = Ctx.getFunction("G", 2);
+  std::vector<Term> Base = {Ctx.mkVar("a"), Ctx.mkVar("b"), Ctx.mkVar("c")};
+  for (int Trial = 0; Trial < 200; ++Trial) {
+    // A chain x0 .. x(n-1): definition I over the base variables and
+    // x0 .. x(I-1).
+    size_t N = 1 + Rng() % 6;
+    std::vector<Term> Defined;
+    std::vector<std::pair<Term, Term>> Defs;
+    for (size_t I = 0; I < N; ++I) {
+      std::vector<Term> Allowed = Base;
+      Allowed.insert(Allowed.end(), Defined.begin(), Defined.end());
+      auto Pick = [&] { return Allowed[Rng() % Allowed.size()]; };
+      Term Def;
+      switch (Rng() % 3) {
+      case 0:
+        Def = Ctx.mkApp(F, {Pick()});
+        break;
+      case 1:
+        Def = Ctx.mkApp(G, {Pick(), Ctx.mkAdd(Pick(), Ctx.mkNum(1))});
+        break;
+      default:
+        Def = Ctx.mkAdd(Ctx.mkMul(Rational(2), Pick()),
+                        Ctx.mkSub(Pick(), Ctx.mkNum(3)));
+        break;
+      }
+      Term X = Ctx.mkVar(std::string("x").append(std::to_string(I)));
+      Defs.emplace_back(X, Def);
+      Defined.push_back(X);
+    }
+    // E mentions the defined variables in equalities, sums and under F.
+    Conjunction::AtomList Atoms;
+    for (size_t K = 0; K < 4; ++K) {
+      Term L = Defined[Rng() % N], R = Defined[Rng() % N];
+      Atoms.push_back(Atom::mkEq(Ctx, Ctx.mkAdd(L, Base[K % 3]),
+                                 Ctx.mkApp(F, {R})));
+      Atoms.push_back(Atom::mkEq(Ctx, L, R));
+    }
+    Conjunction E = Conjunction::of(std::move(Atoms));
+    Conjunction Sequential = E;
+    for (auto It = Defs.rbegin(); It != Defs.rend(); ++It) {
+      Substitution S;
+      S.emplace(It->first, It->second);
+      Sequential = Sequential.substitute(Ctx, S);
+    }
+    Conjunction OnePass = Logical.backSubstitute(E, Defs);
+    EXPECT_EQ(OnePass, Sequential) << toString(Ctx, OnePass) << " vs "
+                                   << toString(Ctx, Sequential);
+    EXPECT_EQ(OnePass.fingerprint(), Sequential.fingerprint());
+  }
+  EXPECT_EQ(Logical.backSubstitute(C(Ctx, "x = F(y)"), {}),
+            C(Ctx, "x = F(y)"));
+}

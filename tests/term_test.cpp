@@ -462,7 +462,10 @@ TEST_F(TermTest, LinearViewsAreSortedAndRoundTrip) {
       NonZero += C != 0;
     EXPECT_EQ(Entries.size(), NonZero);
     EXPECT_EQ(L->toTerm(Ctx), T) << toString(Ctx, T);
-    EXPECT_EQ((*L + L->scaled(Rational(-1))).terms().size(), 0u);
+    LinearExpr Cancelled = *L;
+    for (const auto &[Ind, C] : Entries)
+      Cancelled.addTerm(Ind, -C);
+    EXPECT_EQ(Cancelled.terms().size(), 0u);
   }
 }
 
@@ -598,4 +601,185 @@ TEST_F(TermTest, TermMapMatchesUnorderedMap) {
     ASSERT_NE(Map.find(K), nullptr);
     EXPECT_EQ(*Map.find(K), V);
   }
+}
+
+// mkSum over any list of addends interns the node a left fold of mkAdd
+// reaches: flattening, merging and the structural sort do not depend on how
+// the addends are grouped.
+TEST_F(TermTest, MkSumMatchesFoldOfMkAdd) {
+  std::mt19937 Rng(41);
+  Symbol F = Ctx.getFunction("F", 1);
+  Term X = Ctx.mkVar("x"), Y = Ctx.mkVar("y"), Z = Ctx.mkVar("z");
+  std::vector<Term> Leaves = {X, Y, Z, Ctx.freshVar("a"), Ctx.mkApp(F, {X}),
+                              Ctx.mkApp(F, {Ctx.mkAdd(Y, Ctx.mkNum(2))})};
+  auto Coeff = [&] {
+    int64_t Num = static_cast<int64_t>(Rng() % 9) - 4;
+    int64_t Den = 1 + static_cast<int64_t>(Rng() % 3);
+    return Rational(BigInt(Num), BigInt(Den));
+  };
+  // One addend: a leaf, a numeral (zero and fractions included), a scaled
+  // leaf or a nested sum of scaled leaves.
+  auto Addend = [&]() -> Term {
+    Term Leaf = Leaves[Rng() % Leaves.size()];
+    switch (Rng() % 4) {
+    case 0:
+      return Leaf;
+    case 1:
+      return Ctx.mkNum(Coeff());
+    case 2:
+      return Ctx.mkMul(Coeff(), Leaf);
+    default: {
+      Term Other = Leaves[Rng() % Leaves.size()];
+      Term Rest = Ctx.mkAdd(Ctx.mkMul(Coeff(), Other), Ctx.mkNum(Coeff()));
+      return Ctx.mkAdd(Ctx.mkMul(Coeff(), Leaf), Rest);
+    }
+    }
+  };
+  for (int Trial = 0; Trial < 400; ++Trial) {
+    std::vector<Term> Addends;
+    size_t N = Rng() % 13;
+    for (size_t I = 0; I < N; ++I)
+      Addends.push_back(Addend());
+    // Pieces that cancel: some addend and its negation.
+    if (N > 0 && Rng() % 3 == 0)
+      Addends.push_back(Ctx.mkNeg(Addends[Rng() % N]));
+    std::shuffle(Addends.begin(), Addends.end(), Rng);
+    Term Fold = Ctx.mkNum(0);
+    for (Term A : Addends)
+      Fold = Ctx.mkAdd(Fold, A);
+    EXPECT_EQ(Ctx.mkSum(Addends.data(), Addends.size()), Fold)
+        << toString(Ctx, Fold);
+  }
+  EXPECT_EQ(Ctx.mkSum(nullptr, 0), Ctx.mkNum(0));
+  EXPECT_EQ(Ctx.mkSum(&X, 1), X);
+}
+
+namespace {
+
+/// The conjunction of \p Atoms, one add() at a time: the reference for
+/// the batch builders.
+Conjunction addAll(const std::vector<Atom> &Atoms) {
+  Conjunction C;
+  for (const Atom &A : Atoms)
+    C.add(A);
+  return C;
+}
+
+void expectSameConjunction(const Conjunction &Got, const Conjunction &Want) {
+  EXPECT_EQ(Got, Want);
+  EXPECT_EQ(Got.isBottom(), Want.isBottom());
+  EXPECT_EQ(Got.fingerprint(), Want.fingerprint());
+  if (!Got.isBottom() && !Want.isBottom()) {
+    ASSERT_EQ(Got.size(), Want.size());
+    EXPECT_TRUE(std::equal(Got.begin(), Got.end(), Want.begin()));
+  }
+}
+
+} // namespace
+
+// of, meet, substitute and simplified build the list add() would, with one
+// sort, one merge or one in-order filter.
+TEST_F(TermTest, ConjunctionBatchBuildersMatchAddLoops) {
+  std::mt19937 Rng(43);
+  Symbol F = Ctx.getFunction("F", 1);
+  Symbol Even = Ctx.findSymbol("even");
+  std::vector<Term> Vars;
+  for (const char *Name : {"u", "v", "w", "x", "y"})
+    Vars.push_back(Ctx.mkVar(Name));
+  auto Var = [&] { return Vars[Rng() % Vars.size()]; };
+  auto Side = [&]() -> Term {
+    switch (Rng() % 4) {
+    case 0:
+      return Var();
+    case 1:
+      return Ctx.mkApp(F, {Var()});
+    case 2:
+      return Ctx.mkAdd(Var(), Ctx.mkNum(static_cast<int64_t>(Rng() % 3)));
+    default:
+      return Ctx.mkNum(static_cast<int64_t>(Rng() % 3));
+    }
+  };
+  auto RandomAtom = [&]() -> Atom {
+    switch (Rng() % 3) {
+    case 0:
+      return Atom::mkEq(Ctx, Side(), Side());
+    case 1:
+      return Atom::mkLe(Ctx, Side(), Side());
+    default:
+      return Atom(Even, {Side()});
+    }
+  };
+  auto RandomList = [&](size_t Max) {
+    std::vector<Atom> Out;
+    size_t N = Rng() % (Max + 1);
+    for (size_t I = 0; I < N; ++I)
+      Out.push_back(RandomAtom());
+    // Duplicates, then a shuffle.
+    for (size_t I = 0, Dups = N / 3; I < Dups; ++I)
+      Out.push_back(Out[Rng() % N]);
+    std::shuffle(Out.begin(), Out.end(), Rng);
+    return Out;
+  };
+  auto Of = [](const std::vector<Atom> &Atoms) {
+    return Conjunction::of(Conjunction::AtomList(Atoms.begin(), Atoms.end()));
+  };
+
+  for (int Trial = 0; Trial < 300; ++Trial) {
+    std::vector<Atom> ListA = RandomList(9), ListB = RandomList(9);
+    // Overlapping and equal operands.
+    if (Trial % 5 == 1 && !ListA.empty())
+      ListB.insert(ListB.end(), ListA.begin(),
+                   ListA.begin() + 1 + Rng() % ListA.size());
+    if (Trial % 5 == 2)
+      ListB = ListA;
+    Conjunction A = addAll(ListA), B = addAll(ListB);
+    expectSameConjunction(Of(ListA), A);
+    expectSameConjunction(Of(ListB), B);
+
+    std::vector<Atom> Both = ListA;
+    Both.insert(Both.end(), ListB.begin(), ListB.end());
+    expectSameConjunction(A.meet(B), addAll(Both));
+    expectSameConjunction(B.meet(A), addAll(Both));
+    expectSameConjunction(A.meet(Conjunction::top()), A);
+    expectSameConjunction(Conjunction::top().meet(A), A);
+    expectSameConjunction(A.meet(Conjunction::bottom()), Conjunction::bottom());
+    expectSameConjunction(Conjunction::bottom().meet(A), Conjunction::bottom());
+
+    // A substitution that can make atoms coincide (x and y to one term).
+    Substitution S;
+    Term To = Rng() % 2 ? Vars[0] : Ctx.mkApp(F, {Vars[1]});
+    S.emplace(Vars[3], To);
+    S.emplace(Vars[4], To);
+    Conjunction Substituted;
+    for (const Atom &At : A)
+      Substituted.add(At.substitute(Ctx, S));
+    expectSameConjunction(A.substitute(Ctx, S), Substituted);
+
+    Conjunction Simplified;
+    for (const Atom &At : A)
+      if (!At.isTrivial(Ctx))
+        Simplified.add(At);
+    expectSameConjunction(A.simplified(Ctx), Simplified);
+    expectSameConjunction(A.substitute(Ctx, S).simplified(Ctx),
+                          [&] {
+                            Conjunction R;
+                            for (const Atom &At : Substituted)
+                              if (!At.isTrivial(Ctx))
+                                R.add(At);
+                            return R;
+                          }());
+  }
+  // Two distinct atoms that one substitution makes equal collapse to one.
+  Term X = Ctx.mkVar("x"), Y = Ctx.mkVar("y"), U = Ctx.mkVar("u");
+  Conjunction Two = addAll({Atom::mkEq(Ctx, X, U), Atom::mkEq(Ctx, Y, U)});
+  Substitution S;
+  S.emplace(Y, X);
+  Conjunction One = Two.substitute(Ctx, S);
+  EXPECT_EQ(One.size(), 1u);
+  expectSameConjunction(One, addAll({Atom::mkEq(Ctx, X, U)}));
+  expectSameConjunction(Conjunction::bottom().substitute(Ctx, S),
+                        Conjunction::bottom());
+  expectSameConjunction(Conjunction::bottom().simplified(Ctx),
+                        Conjunction::bottom());
+  expectSameConjunction(Of({}), Conjunction::top());
 }

@@ -8,7 +8,9 @@ Compares per-benchmark real_time of `current` against `baseline` and fails
 20%).  A file run with --benchmark_repetitions=N holds N runs of each
 benchmark; their median is its time.  Benchmarks present in only one file
 are reported but never fail the gate (they are new or retired, not
-regressed).
+regressed).  A gated benchmark of `current` that reports a
+`cache_hit_rate` counter of 1 also fails the gate: every lookup hit, so it
+timed a warm cache, not the cold work the gate exists for.
 
 Cross-machine noise: the checked-in baseline (BENCH_fixpoint.json) was
 recorded on a different machine than CI runs on.  `--calibrate` rescales
@@ -28,9 +30,9 @@ the `perf-regression-ok` label, which skips this gate (see
 
 runs the built-in unit test: a synthetic 25% single-benchmark regression
 must fail the gate (with and without --calibrate), a uniform 2x machine
-slowdown must pass under --calibrate, and one outlier among three
-repetitions must not move a benchmark's time.  Exits 0 when the self-test
-passes.
+slowdown must pass under --calibrate, one outlier among three
+repetitions must not move a benchmark's time, and a gated rung with a
+cache hit rate of 1 must fail.  Exits 0 when the self-test passes.
 """
 
 import argparse
@@ -54,13 +56,32 @@ def times_of(data):
     return {name: statistics.median(ts) for name, ts in runs.items()}
 
 
-def load_times(path):
+def hit_rates_of(data):
+    """name -> highest cache_hit_rate counter over the runs of that name,
+    for the benchmarks that report one."""
+    rates = {}
+    for bench in data.get("benchmarks", []):
+        if bench.get("run_type") == "aggregate" or \
+                "cache_hit_rate" not in bench:
+            continue
+        rate = float(bench["cache_hit_rate"])
+        rates[bench["name"]] = max(rates.get(bench["name"], rate), rate)
+    return rates
+
+
+def load(path):
+    """The times and the cache hit rates of a benchmark JSON file."""
     with open(path) as f:
-        return times_of(json.load(f))
+        data = json.load(f)
+    return times_of(data), hit_rates_of(data)
 
 
-def compare(baseline, current, threshold, calibrate, out=sys.stdout):
-    """Returns the list of regressed benchmark names."""
+def compare(baseline, current, threshold, calibrate, out=sys.stdout,
+            hit_rates=None):
+    """Returns the names of the gated benchmarks that fail: those that
+    regressed, and those whose cache hit rate in \p hit_rates (the current
+    run's) is 1."""
+    hit_rates = hit_rates or {}
     shared = sorted(set(baseline) & set(current))
     if not shared:
         print("bench_diff: no shared benchmarks; nothing to gate", file=out)
@@ -97,6 +118,9 @@ def compare(baseline, current, threshold, calibrate, out=sys.stdout):
         status = "ok"
         if ratio > 1.0 + threshold:
             status = "REGRESSED"
+            regressed.append(name)
+        elif hit_rates.get(name, 0.0) >= 1.0:
+            status = "WARM (cache_hit_rate 1: times a warm cache)"
             regressed.append(name)
         print(f"  {name:<50} {base:10.3f} -> {cur:10.3f}  "
               f"({(ratio - 1.0) * 100.0:+6.1f}%)  {status}", file=out)
@@ -169,6 +193,29 @@ def self_test():
     assert compare({"BM_Rep/1": 100.0, "BM_Once/1": 50.0}, times, 0.20,
                    False, out=io.StringIO()) == []
 
+    # (g) A gated rung whose every cache lookup hit times a warm cache and
+    # fails, however fast; a partial hit rate, or a warm rung that is not
+    # gated (absent from the baseline), passes.
+    def counted(name, t, rate):
+        return {"name": name, "run_type": "iteration", "real_time": t,
+                "cache_hit_rate": rate}
+    warm = {"benchmarks": [counted("BM_Cold/1", 100.0, 0.6),
+                           counted("BM_Warm/1", 100.0, 1.0),
+                           counted("BM_New/1", 10.0, 1.0)]}
+    rates = hit_rates_of(warm)
+    assert rates == {"BM_Cold/1": 0.6, "BM_Warm/1": 1.0, "BM_New/1": 1.0}
+    base = {"BM_Cold/1": 100.0, "BM_Warm/1": 100.0}
+    for calibrate in (False, True):
+        bad = compare(base, times_of(warm), 0.20, calibrate,
+                      out=io.StringIO(), hit_rates=rates)
+        assert bad == ["BM_Warm/1"], (calibrate, bad)
+    fast = dict(times_of(warm), **{"BM_Warm/1": 10.0})
+    assert compare(base, fast, 0.20, False, out=io.StringIO(),
+                   hit_rates=rates) == ["BM_Warm/1"]
+    rates["BM_Warm/1"] = 0.99
+    assert compare(base, times_of(warm), 0.20, False, out=io.StringIO(),
+                   hit_rates=rates) == []
+
     print("bench_diff: self-test passed")
     return 0
 
@@ -193,16 +240,18 @@ def main():
     if not args.baseline or not args.current:
         ap.error("baseline and current JSON files are required")
 
+    baseline, _ = load(args.baseline)
+    current, hit_rates = load(args.current)
     try:
-        regressed = compare(load_times(args.baseline),
-                            load_times(args.current),
-                            args.threshold, args.calibrate)
+        regressed = compare(baseline, current, args.threshold,
+                            args.calibrate, hit_rates=hit_rates)
     except CalibrationError as e:
         print(f"bench_diff: ERROR -- {e}", file=sys.stderr)
         return 2
     if regressed:
         print(f"bench_diff: FAIL -- {len(regressed)} benchmark(s) regressed "
-              f"more than {args.threshold * 100:.0f}%: {', '.join(regressed)}")
+              f"more than {args.threshold * 100:.0f}% or timed a warm "
+              f"cache: {', '.join(regressed)}")
         print("bench_diff: if intentional, apply the 'perf-regression-ok' "
               "label to the PR and justify it in the description")
         return 1
